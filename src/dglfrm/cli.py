@@ -159,7 +159,6 @@ def cmd_train(args) -> None:
         decoder_hidden=_decoder_hidden(args.decoder_hidden),
         kl_anneal_epochs=0 if args.no_kl_anneal else args.kl_anneal_epochs,
         val_every=args.val_every,
-        kl_n_terms=args.kl_terms,
     )
     g = _load_graph(args.graph, args.features)
     split = gd.load_split(args.split)
@@ -307,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kl-anneal-epochs", type=int, default=50)
     p.add_argument("--no-kl-anneal", action="store_true")
     p.add_argument("--val-every", type=int, default=10)
-    p.add_argument("--kl-terms", type=int, default=10)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score held-out pairs from a checkpoint")

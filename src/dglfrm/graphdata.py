@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,8 @@ import scipy.sparse as _sp
 from .tensor import SparseMatrix, Tensor
 
 logger = logging.getLogger("dglfrm.graphdata")
+
+OVERLAP_PROB = 0.3  # chance a synthetic node joins one extra community
 
 
 class LoadError(Exception):
@@ -74,18 +76,13 @@ class SyntheticSpec:
     n_nodes: int = 100
     n_communities: int = 10
     seed: int = 0
-    overlap_prob: float = 0.3
 
 
 def _adjacency_from_pairs(pairs, n: int) -> SparseMatrix:
-    if pairs:
-        arr = np.asarray(pairs, dtype=np.int64)
-        rows = np.concatenate([arr[:, 0], arr[:, 1]])
-        cols = np.concatenate([arr[:, 1], arr[:, 0]])
-        vals = np.ones(rows.size)
-    else:
-        rows = cols = vals = np.zeros(0)
-    return SparseMatrix.from_coo(rows, cols, vals, (n, n))
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([arr[:, 0], arr[:, 1]])
+    cols = np.concatenate([arr[:, 1], arr[:, 0]])
+    return SparseMatrix.from_coo(rows, cols, np.ones(rows.size), (n, n))
 
 
 def undirected_edges(g: Graph) -> list[tuple[int, int]]:
@@ -292,7 +289,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, np.ndarray]:
     """Sample an overlapping-block graph; returns (graph, binary memberships).
 
     Node n always belongs to community n mod K and with probability
-    `overlap_prob` to one extra community. Edge (u, v) is Bernoulli of
+    `OVERLAP_PROB` to one extra community. Edge (u, v) is Bernoulli of
     sigmoid(8 * <b_u, b_v> - 4): shared-community pairs connect w.p. >= 0.98,
     disjoint pairs w.p. ~0.018.
     """
@@ -304,7 +301,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, np.ndarray]:
     for node in range(n):
         primary = node % k
         memberships[node, primary] = 1.0
-        if k > 1 and rng.random() < spec.overlap_prob:
+        if k > 1 and rng.random() < OVERLAP_PROB:
             extra = (primary + 1 + int(rng.integers(k - 1))) % k
             memberships[node, extra] = 1.0
     probs = 1.0 / (1.0 + np.exp(-(8.0 * (memberships @ memberships.T) - 4.0)))
@@ -335,14 +332,23 @@ def save_split(split: SplitSpec, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _raise_at(path, linenos: list[int], name: str, arr: np.ndarray, bad: np.ndarray, problem: str):
+    """Raise LoadError naming the line of the first pair flagged in `bad`."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise LoadError(f"{path}:{linenos[i]}: {name} pair {arr[i, 0]} {arr[i, 1]} {problem}")
+
+
 def load_split(path) -> SplitSpec:
+    """Read a split written by save_split; malformed content raises LoadError."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as e:
         raise LoadError(f"cannot read {path}: {e}") from e
-    n_nodes = seed = None
+    headers: dict[str, int] = {}
     sections: dict[str, list[tuple[int, int]]] = {s: [] for s in _SPLIT_SECTIONS}
+    linenos: dict[str, list[int]] = {s: [] for s in _SPLIT_SECTIONS}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -350,10 +356,11 @@ def load_split(path) -> SplitSpec:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "nodes":
-                n_nodes = int(parts[1])
-            elif len(parts) == 2 and parts[0] == "seed":
-                seed = int(parts[1])
+            if len(parts) == 2 and parts[0] in ("nodes", "seed"):
+                try:
+                    headers[parts[0]] = int(parts[1])
+                except ValueError as e:
+                    raise LoadError(f"{path}:{lineno}: non-integer header {raw!r}") from e
             continue
         if line in _SPLIT_SECTIONS:
             current = line
@@ -368,14 +375,29 @@ def load_split(path) -> SplitSpec:
         except ValueError as e:
             raise LoadError(f"{path}:{lineno}: non-integer pair {raw!r}") from e
         sections[current].append((u, v))
-    if n_nodes is None:
+        linenos[current].append(lineno)
+    if "nodes" not in headers:
         raise LoadError(f"{path}: missing '# nodes N' header")
+    n_nodes = headers["nodes"]
+    arrays = {
+        name: np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        for name, pairs in sections.items()
+    }
+    for name, arr in arrays.items():
+        bad = (arr < 0).any(axis=1) | (arr >= n_nodes).any(axis=1) | (arr[:, 0] == arr[:, 1])
+        problem = f"needs two distinct node ids in [0, {n_nodes})"
+        _raise_at(path, linenos[name], name, arr, bad, problem)
+    train = _adjacency_from_pairs(arrays["TRAIN"], n_nodes)
+    for name in _SPLIT_SECTIONS[1:]:
+        arr = arrays[name]
+        leaked = np.asarray(train.scipy()[arr[:, 0], arr[:, 1]]).ravel() != 0
+        _raise_at(path, linenos[name], name, arr, leaked, "is also a TRAIN edge")
     return SplitSpec(
         n_nodes=n_nodes,
-        train_adjacency=_adjacency_from_pairs(sections["TRAIN"], n_nodes),
+        train_adjacency=train,
         val_pos=tuple(sections["VAL_POS"]),
         val_neg=tuple(sections["VAL_NEG"]),
         test_pos=tuple(sections["TEST_POS"]),
         test_neg=tuple(sections["TEST_NEG"]),
-        seed=seed if seed is not None else 0,
+        seed=headers.get("seed", 0),
     )

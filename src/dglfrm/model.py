@@ -7,7 +7,7 @@ product, a symmetrized bilinear form, or the plain inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,6 +18,7 @@ from .stochastic import LatentSample
 from .tensor import Parameter, SparseMatrix, Tensor, UsageError
 
 PARAM_FLOOR = 1e-4  # added after softplus so c, d stay strictly positive
+LEAKY_SLOPE = 0.2  # negative-side slope of the encoder and MLP-decoder activations
 
 
 class ModelVariant(Enum):
@@ -76,7 +77,6 @@ class EncoderParams:
     w_mu: Parameter
     w_sigma: Parameter
     dropout: float = 0.5
-    leaky_slope: float = 0.2
 
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.w_c, self.w_d, self.w_pi, self.w_mu, self.w_sigma]
@@ -93,7 +93,6 @@ class DecoderParams:
     form: str
     layers: tuple[tuple[Parameter, Parameter], ...] = ()
     bilinear_w: Parameter | None = None
-    leaky_slope: float = 0.2
 
     def __post_init__(self) -> None:
         if self.form not in ("mlp", "bilinear", "inner"):
@@ -173,7 +172,6 @@ def init_encoder(
     hidden: int,
     k: int,
     dropout: float = 0.5,
-    leaky_slope: float = 0.2,
 ) -> EncoderParams:
     def head(name: str) -> Parameter:
         return Parameter(glorot_uniform(rng, hidden, k), f"encoder.{name}")
@@ -186,7 +184,6 @@ def init_encoder(
         w_mu=head("w_mu"),
         w_sigma=head("w_sigma"),
         dropout=dropout,
-        leaky_slope=leaky_slope,
     )
 
 
@@ -195,7 +192,6 @@ def init_decoder(
     variant: ModelVariant,
     k: int,
     hidden: tuple[int, ...] = (32, 16),
-    leaky_slope: float = 0.2,
 ) -> DecoderParams:
     form = variant.decoder_form
     if form == "mlp":
@@ -209,7 +205,7 @@ def init_decoder(
                 )
             )
             d_in = width
-        return DecoderParams(form="mlp", layers=tuple(layers), leaky_slope=leaky_slope)
+        return DecoderParams(form="mlp", layers=tuple(layers))
     if form == "bilinear":
         return DecoderParams(
             form="bilinear",
@@ -239,27 +235,6 @@ def init_global_sticks(k: int, alpha: float) -> GlobalSticks:
 
 # ---------------------------------------------------------------------------
 # Forward passes
-
-
-def gcn_layer(
-    h_in: Tensor,
-    w: Parameter,
-    a_hat: SparseMatrix,
-    activation: str | None = None,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-    train: bool = False,
-) -> Tensor:
-    """One propagation step g(A_hat @ h_in @ w), dropout on h_in at train time."""
-    h = h_in
-    if train and dropout_rate > 0.0:
-        if rng is None:
-            raise UsageError("gcn_layer: dropout at train time needs an rng")
-        h = tc.dropout(h, dropout_rate, rng, train=True)
-    out = tc.spmm(a_hat, tc.matmul(h, w))
-    if activation is not None:
-        out = tc.apply_elementwise(out, activation)
-    return out
 
 
 def _check_head_finite(name: str, value: Tensor) -> None:
@@ -299,7 +274,7 @@ def encode(
                 raise UsageError("encode: dropout at train time needs an rng")
             first = tc.dropout(first, enc.dropout, rng, train=True)
 
-    hidden = tc.leaky_relu(tc.spmm(a_hat, first), enc.leaky_slope)
+    hidden = tc.leaky_relu(tc.spmm(a_hat, first), LEAKY_SLOPE)
     if train_mode and enc.dropout > 0.0:
         hidden = tc.dropout(hidden, enc.dropout, rng, train=True)
 
@@ -334,7 +309,7 @@ def decode_link_logits(z: Tensor, dec: DecoderParams, pairs=None) -> Tensor:
     if dec.form == "mlp":
         f = z
         for w, b in dec.layers:
-            f = tc.leaky_relu(tc.matmul(f, w) + b, dec.leaky_slope)
+            f = tc.leaky_relu(tc.matmul(f, w) + b, LEAKY_SLOPE)
         left = right = f
     elif dec.form == "bilinear":
         # symmetrize so the score is symmetric in (n, m) exactly
@@ -353,13 +328,6 @@ def decode_link_logits(z: Tensor, dec: DecoderParams, pairs=None) -> Tensor:
 def decode_links(z: Tensor, dec: DecoderParams, pairs=None) -> Tensor:
     """Link probabilities sigma(logits); grid when pairs is None."""
     return tc.sigmoid(decode_link_logits(z, dec, pairs))
-
-
-def decode_features(z: Tensor, dec_x: FeatureDecoderParams | None) -> Tensor:
-    """Bernoulli means for the feature reconstruction term."""
-    if dec_x is None:
-        raise UsageError("decode_features called without a feature decoder")
-    return tc.sigmoid(tc.matmul(z, dec_x.w))
 
 
 def compose_z(variant: ModelVariant, sample: LatentSample) -> Tensor:

@@ -78,11 +78,8 @@ class ReparamNoise:
 class LatentSample:
     """One reparameterized draw; fields unused by a variant stay None."""
 
-    v: Tensor | None = None
-    pi: Tensor | None = None
     b: Tensor | None = None
     r: Tensor | None = None
-    z: Tensor | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +102,8 @@ def stick_breaking(v: Tensor) -> Tensor:
     return tc.row_cumprod(v)
 
 
-def sample_binary_concrete(
-    p: ConcreteParams, noise: ReparamNoise, hard: bool = False
-) -> Tensor:
-    """Relaxed Bernoulli draw sigmoid((logit_pi + L)/temperature).
-
-    With hard=True returns the deterministic threshold 1[pi >= 0.5] with no
-    gradient (evaluation only).
-    """
-    if hard:
-        return Tensor((p.logit_pi.data >= 0.0).astype(np.float64))
+def sample_binary_concrete(p: ConcreteParams, noise: ReparamNoise) -> Tensor:
+    """Relaxed Bernoulli draw sigmoid((logit_pi + L)/temperature)."""
     logistic = Tensor(np.broadcast_to(noise.logistic, p.logit_pi.shape).copy())
     y = tc.sigmoid((p.logit_pi + logistic) / p.temperature)
     return tc.clip(y, EPS, 1.0 - EPS)
@@ -158,44 +147,26 @@ def kl_concrete_mc(q: ConcreteParams, p: ConcreteParams, y: Tensor) -> Tensor:
     return (log_density_binary_concrete(y, q) - log_density_binary_concrete(y, p)).sum()
 
 
-def kl_kumaraswamy_beta(
-    q: KumaraswamyParams,
-    prior_alpha: float,
-    prior_beta: float = 1.0,
-    n_terms: int = 10,
-) -> Tensor:
-    """KL(Kumaraswamy(c,d) || Beta(alpha,beta)) summed over entries.
+def kl_kumaraswamy_beta(q: KumaraswamyParams, prior_alpha: float) -> Tensor:
+    """KL(Kumaraswamy(c,d) || Beta(alpha,1)) summed over entries.
 
-    Closed form with an n_terms-truncated series for the beta != 1 part:
-      ((a-alpha)/a)(-gamma - digamma(b) - 1/b) + log(ab) + logB(alpha,beta)
-      - (b-1)/b + (beta-1) b sum_{m=1..M} B(m/a, b)/(m + ab)
+    The IBP stick prior is Beta(alpha, 1), for which the KL is exact
+    (Nalisnick & Smyth 2017):
+      ((a-alpha)/a)(-gamma - digamma(b) - 1/b) + log(ab) + logB(alpha,1) - (b-1)/b
     """
-    if not (prior_alpha > 0.0 and prior_beta > 0.0):
-        raise NumericDomainError(
-            f"kl_kumaraswamy_beta: prior ({prior_alpha}, {prior_beta}) must be positive"
-        )
+    if not prior_alpha > 0.0:
+        raise NumericDomainError(f"kl_kumaraswamy_beta: prior alpha {prior_alpha} <= 0")
     if np.any(q.c.data <= 0.0) or np.any(q.d.data <= 0.0):
         raise NumericDomainError("kl_kumaraswamy_beta: c and d must be positive")
     a, b = q.c, q.d
-    alpha, beta = float(prior_alpha), float(prior_beta)
+    alpha = float(prior_alpha)
     gamma = float(np.euler_gamma)
     inv_b = tc.reciprocal(b)
-    log_beta_const = float(_special.betaln(alpha, beta))
+    log_beta_const = float(_special.betaln(alpha, 1.0))
 
     kl = ((a - alpha) / a) * (tc.negate(tc.digamma(b)) - gamma - inv_b)
     kl = kl + tc.log(a) + tc.log(b) + log_beta_const
     kl = kl + inv_b - 1.0  # equals -(b-1)/b
-
-    if beta != 1.0:
-        ab = a * b
-        series = None
-        for m in range(1, n_terms + 1):
-            m_over_a = float(m) / a
-            log_beta_fn = tc.lgamma(m_over_a) + tc.lgamma(b) - tc.lgamma(m_over_a + b)
-            term = tc.exp(log_beta_fn) / (ab + float(m))
-            series = term if series is None else series + term
-        kl = kl + b * series * (beta - 1.0)
-
     return kl.sum()
 
 

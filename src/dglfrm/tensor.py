@@ -253,10 +253,6 @@ class SparseMatrix:
     def identity(cls, n: int) -> "SparseMatrix":
         return cls(_sp.identity(n, format="csr"))
 
-    @classmethod
-    def from_dense(cls, arr) -> "SparseMatrix":
-        return cls(_sp.csr_matrix(np.asarray(arr, dtype=np.float64)))
-
     @property
     def shape(self) -> tuple[int, int]:
         return self._csr.shape
@@ -468,10 +464,6 @@ def log(x) -> Tensor:
     return _unary(x, np.log, lambda d, _: 1.0 / d, "log")
 
 
-def tanh(x) -> Tensor:
-    return _unary(x, np.tanh, lambda _, y: 1.0 - y * y, "tanh")
-
-
 def negate(x) -> Tensor:
     return _unary(x, np.negative, lambda d, _: -np.ones_like(d), "negate")
 
@@ -494,15 +486,6 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     return _unary(x, fwd, dfdx, "leaky_relu")
 
 
-def lgamma(x) -> Tensor:
-    """Log-gamma for strictly positive inputs. d/dx = digamma(x)."""
-    x = as_tensor(x)
-    if np.any(x.data <= 0.0):
-        idx = _first_index(x.data <= 0.0)
-        raise NumericDomainError(f"lgamma: non-positive input at index {idx}")
-    return _unary(x, _special.gammaln, lambda d, _: _special.digamma(d), "lgamma")
-
-
 def digamma(x) -> Tensor:
     """Digamma for strictly positive inputs. d/dx = polygamma(1, x)."""
     x = as_tensor(x)
@@ -510,36 +493,6 @@ def digamma(x) -> Tensor:
         idx = _first_index(x.data <= 0.0)
         raise NumericDomainError(f"digamma: non-positive input at index {idx}")
     return _unary(x, _special.digamma, lambda d, _: _special.polygamma(1, d), "digamma")
-
-
-ELEMENTWISE_FNS = (
-    "sigmoid",
-    "softplus",
-    "exp",
-    "log",
-    "leaky_relu",
-    "tanh",
-    "negate",
-    "reciprocal",
-)
-
-_ELEMENTWISE_DISPATCH = {
-    "sigmoid": sigmoid,
-    "softplus": softplus,
-    "exp": exp,
-    "log": log,
-    "leaky_relu": leaky_relu,
-    "tanh": tanh,
-    "negate": negate,
-    "reciprocal": reciprocal,
-}
-
-
-def apply_elementwise(x, fn: str) -> Tensor:
-    """Apply one of the named activations elementwise."""
-    if fn not in _ELEMENTWISE_DISPATCH:
-        raise UsageError(f"unknown elementwise fn {fn!r}; valid: {ELEMENTWISE_FNS}")
-    return _ELEMENTWISE_DISPATCH[fn](x)
 
 
 # Registries drive the blanket gradient-check property test. Domain tags tell
@@ -550,10 +503,8 @@ UNARY_REGISTRY: dict[str, tuple[Callable[..., Tensor], str]] = {
     "exp": (exp, "real"),
     "log": (log, "positive"),
     "leaky_relu": (leaky_relu, "real"),
-    "tanh": (tanh, "real"),
     "negate": (negate, "real"),
     "reciprocal": (reciprocal, "positive"),
-    "lgamma": (lgamma, "positive"),
     "digamma": (digamma, "positive"),
 }
 
@@ -735,13 +686,19 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One Adam update per parameter; gradients are zeroed afterwards."""
+    """One Adam update per parameter; gradients are zeroed afterwards.
+
+    Every gradient is checked before any parameter changes, so a non-finite
+    gradient raises with all data and optimizer state untouched.
+    """
+    params = list(params)
+    for p in params:
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise NumericDomainError(f"adam_step: non-finite gradient for {p.name!r}")
     for p in params:
         g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise NumericDomainError(f"adam_step: non-finite gradient for {p.name!r}")
         p.t += 1
         p.m = beta1 * p.m + (1.0 - beta1) * g
         p.v = beta2 * p.v + (1.0 - beta2) * (g * g)

@@ -11,7 +11,7 @@ import json
 import struct
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +50,8 @@ class TrainConfig:
     pos_weight: float | None = None
     hidden: int | None = None
     decoder_hidden: tuple[int, ...] = (32, 16)
-    leaky_slope: float = 0.2
     kl_anneal_epochs: int = 50
     val_every: int = 10
-    kl_n_terms: int = 10
 
     def __post_init__(self) -> None:
         md.ModelVariant.parse(self.variant)
@@ -68,7 +66,6 @@ class TrainConfig:
             (self.lambda_post > 0, f"lambda_post must be > 0, got {self.lambda_post}"),
             (self.kl_anneal_epochs >= 0, "kl_anneal_epochs must be >= 0"),
             (self.val_every >= 1, "val_every must be >= 1"),
-            (self.kl_n_terms >= 1, "kl_n_terms must be >= 1"),
             (self.hidden is None or self.hidden >= 1, "hidden must be >= 1"),
             (
                 all(h >= 1 for h in self.decoder_hidden),
@@ -135,13 +132,6 @@ class LossParts:
     feat_nll: float
     kl_weight: float
 
-    def recombined(self) -> float:
-        return (
-            self.link_nll
-            + self.feat_nll
-            + self.kl_weight * (self.kl_b + self.kl_r + self.kl_v)
-        )
-
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
 
@@ -178,7 +168,6 @@ class Checkpoint:
     config: TrainConfig
     params: dict[str, np.ndarray]
     step: int
-    version: int = 1
 
 
 @dataclass(frozen=True)
@@ -224,11 +213,8 @@ def init_params(g: Graph, config: TrainConfig, rng: np.random.Generator) -> md.M
         hidden=config.effective_hidden(g),
         k=config.k,
         dropout=config.dropout,
-        leaky_slope=config.leaky_slope,
     )
-    decoder = md.init_decoder(
-        rng, variant, config.k, hidden=config.decoder_hidden, leaky_slope=config.leaky_slope
-    )
+    decoder = md.init_decoder(rng, variant, config.k, hidden=config.decoder_hidden)
     feature_decoder = None
     if config.feature_term_enabled(g):
         feature_decoder = md.init_feature_decoder(rng, config.k, g.d_features)
@@ -303,7 +289,7 @@ def elbo_loss(
         b = sl.sample_binary_concrete(q_b, noise.u_b)
         kl_b = sl.kl_concrete_mc(q_b, prior_b, b)
         # structured sticks are global: their KL is counted once, not per node
-        kl_v = sl.kl_kumaraswamy_beta(sticks_q, config.alpha, 1.0, config.kl_n_terms)
+        kl_v = sl.kl_kumaraswamy_beta(sticks_q, config.alpha)
     if variant.uses_r:
         if noise.eps_r is None:
             raise UsageError("variant needs gaussian noise")
@@ -395,7 +381,6 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
             kl_weight = min(1.0, epoch / config.kl_anneal_epochs)
         else:
             kl_weight = 1.0
-        prev = _snapshot(params)
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 noise = draw_noise(rng, g.n_nodes, config.k, variant, config.structured)
@@ -417,12 +402,11 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
                 tape.clear()
                 tc.adam_step(all_params, lr=config.lr)
         except NumericDomainError:
-            # divergence: restore the last good values and stop
-            for p in all_params:
-                p.data = prev[p.name]
+            # divergence: the loss and adam_step raise before any parameter
+            # changes, so params still hold the last good values
             report.diverged = True
             if best_auc is None:
-                best = prev
+                best = _snapshot(params)
                 best_epoch = epoch - 1
             break
         report.losses.append(parts.as_dict())
@@ -504,7 +488,6 @@ def rebuild_params(ckpt: Checkpoint) -> md.ModelParams:
         w_mu=take("encoder.w_mu"),
         w_sigma=take("encoder.w_sigma"),
         dropout=config.dropout,
-        leaky_slope=config.leaky_slope,
     )
     for head in (encoder.w_c, encoder.w_d, encoder.w_pi, encoder.w_mu, encoder.w_sigma):
         if head.shape[1] != config.k:
@@ -516,9 +499,7 @@ def rebuild_params(ckpt: Checkpoint) -> md.ModelParams:
         layers = []
         for i in range(len(config.decoder_hidden)):
             layers.append((take(f"decoder.mlp{i}.w"), take(f"decoder.mlp{i}.b")))
-        decoder = md.DecoderParams(
-            form="mlp", layers=tuple(layers), leaky_slope=config.leaky_slope
-        )
+        decoder = md.DecoderParams(form="mlp", layers=tuple(layers))
     elif form == "bilinear":
         decoder = md.DecoderParams(form="bilinear", bilinear_w=take("decoder.bilinear"))
     else:
@@ -609,13 +590,13 @@ def evaluate_split(ckpt: Checkpoint, g: Graph, split: SplitSpec) -> "mx.MetricsR
 # Checkpoint serialization
 
 _MAGIC = b"DGLFRMCK"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     payload = bytearray()
     payload += _MAGIC
-    payload += struct.pack("<I", ckpt.version)
+    payload += struct.pack("<I", _VERSION)
     payload += struct.pack("<Q", ckpt.step)
     cfg = ckpt.config.to_json().encode("utf-8")
     payload += struct.pack("<I", len(cfg)) + cfg
@@ -639,8 +620,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"cannot read {path}: {e}") from e
     if len(raw) < len(_MAGIC) + 8 or raw[: len(_MAGIC)] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    if len(raw) < 4:
-        raise CheckpointError(f"{path}: truncated checkpoint")
     body, (crc_stored,) = raw[:-4], struct.unpack("<I", raw[-4:])
     if zlib.crc32(body) != crc_stored:
         raise CheckpointError(f"{path}: checksum mismatch (corrupt checkpoint)")
@@ -675,6 +654,6 @@ def load_checkpoint(path) -> Checkpoint:
         params[name] = np.array(data, dtype=np.float64)
     if pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes in checkpoint")
-    ckpt = Checkpoint(config=config, params=params, step=step, version=version)
+    ckpt = Checkpoint(config=config, params=params, step=step)
     rebuild_params(ckpt)  # shape/name consistency against the stored config
     return ckpt

@@ -6,8 +6,10 @@ real subprocess to cover the module entry point.
 """
 
 import json
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -172,6 +174,29 @@ class TestTrain:
         assert code == 2
         assert "nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old,new,where",
+        [
+            ("# nodes 4", "# nodes abc", ":1:"),
+            ("1 2\n", "1 9\n", ":5:"),
+            ("0 3\n", "3 3\n", ":9:"),
+            ("TEST_POS\n0 2", "TEST_POS\n0 1", ":11:"),
+        ],
+        ids=["bad-header", "out-of-range", "self-pair", "leaked-test-pos"],
+    )
+    def test_malformed_split_is_data_error(self, tmp_path, capsys, old, new, where):
+        graph = tmp_path / "g.txt"
+        graph.write_text("# nodes 4\n0 1\n1 2\n2 3\n0 2\n0 3\n")
+        split = tmp_path / "s.split"
+        split.write_text(
+            "# nodes 4\n# seed 0\nTRAIN\n0 1\n1 2\nVAL_POS\n2 3\nVAL_NEG\n0 3\n"
+            "TEST_POS\n0 2\nTEST_NEG\n1 3\n".replace(old, new)
+        )
+        code = run("train", "--graph", graph, "--split", split, "--k", 2,
+                   "--epochs", 1, "--out-ckpt", tmp_path / "c")
+        assert code == 2
+        assert str(split) + where in capsys.readouterr().err
+
 
 class TestEval:
     def test_metrics_files_written(self, ws, tmp_path, capsys):
@@ -203,6 +228,16 @@ class TestEval:
         code = run("eval", "--ckpt", tmp_path / "nope.ckpt",
                    "--graph", ws["graph"], "--split", ws["split"])
         assert code == 2
+
+    def test_version_1_checkpoint_is_data_error(self, ws, tmp_path, capsys):
+        raw = bytearray(Path(ws["ckpt"]).read_bytes())
+        raw[8:12] = struct.pack("<I", 1)
+        body = bytes(raw[:-4])
+        v1 = tmp_path / "v1.ckpt"
+        v1.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code = run("eval", "--ckpt", v1, "--graph", ws["graph"], "--split", ws["split"])
+        assert code == 2
+        assert "version 1, this build supports 2" in capsys.readouterr().err
 
 
 class TestCommunities:

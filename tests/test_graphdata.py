@@ -295,6 +295,56 @@ def test_split_load_rejects_missing_header(tmp_path):
         gd.load_split(p)
 
 
+SPLIT_OK = (
+    "# nodes 4\n# seed 0\nTRAIN\n0 1\n1 2\nVAL_POS\n2 3\nVAL_NEG\n0 3\n"
+    "TEST_POS\n0 2\nTEST_NEG\n1 3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old,new,lineno",
+    [
+        ("# nodes 4", "# nodes abc", 1),
+        ("# seed 0", "# seed x1", 2),
+    ],
+    ids=["nodes", "seed"],
+)
+def test_split_load_rejects_non_integer_header(tmp_path, old, new, lineno):
+    p = write(tmp_path, "s.txt", SPLIT_OK.replace(old, new))
+    with pytest.raises(gd.LoadError, match=rf"s\.txt:{lineno}: non-integer header"):
+        gd.load_split(p)
+
+
+@pytest.mark.parametrize("pair", ["1 9", "-1 2", "4 0"])
+def test_split_load_rejects_pair_out_of_range(tmp_path, pair):
+    p = write(tmp_path, "s.txt", SPLIT_OK.replace("1 2\n", pair + "\n"))
+    with pytest.raises(gd.LoadError, match=rf"s\.txt:5: TRAIN pair {pair} .*\[0, 4\)"):
+        gd.load_split(p)
+
+
+def test_split_load_rejects_self_pair(tmp_path):
+    p = write(tmp_path, "s.txt", SPLIT_OK.replace("0 3\n", "3 3\n"))
+    with pytest.raises(gd.LoadError, match=r"s\.txt:9: VAL_NEG pair 3 3 needs two distinct"):
+        gd.load_split(p)
+
+
+@pytest.mark.parametrize(
+    "old,new,section,lineno",
+    [
+        ("TEST_POS\n0 2", "TEST_POS\n0 1", "TEST_POS", 11),
+        ("TEST_POS\n0 2", "TEST_POS\n2 1", "TEST_POS", 11),
+        ("VAL_POS\n2 3", "VAL_POS\n1 0", "VAL_POS", 7),
+        ("TEST_NEG\n1 3", "TEST_NEG\n2 1", "TEST_NEG", 13),
+    ],
+    ids=["test-pos", "test-pos-reversed", "val-pos-reversed", "test-neg"],
+)
+def test_split_load_rejects_held_out_pair_in_train(tmp_path, old, new, section, lineno):
+    p = write(tmp_path, "s.txt", SPLIT_OK.replace(old, new))
+    match = rf"s\.txt:{lineno}: {section} pair .* also a TRAIN edge"
+    with pytest.raises(gd.LoadError, match=match):
+        gd.load_split(p)
+
+
 # ---------------------------------------------------------------------------
 # generate_synthetic
 
@@ -347,13 +397,13 @@ def test_synthetic_rejects_more_communities_than_nodes():
 
 
 def test_graph_rejects_asymmetric():
-    m = SparseMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]])
+    m = SparseMatrix([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(gd.LoadError, match="symmetric"):
         gd.Graph(n_nodes=2, adjacency=m)
 
 
 def test_graph_rejects_self_loops():
-    m = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]])
+    m = SparseMatrix([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(gd.LoadError, match="diagonal"):
         gd.Graph(n_nodes=2, adjacency=m)
 

@@ -30,42 +30,6 @@ def zero_encoder(d_in, hidden, k, dropout=0.0):
 
 
 # ---------------------------------------------------------------------------
-# gcn_layer
-
-
-class TestGcnLayer:
-    def test_identity_composition(self):
-        h = Tensor(np.arange(6.0).reshape(3, 2))
-        w = Parameter(np.eye(2), "w")
-        a_hat = SparseMatrix.identity(3)
-        out = md.gcn_layer(h, w, a_hat, activation=None)
-        np.testing.assert_array_equal(out.data, h.data)
-
-    def test_zero_input_propagates(self):
-        h = Tensor(np.zeros((4, 3)))
-        w = Parameter(np.random.default_rng(0).normal(size=(3, 2)), "w")
-        out = md.gcn_layer(h, w, SparseMatrix.identity(4), activation="sigmoid")
-        np.testing.assert_allclose(out.data, 0.5)
-
-    def test_two_node_hand_oracle(self):
-        # normalized 2-node single-edge adjacency has every entry 0.5
-        a_hat = SparseMatrix.from_dense(np.full((2, 2), 0.5))
-        h = Tensor(np.eye(2))
-        w = Parameter(np.eye(2), "w")
-        out = md.gcn_layer(h, w, a_hat, activation=None)
-        np.testing.assert_allclose(out.data, [[0.5, 0.5], [0.5, 0.5]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            md.gcn_layer(
-                Tensor(np.zeros((3, 4))),
-                Parameter(np.zeros((3, 2)), "w"),
-                SparseMatrix.identity(3),
-                activation=None,
-            )
-
-
-# ---------------------------------------------------------------------------
 # encode
 
 
@@ -139,14 +103,14 @@ class TestEncode:
             dense = np.triu(dense, 1)
             dense = dense + dense.T
             x = (rng.random((n, 4)) < 0.5).astype(float)
-            g = Graph(n_nodes=n, adjacency=SparseMatrix.from_dense(dense), features=Tensor(x))
+            g = Graph(n_nodes=n, adjacency=SparseMatrix(dense), features=Tensor(x))
             enc = md.init_encoder(np.random.default_rng(trial), 4, 6, 3)
             out = md.encode(g, normalize_adjacency(g), enc)
 
             perm = rng.permutation(n)
             gp = Graph(
                 n_nodes=n,
-                adjacency=SparseMatrix.from_dense(dense[np.ix_(perm, perm)]),
+                adjacency=SparseMatrix(dense[np.ix_(perm, perm)]),
                 features=Tensor(x[perm]),
             )
             outp = md.encode(gp, normalize_adjacency(gp), enc)
@@ -220,25 +184,6 @@ class TestDecodeLinks:
         )
         with pytest.raises(ShapeError):
             md.decode_links(Tensor(np.zeros((5, 3))), dec)
-
-
-class TestDecodeFeatures:
-    def test_zero_everything_gives_half(self):
-        dec_x = md.FeatureDecoderParams(w=Parameter(np.zeros((4, 3)), "w"))
-        probs = md.decode_features(Tensor(np.zeros((5, 4))), dec_x)
-        np.testing.assert_allclose(probs.data, 0.5)
-
-    def test_hand_multiplication_oracle(self):
-        z = np.array([[1.0, -2.0], [0.5, 0.0]])
-        w = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, -1.0]])
-        dec_x = md.FeatureDecoderParams(w=Parameter(w, "w"))
-        probs = md.decode_features(Tensor(z), dec_x)
-        want = 1.0 / (1.0 + np.exp(-(z @ w)))
-        np.testing.assert_allclose(probs.data, want, atol=1e-12)
-
-    def test_missing_decoder_is_usage_error(self):
-        with pytest.raises(UsageError):
-            md.decode_features(Tensor(np.zeros((2, 2))), None)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +298,6 @@ def test_every_active_parameter_gets_gradient(variant, structured):
         dropout=0.0,
         seed=1,
         structured=structured,
-        kl_n_terms=5,
     )
     params = trainer.init_params(g, cfg, np.random.default_rng(cfg.seed))
     noise = trainer.draw_noise(

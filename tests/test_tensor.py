@@ -40,14 +40,14 @@ def test_spmm_zero():
 def test_spmm_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     dense = rng.normal(size=(5, 5)) * (rng.random((5, 5)) < 0.3)
-    s = tc.SparseMatrix.from_dense(dense)
+    s = tc.SparseMatrix(dense)
     b = tc.Tensor(rng.normal(size=(5, 4)))
     np.testing.assert_allclose(tc.spmm(s, b).data, dense @ b.data, atol=1e-12)
 
 
 def test_spmm_gradient_reaches_dense_operand_only():
     rng = np.random.default_rng(0)
-    s = tc.SparseMatrix.from_dense(rng.normal(size=(4, 4)) * (rng.random((4, 4)) < 0.5))
+    s = tc.SparseMatrix(rng.normal(size=(4, 4)) * (rng.random((4, 4)) < 0.5))
     w = tc.Parameter(rng.normal(size=(4, 3)), "w")
     with tc.Tape():
         loss = tc.spmm(s, w).sum()
@@ -65,22 +65,17 @@ def test_sparse_matrix_indices_sorted_and_unique():
 
 
 def test_sigmoid_at_zero():
-    assert tc.apply_elementwise(tc.Tensor([0.0]), "sigmoid").data[0] == 0.5
+    assert tc.sigmoid(tc.Tensor([0.0])).data[0] == 0.5
 
 
 def test_softplus_at_zero():
-    assert tc.apply_elementwise(tc.Tensor([0.0]), "softplus").data[0] == pytest.approx(
+    assert tc.softplus(tc.Tensor([0.0])).data[0] == pytest.approx(
         np.log(2.0), abs=1e-12
     )
 
 
 def test_leaky_relu_negative():
-    assert tc.apply_elementwise(tc.Tensor([-1.0]), "leaky_relu").data[0] == pytest.approx(-0.2)
-
-
-def test_apply_elementwise_rejects_unknown():
-    with pytest.raises(tc.UsageError):
-        tc.apply_elementwise(tc.Tensor([1.0]), "relu6")
+    assert tc.leaky_relu(tc.Tensor([-1.0])).data[0] == pytest.approx(-0.2)
 
 
 def test_log_domain_error_names_index():
@@ -291,6 +286,19 @@ def test_adam_rejects_non_finite_gradient():
     p.grad = np.array([np.nan])
     with pytest.raises(tc.NumericDomainError, match="p"):
         tc.adam_step([p])
+
+
+def test_adam_non_finite_gradient_updates_nothing():
+    first = tc.Parameter([1.0, 2.0], "first")
+    second = tc.Parameter([3.0], "second")
+    first.grad = np.array([0.5, -0.5])
+    second.grad = np.array([np.nan])
+    with pytest.raises(tc.NumericDomainError, match="second"):
+        tc.adam_step([first, second])
+    np.testing.assert_array_equal(first.data, [1.0, 2.0])
+    np.testing.assert_array_equal(first.m, [0.0, 0.0])
+    np.testing.assert_array_equal(first.v, [0.0, 0.0])
+    assert first.t == 0
 
 
 def test_eval_mode_records_nothing():

@@ -56,7 +56,6 @@ def tiny_config(**over):
         decoder_hidden=(3,),
         dropout=0.0,
         seed=1,
-        kl_n_terms=5,
         epochs=3,
         val_every=2,
     )
@@ -99,7 +98,7 @@ class TestTrainConfig:
             {"lambda_post": -0.5},
             {"prior_r_sigma": 0.0},
             {"val_every": 0},
-            {"kl_n_terms": 0},
+            {"kl_anneal_epochs": -1},
             {"decoder_hidden": (0,)},
             {"pos_weight": 0.0},
             {"variant": "gin"},
@@ -248,7 +247,7 @@ class TestElboLoss:
         g, split, cfg, params, noise = two_node_setup()
         _, parts = trainer.elbo_loss(g, normalize_adjacency(g), split, params, cfg, noise)
         q = sl.KumaraswamyParams(params.sticks.c(), params.sticks.d())
-        direct = sl.kl_kumaraswamy_beta(q, cfg.alpha, 1.0, cfg.kl_n_terms).item()
+        direct = sl.kl_kumaraswamy_beta(q, cfg.alpha).item()
         assert abs(parts.kl_v - direct) < 1e-12
 
     def test_nonfinite_loss_reports_components(self):
@@ -265,8 +264,9 @@ class TestElboLoss:
         _, report = trainer.train(g, split, cfg)
         assert len(report.losses) == 6
         for row in report.losses:
-            parts = trainer.LossParts(**row)
-            assert abs(parts.recombined() - parts.total) < 1e-8
+            kls = row["kl_b"] + row["kl_r"] + row["kl_v"]
+            summed = row["link_nll"] + row["feat_nll"] + row["kl_weight"] * kls
+            assert abs(summed - row["total"]) < 1e-8
 
     def test_kl_components_stay_nonnegative(self, synth):
         # Kumaraswamy and Gaussian KLs must be >= 0 deterministically; the
@@ -515,7 +515,6 @@ class TestCheckpointIO:
         loaded = trainer.load_checkpoint(path)
         assert loaded.config == ckpt.config
         assert loaded.step == ckpt.step
-        assert loaded.version == ckpt.version
         assert sorted(loaded.params) == sorted(ckpt.params)
         for name in ckpt.params:
             assert loaded.params[name].tobytes() == ckpt.params[name].tobytes()
@@ -562,10 +561,10 @@ class TestCheckpointIO:
         path = tmp_path / "model.ckpt"
         trainer.save_checkpoint(ckpt, path)
         raw = bytearray(path.read_bytes())
-        raw[8:12] = struct.pack("<I", 2)
+        raw[8:12] = struct.pack("<I", 3)
         body = bytes(raw[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(CheckpointError, match=r"version 2.*supports 1"):
+        with pytest.raises(CheckpointError, match=r"version 3.*supports 2"):
             trainer.load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
