@@ -361,6 +361,8 @@ def load_split(path) -> SplitSpec:
                     headers[parts[0]] = int(parts[1])
                 except ValueError as e:
                     raise LoadError(f"{path}:{lineno}: non-integer header {raw!r}") from e
+                if parts[0] == "nodes" and headers["nodes"] <= 0:
+                    raise LoadError(f"{path}:{lineno}: node count must be positive, got {raw!r}")
             continue
         if line in _SPLIT_SECTIONS:
             current = line
@@ -388,6 +390,12 @@ def load_split(path) -> SplitSpec:
         problem = f"needs two distinct node ids in [0, {n_nodes})"
         _raise_at(path, linenos[name], name, arr, bad, problem)
     train = _adjacency_from_pairs(arrays["TRAIN"], n_nodes)
+    if train.nnz != 2 * len(arrays["TRAIN"]):  # the CSR build merged repeated pairs
+        arr = arrays["TRAIN"]
+        key = arr.min(axis=1) * n_nodes + arr.max(axis=1)
+        repeat = np.ones(len(arr), dtype=bool)
+        repeat[np.unique(key, return_index=True)[1]] = False
+        _raise_at(path, linenos["TRAIN"], "TRAIN", arr, repeat, "repeats an earlier TRAIN pair")
     for name in _SPLIT_SECTIONS[1:]:
         arr = arrays[name]
         leaked = np.asarray(train.scipy()[arr[:, 0], arr[:, 1]]).ravel() != 0

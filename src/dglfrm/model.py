@@ -2,7 +2,10 @@
 
 The encoder is one shared GCN hidden layer followed by five linear GCN heads
 producing the variational parameters. Decoders: a small MLP feeding an inner
-product, a symmetrized bilinear form, or the plain inner product.
+product, a symmetrized bilinear form, or the plain inner product. Each is
+given as two factors whose product is the symmetric N x N logit grid
+(`link_factors`); training sums the likelihood over that grid without forming
+it (`tensor.link_bce_sum`), and scoring evaluates single pairs.
 """
 
 from __future__ import annotations
@@ -304,29 +307,33 @@ def _pairs_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def decode_link_logits(z: Tensor, dec: DecoderParams, pairs=None) -> Tensor:
-    """Link logits on the full N x N grid, or per pair when pairs given."""
+def link_factors(z: Tensor, dec: DecoderParams) -> tuple[Tensor, Tensor]:
+    """Factors (left, right) whose product left @ right.T is the link-logit grid.
+
+    The grid is symmetric for every form: MLP and inner product return the
+    same tensor twice, and the bilinear form scores z @ w_sym @ z.T with
+    w_sym the symmetric part of its weight.
+    """
     if dec.form == "mlp":
         f = z
         for w, b in dec.layers:
             f = tc.leaky_relu(tc.matmul(f, w) + b, LEAKY_SLOPE)
-        left = right = f
-    elif dec.form == "bilinear":
-        # symmetrize so the score is symmetric in (n, m) exactly
+        return f, f
+    if dec.form == "bilinear":
         w_sym = (dec.bilinear_w + tc.transpose(dec.bilinear_w)) * 0.5
-        left = tc.matmul(z, w_sym)
-        right = z
-    else:
-        left = right = z
+        return tc.matmul(z, w_sym), z
+    return z, z
 
-    if pairs is None:
-        return tc.matmul(left, tc.transpose(right))
+
+def decode_link_logits(z: Tensor, dec: DecoderParams, pairs) -> Tensor:
+    """Link logits of the (u, v) pairs."""
+    left, right = link_factors(z, dec)
     u, v = _pairs_arrays(pairs)
     return tc.row_sum(tc.take_rows(left, u) * tc.take_rows(right, v))
 
 
-def decode_links(z: Tensor, dec: DecoderParams, pairs=None) -> Tensor:
-    """Link probabilities sigma(logits); grid when pairs is None."""
+def decode_links(z: Tensor, dec: DecoderParams, pairs) -> Tensor:
+    """Link probabilities sigmoid(logits) of the (u, v) pairs."""
     return tc.sigmoid(decode_link_logits(z, dec, pairs))
 
 

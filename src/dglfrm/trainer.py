@@ -1,8 +1,10 @@
 """ELBO assembly, full-batch SGVB training, checkpointing, and scoring.
 
 Held-out validation edges are never folded back into the train adjacency;
-the train graph is fixed per split. Scoring uses deterministic posterior
-means (flagged in the report) rather than Monte Carlo draws.
+the train graph is fixed per split. The link likelihood is summed over all
+N x N node pairs by `tensor.link_bce_sum`, which walks symmetric row blocks,
+so no N x N array is formed during training. Scoring uses deterministic
+posterior means (flagged in the report) rather than Monte Carlo draws.
 """
 
 from __future__ import annotations
@@ -229,19 +231,6 @@ def init_params(g: Graph, config: TrainConfig, rng: np.random.Generator) -> md.M
     )
 
 
-def labels_grid(split: SplitSpec) -> np.ndarray:
-    """Training targets: train adjacency with the diagonal set to 1."""
-    labels = split.train_adjacency.to_dense()
-    np.fill_diagonal(labels, 1.0)
-    return labels
-
-
-def auto_pos_weight(labels: np.ndarray) -> float:
-    nnz = float(labels.sum())
-    total = float(labels.size)
-    return (total - nnz) / nnz
-
-
 # ---------------------------------------------------------------------------
 # ELBO
 
@@ -255,19 +244,21 @@ def elbo_loss(
     noise: StepNoise,
     *,
     kl_weight: float = 1.0,
-    labels: np.ndarray | None = None,
-    pos_weight: float | None = None,
     rng: np.random.Generator | None = None,
     train_mode: bool = True,
 ) -> tuple[Tensor, LossParts]:
-    """Negative ELBO for one step; returns the scalar node plus components."""
+    """Negative ELBO for one step; returns the scalar node plus components.
+
+    The link term is the weighted BCE of every node pair against the train
+    adjacency plus the diagonal. Unless the config sets it, the positive
+    weight balances the two classes: negatives / positives.
+    """
     variant = config.model_variant
-    if labels is None:
-        labels = labels_grid(split)
+    pos_weight = config.pos_weight
     if pos_weight is None:
-        pos_weight = (
-            config.pos_weight if config.pos_weight is not None else auto_pos_weight(labels)
-        )
+        n = split.train_adjacency.shape[0]
+        positives = split.train_adjacency.nnz + n
+        pos_weight = (n * n - positives) / positives
 
     out = md.encode(effective_graph(g, config), a_hat, params.encoder, train_mode=train_mode, rng=rng)
 
@@ -298,8 +289,8 @@ def elbo_loss(
         kl_r = sl.kl_gaussian_std(q_r, config.prior_r_sigma)
 
     z = md.compose_z(variant, sl.LatentSample(b=b, r=r))
-    link_logits = md.decode_link_logits(z, params.decoder)
-    link_nll = tc.weighted_bce_with_logits_sum(link_logits, labels, pos_weight)
+    left, right = md.link_factors(z, params.decoder)
+    link_nll = tc.link_bce_sum(left, right, split.train_adjacency, pos_weight)
 
     feat_nll = None
     if config.feature_term_enabled(g) and params.feature_decoder is not None:
@@ -348,10 +339,6 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
     a_hat = normalize_adjacency(train_graph)
     params = init_params(train_graph, config, rng)
     all_params = params.parameters()
-    labels = labels_grid(split)
-    pos_weight = (
-        config.pos_weight if config.pos_weight is not None else auto_pos_weight(labels)
-    )
     variant = config.model_variant
     val_pairs = list(split.val_pos) + list(split.val_neg)
     val_labels = np.concatenate(
@@ -393,8 +380,6 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
                         config,
                         noise,
                         kl_weight=kl_weight,
-                        labels=labels,
-                        pos_weight=pos_weight,
                         rng=rng,
                         train_mode=True,
                     )

@@ -181,8 +181,13 @@ class TestTrain:
             ("1 2\n", "1 9\n", ":5:"),
             ("0 3\n", "3 3\n", ":9:"),
             ("TEST_POS\n0 2", "TEST_POS\n0 1", ":11:"),
+            ("# nodes 4", "# nodes -4", ":1:"),
+            ("0 1\n", "0 1\n1 0\n", ":5:"),
         ],
-        ids=["bad-header", "out-of-range", "self-pair", "leaked-test-pos"],
+        ids=[
+            "bad-header", "out-of-range", "self-pair", "leaked-test-pos",
+            "non-positive-nodes", "repeated-train-pair",
+        ],
     )
     def test_malformed_split_is_data_error(self, tmp_path, capsys, old, new, where):
         graph = tmp_path / "g.txt"

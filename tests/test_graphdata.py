@@ -345,6 +345,21 @@ def test_split_load_rejects_held_out_pair_in_train(tmp_path, old, new, section, 
         gd.load_split(p)
 
 
+@pytest.mark.parametrize("repeat", ["0 1", "1 0"], ids=["same", "reversed"])
+def test_split_load_rejects_repeated_train_pair(tmp_path, repeat):
+    # merged by the CSR build, a repeat would be a target of 2 in the link BCE
+    p = write(tmp_path, "s.txt", SPLIT_OK.replace("1 2\n", f"1 2\n{repeat}\n"))
+    with pytest.raises(gd.LoadError, match=rf"s\.txt:6: TRAIN pair {repeat} repeats"):
+        gd.load_split(p)
+
+
+@pytest.mark.parametrize("count", ["-4", "0"])
+def test_split_load_rejects_non_positive_node_count(tmp_path, count):
+    p = write(tmp_path, "s.txt", f"# nodes {count}\nTRAIN\n")
+    with pytest.raises(gd.LoadError, match=r"s\.txt:1: node count must be positive"):
+        gd.load_split(p)
+
+
 # ---------------------------------------------------------------------------
 # generate_synthetic
 

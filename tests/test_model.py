@@ -135,18 +135,37 @@ def mlp_decoder(k, hidden=(3,), seed=0, zero=False):
     return dec
 
 
+def all_pairs(n):
+    return [(u, v) for u in range(n) for v in range(n)]
+
+
+def logit_grid(z, dec):
+    """Dense oracle: the full N x N logit grid from the decoder's factors."""
+    left, right = md.link_factors(z, dec)
+    return left.data @ right.data.T
+
+
+def random_decoder(form, k, seed):
+    if form == "mlp":
+        return mlp_decoder(k, seed=seed)
+    if form == "bilinear":
+        w = np.random.default_rng(seed).normal(size=(k, k))
+        return md.DecoderParams(form="bilinear", bilinear_w=Parameter(w, "w"))
+    return md.DecoderParams(form="inner")
+
+
 class TestDecodeLinks:
     def test_zero_z_mlp_gives_half(self):
         dec = mlp_decoder(4)
-        probs = md.decode_links(Tensor(np.zeros((5, 4))), dec)
+        probs = md.decode_links(Tensor(np.zeros((5, 4))), dec, pairs=all_pairs(5))
         np.testing.assert_allclose(probs.data, 0.5)
 
     def test_bilinear_identity_equals_inner(self):
         z = Tensor(np.random.default_rng(1).normal(size=(6, 4)))
         bil = md.DecoderParams(form="bilinear", bilinear_w=Parameter(np.eye(4), "w"))
         inner = md.DecoderParams(form="inner")
-        a = md.decode_links(z, bil).data
-        b = md.decode_links(z, inner).data
+        a = md.decode_links(z, bil, pairs=all_pairs(6)).data
+        b = md.decode_links(z, inner, pairs=all_pairs(6)).data
         np.testing.assert_array_equal(a, b)
 
     def test_inner_pair_closed_form(self):
@@ -157,25 +176,26 @@ class TestDecodeLinks:
 
     @pytest.mark.parametrize("form", ["mlp", "bilinear", "inner"])
     def test_grid_symmetry(self, form):
+        # link_bce_sum folds the grid onto its upper triangle, which needs this
         z = Tensor(np.random.default_rng(2).normal(size=(7, 3)))
-        if form == "mlp":
-            dec = mlp_decoder(3, seed=5)
-        elif form == "bilinear":
-            dec = md.DecoderParams(
-                form="bilinear",
-                bilinear_w=Parameter(np.random.default_rng(3).normal(size=(3, 3)), "w"),
-            )
-        else:
-            dec = md.DecoderParams(form="inner")
-        probs = md.decode_links(z, dec).data
-        np.testing.assert_allclose(probs, probs.T, atol=1e-12)
+        grid = logit_grid(z, random_decoder(form, 3, seed=5))
+        np.testing.assert_allclose(grid, grid.T, atol=1e-12)
+
+    @pytest.mark.parametrize("form", ["mlp", "bilinear", "inner"])
+    def test_pairs_symmetric(self, form):
+        z = Tensor(np.random.default_rng(2).normal(size=(7, 3)))
+        dec = random_decoder(form, 3, seed=5)
+        pairs = np.array(all_pairs(7))
+        forward = md.decode_links(z, dec, pairs=pairs).data
+        flipped = md.decode_links(z, dec, pairs=pairs[:, ::-1]).data
+        np.testing.assert_allclose(forward, flipped, atol=1e-12)
 
     def test_pairs_match_grid(self):
         z = Tensor(np.random.default_rng(4).normal(size=(5, 3)))
         dec = mlp_decoder(3, seed=6)
-        grid = md.decode_links(z, dec).data
+        grid = logit_grid(z, dec)
         pairs = [(0, 1), (2, 4), (3, 0)]
-        vec = md.decode_links(z, dec, pairs=pairs).data
+        vec = md.decode_link_logits(z, dec, pairs=pairs).data
         np.testing.assert_allclose(vec, [grid[u, v] for u, v in pairs], atol=1e-12)
 
     def test_shape_mismatch(self):
@@ -183,7 +203,7 @@ class TestDecodeLinks:
             form="bilinear", bilinear_w=Parameter(np.eye(4), "w")
         )
         with pytest.raises(ShapeError):
-            md.decode_links(Tensor(np.zeros((5, 3))), dec)
+            md.decode_links(Tensor(np.zeros((5, 3))), dec, pairs=[(0, 1)])
 
 
 # ---------------------------------------------------------------------------

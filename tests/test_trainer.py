@@ -190,12 +190,11 @@ class TestElboLoss:
         # all-ones labels (edge plus diagonal), w_pos pinned to 1, KLs off:
         # the link term is plain cross entropy at probability 0.5 per cell
         g, split, cfg, params, noise = two_node_setup()
+        cfg = dataclasses.replace(cfg, pos_weight=1.0)
         for p in params.decoder.parameters():
             p.data[...] = 0.0
         a_hat = normalize_adjacency(g)
-        loss, parts = trainer.elbo_loss(
-            g, a_hat, split, params, cfg, noise, kl_weight=0.0, pos_weight=1.0
-        )
+        loss, parts = trainer.elbo_loss(g, a_hat, split, params, cfg, noise, kl_weight=0.0)
         assert abs(parts.link_nll - 4.0 * np.log(2.0)) < 1e-12
         assert abs(parts.total - 4.0 * np.log(2.0)) < 1e-12
 
@@ -203,7 +202,7 @@ class TestElboLoss:
         adj = SparseMatrix.from_coo([0, 1], [1, 0], [1.0, 1.0], (2, 2))
         g = Graph(n_nodes=2, adjacency=adj)
         split = trivial_split(g)
-        cfg = tiny_config(variant="vgae", hidden=2, k=2, use_features=False)
+        cfg = tiny_config(variant="vgae", hidden=2, k=2, use_features=False, pos_weight=1.0)
         noise = StepNoise(eps_r=np.zeros((2, 2)))
         a_hat = normalize_adjacency(g)
 
@@ -220,7 +219,6 @@ class TestElboLoss:
                 cfg,
                 noise,
                 kl_weight=0.0,
-                pos_weight=1.0,
                 train_mode=False,
             )
             losses.append(parts.total)
@@ -314,11 +312,10 @@ def test_elbo_gradient_matches_finite_differences(variant, structured):
         np.random.default_rng(11), g.n_nodes, cfg.k, cfg.model_variant, structured
     )
     a_hat = normalize_adjacency(g)
-    labels = trainer.labels_grid(split)
 
     def f():
         return trainer.elbo_loss(
-            g, a_hat, split, params, cfg, noise, labels=labels, train_mode=True
+            g, a_hat, split, params, cfg, noise, train_mode=True
         )[0]
 
     err = tc.gradient_check(f, params.parameters(), h=1e-5)
