@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import logging
 import os
@@ -54,7 +55,7 @@ class RunManifest:
             "inputs": self.inputs,
             "outputs": [str(p) for p in self.outputs],
         }
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        gd.write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return path
 
 
@@ -91,12 +92,7 @@ def cmd_synth(args) -> None:
     edges_path = prefix + ".edges.txt"
     members_path = prefix + ".memberships.txt"
     gd.save_edge_list(g, edges_path)
-
-    lines = [f"# nodes {g.n_nodes}", f"# communities {args.communities}"]
-    for node in range(g.n_nodes):
-        ks = " ".join(str(k) for k in np.flatnonzero(memberships[node]))
-        lines.append(f"{node} {ks}".rstrip())
-    Path(members_path).write_text("\n".join(lines) + "\n")
+    gd.save_memberships(memberships, members_path)
 
     manifest = RunManifest("synth", args.seed, _resolved_options(args))
     manifest.outputs = [edges_path, members_path]
@@ -170,9 +166,7 @@ def cmd_train(args) -> None:
     trainer.save_checkpoint(ckpt, args.out_ckpt)
     report_path = str(args.out_ckpt) + ".report.json"
     # wall-clock stays out of the file so replays are bit-exact; it is logged
-    Path(report_path).write_text(
-        json.dumps(report.core(), sort_keys=True, indent=2) + "\n"
-    )
+    gd.write_atomic(report_path, json.dumps(report.core(), sort_keys=True, indent=2) + "\n")
     logger.info("training wall time: %.2fs", report.wall_seconds)
 
     manifest = RunManifest("train", args.seed, _resolved_options(args))
@@ -201,8 +195,8 @@ def cmd_eval(args) -> None:
     report = trainer.evaluate_split(ckpt, g, split)
     out = str(args.out) if args.out else str(args.ckpt) + ".metrics"
     text_path, json_path = out + ".txt", out + ".json"
-    Path(text_path).write_text(report.to_text())
-    Path(json_path).write_text(report.to_json() + "\n")
+    gd.write_atomic(text_path, report.to_text())
+    gd.write_atomic(json_path, report.to_json() + "\n")
 
     manifest = RunManifest("eval", None, _resolved_options(args))
     for p in (args.ckpt, args.graph, args.split):
@@ -223,13 +217,15 @@ def cmd_communities(args) -> None:
     g = _load_graph(args.graph, args.features)
     assignment = mx.extract_communities(ckpt, g, args.tau)
     out = str(args.out)
-    Path(out).write_text(mx.format_communities(assignment))
+    gd.write_atomic(out, mx.format_communities(assignment))
     outputs = [out]
 
     if args.export_latent:
         a_hat = gd.normalize_adjacency(trainer.effective_graph(g, ckpt.config))
         latents = trainer.posterior_latents(ckpt, g, a_hat)
-        np.savetxt(args.export_latent, latents.z.data, delimiter=",", fmt="%.17g")
+        text = io.StringIO()
+        np.savetxt(text, latents.z.data, delimiter=",", fmt="%.17g")
+        gd.write_atomic(args.export_latent, text.getvalue())
         outputs.append(str(args.export_latent))
 
     manifest = RunManifest("communities", None, _resolved_options(args))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,10 +86,189 @@ def _adjacency_from_pairs(pairs, n: int) -> SparseMatrix:
     return SparseMatrix.from_coo(rows, cols, np.ones(rows.size), (n, n))
 
 
+def _upper_pairs(adjacency: SparseMatrix) -> np.ndarray:
+    """Stored entries (u, v) with u < v as an (m, 2) array, in row-major order."""
+    rows = np.repeat(np.arange(adjacency.shape[0]), np.diff(adjacency.indptr))
+    keep = rows < adjacency.indices
+    return np.column_stack((rows[keep], adjacency.indices[keep]))
+
+
 def undirected_edges(g: Graph) -> list[tuple[int, int]]:
     """All edges as (u, v) with u < v, in row-major order."""
-    coo = g.adjacency.scipy().tocoo()
-    return [(int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v]
+    return list(map(tuple, _upper_pairs(g.adjacency).tolist()))
+
+
+# ---------------------------------------------------------------------------
+# text files
+
+
+def write_atomic(path, data: str | bytes) -> None:
+    """Replace `path` with `data` whole: write a temp file beside it, then rename.
+
+    A failed write leaves the old file as it was and removes the temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _int_lines(values: np.ndarray, line_ends: np.ndarray) -> bytes:
+    """Ints in (-2**63, 2**63) in decimal, space-separated, with a newline after each index in `line_ends`."""
+    values = np.asarray(values, dtype=np.int64)
+    magnitude = np.abs(values)
+    negative = values < 0
+    digits = 1 + np.searchsorted(_POWERS_OF_TEN, magnitude, side="right")
+    end = np.cumsum(digits + negative + 1)  # one past each value's separator
+    out = np.full(end[-1] if values.size else 0, ord(" "), dtype=np.uint8)
+    out[end[line_ends] - 1] = ord("\n")
+    out[(end - digits - 2)[negative]] = ord("-")
+    for k in range(int(digits.max(initial=0))):
+        more = digits > k
+        out[end[more] - 2 - k] = ord("0") + magnitude[more] // 10**k % 10
+    return out.tobytes()
+
+
+def _pair_lines(pairs) -> bytes:
+    """One "u v" line per row of an (m, 2) array of pairs."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return _int_lines(pairs.ravel(), np.arange(1, pairs.size, 2))
+
+
+# str.split() splits at the characters for which str.isspace() holds, and
+# str.splitlines() ends a line at the first ten of them.
+_LINE_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+_SPACES = _LINE_BREAKS + "\t\x1f \xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u202f\u205f\u3000"
+_CHAR_KIND = np.zeros(ord("\u3000") + 2, dtype=np.int8)  # 0 other, 1 space, 2 line break
+_CHAR_KIND[[ord(c) for c in _SPACES]] = 1
+_CHAR_KIND[[ord(c) for c in _LINE_BREAKS]] = 2
+
+
+class _TextFile:
+    """A text file's non-blank lines and their whitespace-separated tokens.
+
+    The tokens are those of `str.split()`; token i is `code[start[i]:end[i]]`.
+    Row i is the i-th non-blank line: `lineno[i]` is its 0-based index in
+    `text.splitlines()`, `width[i]` its number of tokens, `first[i]` the
+    index of its first token, and `comment[i]` whether that token starts
+    with "#".
+    """
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+        try:
+            self.text = self.path.read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise LoadError(f"cannot read {self.path}: {e}") from e
+        self.code = np.frombuffer(self.text.encode("utf-32-le"), dtype=np.uint32)
+        kind = _CHAR_KIND[np.minimum(self.code, _CHAR_KIND.size - 1)]
+        # read_text turns "\r\n" into "\n", so each line break is one character
+        self.line_of_char = np.cumsum(kind == 2, dtype=np.int32)
+        bounds = np.flatnonzero(np.diff(kind == 0, prepend=False, append=False))
+        self.start, self.end = bounds[0::2], bounds[1::2]
+        line = self.line_of_char[self.start]
+        self.first = np.flatnonzero(np.diff(line, prepend=-1))
+        self.lineno = line[self.first]
+        self.width = np.diff(self.first, append=line.size)
+        self.comment = self.code[self.start[self.first]] == ord("#")
+        self._read_ints()
+
+    def _read_ints(self) -> None:
+        """Every token's value as an integer: an optional "+" or "-" and 1 to 18 ASCII digits."""
+        lead = self.code[self.start]
+        digits_from = self.start + ((lead == ord("+")) | (lead == ord("-")))
+        n_digits = self.end - digits_from
+        digits_before = np.r_[0, np.cumsum(self.code - ord("0") < 10, dtype=np.int32)]
+        all_digits = digits_before[self.end] - digits_before[digits_from] == n_digits
+        self.int_ok = all_digits & (n_digits >= 1) & (n_digits <= 18)
+        n_digits[~self.int_ok] = 0
+        self.int_value = np.zeros(self.start.size, dtype=np.int64)
+        for k in range(int(n_digits.max(initial=0))):  # the digit 10**k counts
+            digit = self.code[np.maximum(self.end - 1 - k, 0)].astype(np.int64) - ord("0")
+            self.int_value += np.where(n_digits > k, digit, 0) * 10**k
+        self.int_value[lead == ord("-")] *= -1
+
+    def _token(self, col: int) -> tuple[np.ndarray, np.ndarray]:
+        """Index of token `col` of each row (0 where the row is shorter), and which rows have one."""
+        has = self.width > col
+        return np.where(has, self.first + col, 0), has
+
+    def is_word(self, col: int, word: str) -> np.ndarray:
+        """Rows whose token `col` is `word`."""
+        tok, has = self._token(col)
+        start = self.start[tok]
+        match = has & (self.end[tok] - start == len(word))
+        for k, char in enumerate(word):
+            match[match] = self.code[start[match] + k] == ord(char)
+        return match
+
+    def ints(self, col: int) -> tuple[np.ndarray, np.ndarray]:
+        """Token `col` of each row as an integer (0 where it is none), and the rows where it is none."""
+        tok, has = self._token(col)
+        ok = has & self.int_ok[tok]
+        return np.where(ok, self.int_value[tok], 0), ~ok
+
+    def words(self, col: int) -> np.ndarray:
+        """Token `col` of each row as a str ("" where the row is shorter)."""
+        tok, has = self._token(col)
+        return np.where(has, np.array(self.text.split(), dtype=object)[tok], "")
+
+    def raw(self, row: int) -> str:
+        return repr(self.text.splitlines()[self.lineno[row]])
+
+    def check(self, *checks) -> None:
+        """Raise LoadError for the first row that a (mask, message(row)) check flags.
+
+        Checks are in the order they apply to one line, so on a row that
+        several flag, the first of them names the problem.
+        """
+        found = None
+        for bad, message in checks:
+            row = int(np.argmax(bad)) if bad.any() else len(bad)
+            if found is None or row < found[0]:
+                found = (row, message)
+        if found[0] < len(self.lineno):
+            row, message = found
+            raise LoadError(f"{self.path}:{self.lineno[row] + 1}: {message(row)}")
+
+
+def _floats(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Convert str cells as float() would, and flag the first that does not convert.
+
+    Cells from the flagged one on are left 0.
+    """
+    bad = np.zeros(words.size, dtype=bool)
+    try:
+        return words.astype(np.float64), bad
+    except ValueError:
+        pass
+    good, failing = 0, words.size  # words[:good] convert; words[good:failing] hold a failure
+    while failing - good > 1:
+        mid = (good + failing) // 2
+        try:
+            words[good:mid].astype(np.float64)
+            good = mid
+        except ValueError:
+            failing = mid
+    values = np.zeros(words.size)
+    values[:good] = words[:good].astype(np.float64)
+    bad[good] = True
+    return values, bad
+
+
+def _first_of_each(key: np.ndarray) -> np.ndarray:
+    """Indices that sort `key`, keeping only the first occurrence of each value."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    return order[np.r_[True, ordered[1:] != ordered[:-1]]]
 
 
 def load_edge_list(path) -> Graph:
@@ -97,110 +277,104 @@ def load_edge_list(path) -> Graph:
     An optional "# nodes N" directive pins the node count; otherwise it is
     inferred as max id + 1 (which silently drops trailing isolated nodes).
     """
-    path = Path(path)
-    pairs: set[tuple[int, int]] = set()
-    self_loops = 0
-    max_id = -1
-    declared_n: int | None = None
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as e:
-        raise LoadError(f"cannot read {path}: {e}") from e
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            fields = line[1:].split()
-            if fields[:1] == ["nodes"]:
-                try:
-                    declared_n = int(fields[1])
-                except (IndexError, ValueError) as e:
-                    raise LoadError(f"{path}:{lineno}: bad nodes directive {raw!r}") from e
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise LoadError(f"{path}:{lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as e:
-            raise LoadError(f"{path}:{lineno}: non-integer node id in {raw!r}") from e
-        if u < 0 or v < 0:
-            raise LoadError(f"{path}:{lineno}: negative node id in {raw!r}")
-        max_id = max(max_id, u, v)
-        if u == v:
-            self_loops += 1
-            continue
-        pairs.add((min(u, v), max(u, v)))
-    if not pairs:
-        raise LoadError(f"{path}: no edges")
-    if self_loops:
-        logger.warning("%s: dropped %d self-loop(s)", path, self_loops)
+    f = _TextFile(path)
+    u, bad_u = f.ints(0)
+    v, bad_v = f.ints(1)
+    count, bad_count = f.ints(2)
+    spaced = f.is_word(0, "#") & f.is_word(1, "nodes")  # "# nodes N"
+    joined = f.is_word(0, "#nodes")  # "#nodes N"
+    declared = np.where(spaced, count, v)
+    data = ~f.comment
+    f.check(
+        ((spaced & bad_count) | (joined & bad_v), lambda i: f"bad nodes directive {f.raw(i)}"),
+        (data & (f.width != 2), lambda i: f"expected 'u v', got {f.raw(i)}"),
+        (data & (bad_u | bad_v), lambda i: f"non-integer node id in {f.raw(i)}"),
+        (data & ((u < 0) | (v < 0)), lambda i: f"negative node id in {f.raw(i)}"),
+    )
+    u, v = u[data], v[data]
+    loops = u == v
+    if loops.all():
+        raise LoadError(f"{f.path}: no edges")
+    if loops.any():
+        logger.warning("%s: dropped %d self-loop(s)", f.path, int(loops.sum()))
+    max_id = int(max(u.max(), v.max()))
     n = max_id + 1
-    if declared_n is not None:
+    if (spaced | joined).any():
+        declared_n = int(declared[spaced | joined][-1])  # the last directive wins
         if declared_n < n:
             raise LoadError(
-                f"{path}: nodes directive says {declared_n} but ids reach {max_id}"
+                f"{f.path}: nodes directive says {declared_n} but ids reach {max_id}"
             )
         n = declared_n
-    return Graph(n_nodes=n, adjacency=_adjacency_from_pairs(sorted(pairs), n))
+    keys = (np.minimum(u, v) * n + np.maximum(u, v))[~loops]
+    keys = keys[_first_of_each(keys)]
+    return Graph(n_nodes=n, adjacency=_adjacency_from_pairs(np.column_stack((keys // n, keys % n)), n))
 
 
 def save_edge_list(g: Graph, path) -> None:
     """Write a graph as "u v" lines with a "# nodes N" directive."""
-    lines = [f"# nodes {g.n_nodes}"]
-    lines.extend(f"{u} {v}" for u, v in undirected_edges(g))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, f"# nodes {g.n_nodes}\n".encode() + _pair_lines(_upper_pairs(g.adjacency)))
+
+
+def save_memberships(memberships: np.ndarray, path) -> None:
+    """Write binary memberships as "node k [k ...]" lines under a two-line header."""
+    n, k = memberships.shape
+    nodes, communities = np.nonzero(memberships)
+    counts = np.bincount(nodes, minlength=n)
+    before = np.cumsum(counts) - counts  # communities listed before each node's
+    values = np.insert(communities, before, np.arange(n))
+    header = f"# nodes {n}\n# communities {k}\n".encode()
+    write_atomic(path, header + _int_lines(values, before + np.arange(n) + counts))
 
 
 def load_features(path, n_nodes: int) -> Tensor:
     """Read node features: "row col value" triplets (.txt) or dense CSV (.csv)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise LoadError(f"cannot read {path}: {e}") from e
+    f = _TextFile(path)
+    data = ~f.comment
+    if f.path.suffix.lower() == ".csv":
+        return Tensor(_csv_table(f, data, n_nodes))
 
-    if path.suffix.lower() == ".csv":
-        rows = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as e:
-                raise LoadError(f"{path}:{lineno}: bad value in {raw!r}") from e
-        if len(rows) != n_nodes:
-            raise LoadError(f"{path}: {len(rows)} rows for {n_nodes} nodes")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise LoadError(f"{path}: ragged rows (widths {sorted(widths)})")
-        return Tensor(np.asarray(rows))
-
-    triplets = []
-    max_col = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise LoadError(f"{path}:{lineno}: expected 'row col value', got {raw!r}")
-        try:
-            r, c, val = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as e:
-            raise LoadError(f"{path}:{lineno}: bad triplet {raw!r}") from e
-        if not 0 <= r < n_nodes:
-            raise LoadError(f"{path}:{lineno}: row {r} out of range for {n_nodes} nodes")
-        if c < 0:
-            raise LoadError(f"{path}:{lineno}: negative column {c}")
-        max_col = max(max_col, c)
-        triplets.append((r, c, val))
-    if not triplets:
-        raise LoadError(f"{path}: no feature entries")
-    out = np.zeros((n_nodes, max_col + 1))
-    for r, c, val in triplets:
-        out[r, c] = val
+    row, bad_row = f.ints(0)
+    col, bad_col = f.ints(1)
+    value, bad_value = _floats(np.where(data, f.words(2), "0"))
+    f.check(
+        (data & (f.width != 3), lambda i: f"expected 'row col value', got {f.raw(i)}"),
+        (data & (bad_row | bad_col | bad_value), lambda i: f"bad triplet {f.raw(i)}"),
+        (data & ((row < 0) | (row >= n_nodes)), lambda i: f"row {row[i]} out of range for {n_nodes} nodes"),
+        (data & (col < 0), lambda i: f"negative column {col[i]}"),
+        (data & ~np.isfinite(value), lambda i: f"non-finite value in {f.raw(i)}"),
+    )
+    if not data.any():
+        raise LoadError(f"{f.path}: no feature entries")
+    row, col, value = row[data], col[data], value[data]
+    out = np.zeros((n_nodes, int(col.max()) + 1))
+    # a later triplet for the same entry overwrites an earlier one
+    last = row.size - 1 - _first_of_each((row * out.shape[1] + col)[::-1])
+    out[row[last], col[last]] = value[last]
     return Tensor(out)
+
+
+def _csv_table(f: _TextFile, data: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Comma-separated floats, one row per data line of `f`."""
+    commas = np.bincount(f.line_of_char[f.code == ord(",")], minlength=f.lineno.max(initial=-1) + 1)
+    widths = commas[f.lineno[data]] + 1
+    lines = np.array(f.text.splitlines(), dtype=object)[f.lineno[data]]
+    fields = np.array(",".join(lines).split(",") if lines.size else [], dtype=object)
+    value, bad_field = _floats(fields)
+    row_of_field = np.repeat(np.flatnonzero(data), widths)
+    bad, non_finite = np.zeros_like(data), np.zeros_like(data)
+    bad[row_of_field[bad_field]] = True
+    non_finite[row_of_field[~np.isfinite(value)]] = True
+    f.check(
+        (bad, lambda i: f"bad value in {f.raw(i)}"),
+        (non_finite, lambda i: f"non-finite value in {f.raw(i)}"),
+    )
+    if widths.size != n_nodes:
+        raise LoadError(f"{f.path}: {widths.size} rows for {n_nodes} nodes")
+    distinct = np.unique(widths)
+    if distinct.size != 1:
+        raise LoadError(f"{f.path}: ragged rows (widths {distinct.tolist()})")
+    return value.reshape(n_nodes, -1)
 
 
 def normalize_adjacency(g: Graph) -> SparseMatrix:
@@ -308,7 +482,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, np.ndarray]:
     iu, iv = np.triu_indices(n, k=1)
     draws = rng.random(iu.size)
     present = draws < probs[iu, iv]
-    pairs = [(int(u), int(v)) for u, v in zip(iu[present], iv[present])]
+    pairs = np.column_stack((iu[present], iv[present]))
     return Graph(n_nodes=n, adjacency=_adjacency_from_pairs(pairs, n)), memberships
 
 
@@ -317,22 +491,20 @@ _SPLIT_SECTIONS = ("TRAIN", "VAL_POS", "VAL_NEG", "TEST_POS", "TEST_NEG")
 
 def save_split(split: SplitSpec, path) -> None:
     """Write a split as sectioned "u v" text, reloadable by load_split."""
-    lines = [f"# nodes {split.n_nodes}", f"# seed {split.seed}"]
-    coo = split.train_adjacency.scipy().tocoo()
     sections = {
-        "TRAIN": [(int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v],
+        "TRAIN": _upper_pairs(split.train_adjacency),
         "VAL_POS": split.val_pos,
         "VAL_NEG": split.val_neg,
         "TEST_POS": split.test_pos,
         "TEST_NEG": split.test_neg,
     }
+    parts = [f"# nodes {split.n_nodes}\n# seed {split.seed}\n".encode()]
     for name in _SPLIT_SECTIONS:
-        lines.append(name)
-        lines.extend(f"{u} {v}" for u, v in sections[name])
-    Path(path).write_text("\n".join(lines) + "\n")
+        parts += [f"{name}\n".encode(), _pair_lines(sections[name])]
+    write_atomic(path, b"".join(parts))
 
 
-def _raise_at(path, linenos: list[int], name: str, arr: np.ndarray, bad: np.ndarray, problem: str):
+def _raise_at(path, linenos: np.ndarray, name: str, arr: np.ndarray, bad: np.ndarray, problem: str):
     """Raise LoadError naming the line of the first pair flagged in `bad`."""
     if bad.any():
         i = int(np.argmax(bad))
@@ -341,71 +513,64 @@ def _raise_at(path, linenos: list[int], name: str, arr: np.ndarray, bad: np.ndar
 
 def load_split(path) -> SplitSpec:
     """Read a split written by save_split; malformed content raises LoadError."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise LoadError(f"cannot read {path}: {e}") from e
-    headers: dict[str, int] = {}
-    sections: dict[str, list[tuple[int, int]]] = {s: [] for s in _SPLIT_SECTIONS}
-    linenos: dict[str, list[int]] = {s: [] for s in _SPLIT_SECTIONS}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] in ("nodes", "seed"):
-                try:
-                    headers[parts[0]] = int(parts[1])
-                except ValueError as e:
-                    raise LoadError(f"{path}:{lineno}: non-integer header {raw!r}") from e
-                if parts[0] == "nodes" and headers["nodes"] <= 0:
-                    raise LoadError(f"{path}:{lineno}: node count must be positive, got {raw!r}")
-            continue
-        if line in _SPLIT_SECTIONS:
-            current = line
-            continue
-        if current is None:
-            raise LoadError(f"{path}:{lineno}: pair before any section header")
-        parts = line.split()
-        if len(parts) != 2:
-            raise LoadError(f"{path}:{lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as e:
-            raise LoadError(f"{path}:{lineno}: non-integer pair {raw!r}") from e
-        sections[current].append((u, v))
-        linenos[current].append(lineno)
-    if "nodes" not in headers:
-        raise LoadError(f"{path}: missing '# nodes N' header")
-    n_nodes = headers["nodes"]
-    arrays = {
-        name: np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        for name, pairs in sections.items()
+    f = _TextFile(path)
+    u, bad_u = f.ints(0)
+    v, bad_v = f.ints(1)
+    count, bad_count = f.ints(2)
+    # "# nodes N" and "#nodes N" both leave two fields after the "#"
+    spaced = f.is_word(0, "#") & (f.width == 3)
+    joined = f.comment & (f.width == 2)
+    header = {
+        key: (spaced & f.is_word(1, key)) | (joined & f.is_word(0, "#" + key))
+        for key in ("nodes", "seed")
     }
+    value = np.where(spaced, count, v)
+    bad_value = np.where(spaced, bad_count, bad_v) & (header["nodes"] | header["seed"])
+    section = np.full(len(f.lineno), -1)
+    for k, name in enumerate(_SPLIT_SECTIONS):
+        section[(f.width == 1) & f.is_word(0, name)] = k
+    # the section of the last section line at or above each row; -1 above the first
+    rows = np.arange(len(section))
+    current = section[np.maximum.accumulate(np.where(section >= 0, rows, 0))]
+    is_pair = ~f.comment & (section < 0)
+    f.check(
+        (bad_value, lambda i: f"non-integer header {f.raw(i)}"),
+        (header["nodes"] & (value <= 0), lambda i: f"node count must be positive, got {f.raw(i)}"),
+        (is_pair & (current < 0), lambda i: "pair before any section header"),
+        (is_pair & (f.width != 2), lambda i: f"expected 'u v', got {f.raw(i)}"),
+        (is_pair & (bad_u | bad_v), lambda i: f"non-integer pair {f.raw(i)}"),
+    )
+    if not header["nodes"].any():
+        raise LoadError(f"{f.path}: missing '# nodes N' header")
+    n_nodes = int(value[header["nodes"]][-1])  # the last header wins
+    arrays, linenos = {}, {}
+    for k, name in enumerate(_SPLIT_SECTIONS):
+        in_section = is_pair & (current == k)
+        arrays[name] = np.column_stack((u[in_section], v[in_section]))
+        linenos[name] = f.lineno[in_section] + 1
     for name, arr in arrays.items():
         bad = (arr < 0).any(axis=1) | (arr >= n_nodes).any(axis=1) | (arr[:, 0] == arr[:, 1])
         problem = f"needs two distinct node ids in [0, {n_nodes})"
-        _raise_at(path, linenos[name], name, arr, bad, problem)
+        _raise_at(f.path, linenos[name], name, arr, bad, problem)
     train = _adjacency_from_pairs(arrays["TRAIN"], n_nodes)
     if train.nnz != 2 * len(arrays["TRAIN"]):  # the CSR build merged repeated pairs
         arr = arrays["TRAIN"]
-        key = arr.min(axis=1) * n_nodes + arr.max(axis=1)
         repeat = np.ones(len(arr), dtype=bool)
-        repeat[np.unique(key, return_index=True)[1]] = False
-        _raise_at(path, linenos["TRAIN"], "TRAIN", arr, repeat, "repeats an earlier TRAIN pair")
+        repeat[_first_of_each(arr.min(axis=1) * n_nodes + arr.max(axis=1))] = False
+        _raise_at(f.path, linenos["TRAIN"], "TRAIN", arr, repeat, "repeats an earlier TRAIN pair")
     for name in _SPLIT_SECTIONS[1:]:
         arr = arrays[name]
+        if len(arr) == 0:  # scipy indexes a CSR matrix with empty arrays as a matrix
+            continue
         leaked = np.asarray(train.scipy()[arr[:, 0], arr[:, 1]]).ravel() != 0
-        _raise_at(path, linenos[name], name, arr, leaked, "is also a TRAIN edge")
+        _raise_at(f.path, linenos[name], name, arr, leaked, "is also a TRAIN edge")
+    held_out = {name: tuple(map(tuple, arrays[name].tolist())) for name in _SPLIT_SECTIONS[1:]}
     return SplitSpec(
         n_nodes=n_nodes,
         train_adjacency=train,
-        val_pos=tuple(sections["VAL_POS"]),
-        val_neg=tuple(sections["VAL_NEG"]),
-        test_pos=tuple(sections["TEST_POS"]),
-        test_neg=tuple(sections["TEST_NEG"]),
-        seed=headers.get("seed", 0),
+        val_pos=held_out["VAL_POS"],
+        val_neg=held_out["VAL_NEG"],
+        test_pos=held_out["TEST_POS"],
+        test_neg=held_out["TEST_NEG"],
+        seed=int(value[header["seed"]][-1]) if header["seed"].any() else 0,
     )

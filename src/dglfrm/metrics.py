@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import model as md
 from .graphdata import Graph, normalize_adjacency
@@ -34,10 +33,21 @@ def _validate_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
+def _midranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks of s; each run of tied values gets the mean of its ranks."""
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def auc_roc(scores, labels) -> float:
     """Exact ROC AUC via the rank-sum statistic; ties get midranks."""
     s, y = _validate_scores_labels(scores, labels)
-    ranks = rankdata(s, method="average")
+    ranks = _midranks(s)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     rank_sum = float(ranks[y == 1].sum())

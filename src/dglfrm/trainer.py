@@ -22,7 +22,7 @@ from . import metrics as mx
 from . import model as md
 from . import stochastic as sl
 from . import tensor as tc
-from .graphdata import Graph, SplitSpec, normalize_adjacency
+from .graphdata import Graph, SplitSpec, normalize_adjacency, write_atomic
 from .tensor import NumericDomainError, Parameter, SparseMatrix, Tensor, UsageError
 
 
@@ -113,13 +113,29 @@ class TrainConfig:
             payload = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"bad config JSON: {e}") from e
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config JSON is not an object: {text!r}")
+        fields = cls.__dataclass_fields__
+        unknown = set(payload) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in payload.items():
+            if not _json_value_fits(fields[key].type, value):
+                raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
         if "decoder_hidden" in payload:
             payload["decoder_hidden"] = tuple(payload["decoder_hidden"])
         return cls(**payload)
+
+
+def _json_value_fits(annotation: str, value) -> bool:
+    """Whether a decoded JSON value has the type a TrainConfig annotation names."""
+    base, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if base == "tuple[int, ...]":
+        return isinstance(value, list) and all(_json_value_fits("int", v) for v in value)
+    kinds = {"str": str, "int": int, "float": (int, float), "bool": bool}[base]
+    return isinstance(value, kinds) and (base == "bool") == isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -595,7 +611,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         payload += struct.pack(f"<{arr.ndim}I", *arr.shape)
         payload += arr.tobytes()
     payload += struct.pack("<I", zlib.crc32(bytes(payload)))
-    Path(path).write_bytes(bytes(payload))
+    write_atomic(path, bytes(payload))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -626,7 +642,10 @@ def load_checkpoint(path) -> Checkpoint:
         )
     (step,) = struct.unpack("<Q", read(8))
     (cfg_len,) = struct.unpack("<I", read(4))
-    config = TrainConfig.from_json(read(cfg_len).decode("utf-8"))
+    try:
+        config = TrainConfig.from_json(read(cfg_len).decode("utf-8"))
+    except (UnicodeDecodeError, ConfigError, UsageError) as e:
+        raise CheckpointError(f"{path}: bad stored config: {e}") from e
     (n_params,) = struct.unpack("<I", read(4))
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):

@@ -6,6 +6,7 @@ real subprocess to cover the module entry point.
 """
 
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -118,6 +119,27 @@ class TestSplit:
         assert len(split.test_pos) == round(0.10 * g.n_edges)
         assert len(split.test_pos) == 528
 
+    @pytest.mark.parametrize(
+        "name,features,where",
+        [
+            ("f.txt", "0 0 1\n1 1 nan\n2 0 1\n", ":2:"),
+            ("f.txt", "0 0 1\n1 1 -inf\n", ":2:"),
+            ("f.csv", "1,0\n0,1\n# c\n1,inf\n0,0\n1,1\n1,0\n", ":4:"),
+            ("f.csv", "1,0\nnan,1\n1,1\n0,0\n1,1\n1,0\n", ":2:"),
+        ],
+        ids=["triplet-nan", "triplet-inf", "csv-inf", "csv-nan"],
+    )
+    def test_non_finite_feature_is_data_error(self, tmp_path, capsys, name, features, where):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 3\n")
+        path = tmp_path / name
+        path.write_text(features)
+        code = run("split", "--graph", graph, "--features", path, "--out", tmp_path / "s")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(path) + where + " non-finite value" in err
+        assert not (tmp_path / "s").exists()
+
 
 class TestTrain:
     def test_report_shows_decreasing_loss(self, ws):
@@ -163,6 +185,21 @@ class TestTrain:
                    "--decoder-hidden", "3,x", "--out-ckpt", tmp_path / "c")
         assert code == 1
         assert "decoder-hidden" in capsys.readouterr().err
+
+    def test_failed_output_write_keeps_old_file(self, ws, tmp_path, capsys, monkeypatch):
+        ckpt = tmp_path / "c.ckpt"
+        ckpt.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise OSError(28, "no space left")
+
+        monkeypatch.setattr(gd.os, "replace", refuse)
+        code = run("train", "--graph", ws["graph"], "--split", ws["split"], "--k", 2,
+                   "--epochs", 0, "--out-ckpt", ckpt)
+        assert code == 2
+        assert "no space left" in capsys.readouterr().err
+        assert ckpt.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
     def test_split_graph_mismatch(self, ws, tmp_path, capsys):
         prefix = tmp_path / "other"
@@ -243,6 +280,37 @@ class TestEval:
         code = run("eval", "--ckpt", v1, "--graph", ws["graph"], "--split", ws["split"])
         assert code == 2
         assert "version 1, this build supports 2" in capsys.readouterr().err
+
+
+    @staticmethod
+    def _with_stored_config(ckpt, tmp_path, edit):
+        """A copy of `ckpt` whose stored config JSON went through `edit`, CRC intact."""
+        raw = Path(ckpt).read_bytes()
+        (cfg_len,) = struct.unpack("<I", raw[20:24])
+        config = json.loads(raw[24 : 24 + cfg_len])
+        edit(config)
+        cfg = json.dumps(config).encode()
+        body = raw[:20] + struct.pack("<I", len(cfg)) + cfg + raw[24 + cfg_len : -4]
+        out = tmp_path / "edited.ckpt"
+        out.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        return out
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda c: c.update(momentum=0.9), "unknown config keys"),
+            (lambda c: c.update(k="x"), "'k' has a value of the wrong type"),
+            (lambda c: c.update(structured="yes"), "'structured' has a value of the wrong type"),
+            (lambda c: c.update(variant="nope"), "unknown variant"),
+        ],
+        ids=["unknown-key", "string-k", "string-bool", "unknown-variant"],
+    )
+    def test_bad_stored_config_is_data_error(self, ws, tmp_path, capsys, edit, message):
+        ckpt = self._with_stored_config(ws["ckpt"], tmp_path, edit)
+        code = run("eval", "--ckpt", ckpt, "--graph", ws["graph"], "--split", ws["split"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{ckpt}: bad stored config" in err and message in err
 
 
 class TestCommunities:
@@ -335,6 +403,21 @@ class TestArgHandling:
 
     def test_version_exits_zero(self, capsys):
         assert run("--version") == 0
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats (with scipy.optimize and scipy.spatial) more than
+        # doubles the start-up time of every command
+        code = (
+            "import dglfrm.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'stats'], ['scipy', 'optimize'], ['scipy', 'spatial'])))"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -1,3 +1,9 @@
+import errno
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,6 +364,66 @@ def test_split_load_rejects_non_positive_node_count(tmp_path, count):
     p = write(tmp_path, "s.txt", f"# nodes {count}\nTRAIN\n")
     with pytest.raises(gd.LoadError, match=r"s\.txt:1: node count must be positive"):
         gd.load_split(p)
+
+
+def test_split_with_empty_held_out_section_loads(tmp_path):
+    # looking up an empty pair list in the train CSR used to raise ValueError
+    p = write(tmp_path, "s.txt", SPLIT_OK.replace("VAL_POS\n2 3\n", "VAL_POS\n"))
+    split = gd.load_split(p)
+    assert split.val_pos == ()
+    assert split.test_pos == ((0, 2),)
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+def test_write_atomic_replaces_whole_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    gd.write_atomic(path, "new\n")
+    gd.write_atomic(tmp_path / "b.bin", b"\x00\x01")
+    assert path.read_text() == "new\n"
+    assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bin", "out.txt"]
+
+
+def test_write_failing_midway_keeps_old_file(tmp_path):
+    # a file-size limit makes the write fail after 4 KiB reached the disk
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    script = (
+        "import resource, signal, sys\n"
+        "from dglfrm.graphdata import write_atomic\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+        "try:\n"
+        "    write_atomic(sys.argv[1], b'x' * 100_000)\n"
+        "except OSError as e:\n"
+        "    print(e.errno)\n"
+    )
+    src = str(Path(gd.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert result.stdout.strip() == str(errno.EFBIG)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_failing_at_rename_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError(errno.EXDEV, "rename refused")
+
+    monkeypatch.setattr(gd.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        gd.save_edge_list(graph_from_pairs([(0, 1)], 2), path)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,41 @@ class TestAucRoc:
         assert abs(mx.auc_roc(scores, labels) - mx.auc_roc(expit, labels)) < 1e-12
 
 
+class TestMidranks:
+    """`_midranks` against scipy's rankdata, which the tests may import."""
+
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), min_size=1, max_size=40),
+            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+            st.integers(1, 30).map(lambda n: [0.25] * n),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_rankdata_average(self, scores):
+        from scipy.stats import rankdata
+
+        s = np.asarray(scores, dtype=np.float64)
+        np.testing.assert_array_equal(mx._midranks(s), rankdata(s, method="average"))
+
+    @given(st.lists(st.integers(0, 6), min_size=2, max_size=40), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_auc_bit_identical_to_rankdata_formula(self, raw, data):
+        from scipy.stats import rankdata
+
+        labels = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=len(raw), max_size=len(raw))))
+        labels[0], labels[-1] = 0, 1
+        s = np.asarray(raw, dtype=np.float64) / 3.0  # heavy ties
+        n_pos = int(labels.sum())
+        n_neg = labels.size - n_pos
+        rank_sum = float(rankdata(s, method="average")[labels == 1].sum())
+        expected = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert mx.auc_roc(s, labels) == expected
+
+    def test_single_value(self):
+        np.testing.assert_array_equal(mx._midranks(np.array([3.0])), [1.0])
+
+
 class TestAveragePrecision:
     def test_single_positive_ranked_first(self):
         assert mx.average_precision([0.9, 0.5, 0.1], [1, 0, 0]) == 1.0
