@@ -79,6 +79,24 @@ def _load_graph(graph_path, features_path) -> Graph:
     return g
 
 
+def _load_split(path, g: Graph, held_out: str) -> gd.SplitSpec:
+    """The split at `path` for graph `g`, with usable `held_out` pairs.
+
+    `held_out` is "VAL" for train, which runs without validation when both
+    VAL sections are empty, or "TEST" for eval, which needs both TEST sections.
+    """
+    split = gd.load_split(path)
+    if split.n_nodes != g.n_nodes:
+        raise LoadError(f"{path}: split has {split.n_nodes} nodes, graph has {g.n_nodes}")
+    pos, neg = (split.val_pos, split.val_neg) if held_out == "VAL" else (split.test_pos, split.test_neg)
+    empty = [f"{held_out}_{name}" for name, pairs in (("POS", pos), ("NEG", neg)) if not pairs]
+    if held_out == "VAL" and len(empty) == 1:
+        raise LoadError(f"{path}: {empty[0]} is empty; validation needs both VAL sections or neither")
+    if held_out == "TEST" and empty:
+        raise LoadError(f"{path}: {empty[0]} is empty; eval needs test positives and negatives")
+    return split
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -153,15 +171,11 @@ def cmd_train(args) -> None:
         pos_weight=args.pos_weight,
         hidden=args.hidden,
         decoder_hidden=_decoder_hidden(args.decoder_hidden),
-        kl_anneal_epochs=0 if args.no_kl_anneal else args.kl_anneal_epochs,
+        kl_anneal_epochs=args.kl_anneal_epochs,
         val_every=args.val_every,
     )
     g = _load_graph(args.graph, args.features)
-    split = gd.load_split(args.split)
-    if split.n_nodes != g.n_nodes:
-        raise LoadError(
-            f"split has {split.n_nodes} nodes, graph has {g.n_nodes}"
-        )
+    split = _load_split(args.split, g, "VAL")
     ckpt, report = trainer.train(g, split, config)
     trainer.save_checkpoint(ckpt, args.out_ckpt)
     report_path = str(args.out_ckpt) + ".report.json"
@@ -189,9 +203,7 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     ckpt = trainer.load_checkpoint(args.ckpt)
     g = _load_graph(args.graph, args.features)
-    split = gd.load_split(args.split)
-    if split.n_nodes != g.n_nodes:
-        raise LoadError(f"split has {split.n_nodes} nodes, graph has {g.n_nodes}")
+    split = _load_split(args.split, g, "TEST")
     report = trainer.evaluate_split(ckpt, g, split)
     out = str(args.out) if args.out else str(args.ckpt) + ".metrics"
     text_path, json_path = out + ".txt", out + ".json"
@@ -300,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--feature-term", choices=["auto", "on", "off"], default="auto")
     p.add_argument("--kl-anneal-epochs", type=int, default=50)
-    p.add_argument("--no-kl-anneal", action="store_true")
     p.add_argument("--val-every", type=int, default=10)
     p.set_defaults(func=cmd_train)
 

@@ -93,11 +93,6 @@ def _upper_pairs(adjacency: SparseMatrix) -> np.ndarray:
     return np.column_stack((rows[keep], adjacency.indices[keep]))
 
 
-def undirected_edges(g: Graph) -> list[tuple[int, int]]:
-    """All edges as (u, v) with u < v, in row-major order."""
-    return list(map(tuple, _upper_pairs(g.adjacency).tolist()))
-
-
 # ---------------------------------------------------------------------------
 # text files
 
@@ -397,7 +392,7 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
         raise SplitError(
             f"holdout fractions must lie in (0, 1), got test={test_frac} val={val_frac}"
         )
-    edges = undirected_edges(g)
+    edges = _upper_pairs(g.adjacency)
     n_edges = len(edges)
     n_test = _holdout_size(test_frac, n_edges)
     n_val = _holdout_size(val_frac, n_edges)
@@ -413,13 +408,14 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n_edges)
-    test_pos = tuple(edges[i] for i in order[:n_test])
-    val_pos = tuple(edges[i] for i in order[n_test : n_test + n_val])
-    train_edges = [edges[i] for i in order[n_test + n_val :]]
+    test_pos = tuple(map(tuple, edges[order[:n_test]].tolist()))
+    val_pos = tuple(map(tuple, edges[order[n_test : n_test + n_val]].tolist()))
+    train_edges = edges[order[n_test + n_val :]]
 
-    edge_set = set(edges)
+    # pairs (u, v) with u < v are looked up by the key u * n + v
+    edge_keys = set((edges[:, 0] * n + edges[:, 1]).tolist())
     negatives: list[tuple[int, int]] = []
-    chosen: set[tuple[int, int]] = set()
+    chosen: set[int] = set()
     attempts = 0
     max_attempts = 100 * n_neg + 1000
     while len(negatives) < n_neg and attempts < max_attempts:
@@ -429,9 +425,10 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
         if u == v:
             continue
         pair = (min(u, v), max(u, v))
-        if pair in edge_set or pair in chosen:
+        key = pair[0] * n + pair[1]
+        if key in edge_keys or key in chosen:
             continue
-        chosen.add(pair)
+        chosen.add(key)
         negatives.append(pair)
     if len(negatives) < n_neg:
         # dense graph: enumerate the remaining non-edges outright
@@ -441,7 +438,7 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
         pool = [
             (int(a), int(b))
             for a, b in zip(iu[mask], iv[mask])
-            if (int(a), int(b)) not in chosen
+            if int(a) * n + int(b) not in chosen
         ]
         extra = rng.permutation(len(pool))[: n_neg - len(negatives)]
         negatives.extend(pool[i] for i in extra)
@@ -450,7 +447,7 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
 
     return SplitSpec(
         n_nodes=n,
-        train_adjacency=_adjacency_from_pairs(sorted(train_edges), n),
+        train_adjacency=_adjacency_from_pairs(train_edges, n),
         val_pos=val_pos,
         val_neg=val_neg,
         test_pos=test_pos,

@@ -1,11 +1,12 @@
 """GCN encoder, link decoders, feature decoder, and the model-variant switch.
 
-The encoder is one shared GCN hidden layer followed by five linear GCN heads
-producing the variational parameters. Decoders: a small MLP feeding an inner
-product, a symmetrized bilinear form, or the plain inner product. Each is
-given as two factors whose product is the symmetric N x N logit grid
-(`link_factors`); training sums the likelihood over that grid without forming
-it (`tensor.link_bce_sum`), and scoring evaluates single pairs.
+The encoder is one shared GCN hidden layer followed by a linear GCN head for
+each variational parameter the variant trains (`ModelVariant.encoder_heads`).
+Decoders: a small MLP feeding an inner product, a symmetrized bilinear form,
+or the plain inner product. Each is given as two factors whose product is the
+symmetric N x N logit grid (`link_factors`); training sums the likelihood over
+that grid without forming it (`tensor.link_bce_sum`), and scoring evaluates
+single pairs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .tensor import Parameter, SparseMatrix, Tensor, UsageError
 
 PARAM_FLOOR = 1e-4  # added after softplus so c, d stay strictly positive
 LEAKY_SLOPE = 0.2  # negative-side slope of the encoder and MLP-decoder activations
+# Every encoder head, in the order init_encoder draws their weights. Head h
+# has weight "encoder.w_<h>" and fills the VariationalOutput field named here.
+ENCODER_HEADS = {"c": "c", "d": "d", "pi": "pi_logits", "mu": "mu", "sigma": "log_sigma"}
 
 
 class ModelVariant(Enum):
@@ -59,34 +63,45 @@ class ModelVariant(Enum):
     def supports_communities(self) -> bool:
         return self.uses_b
 
+    def encoder_heads(self, structured: bool) -> tuple[str, ...]:
+        """The encoder heads this variant trains, in ENCODER_HEADS order.
+
+        Membership logits `pi` come with `b`, per-node Kumaraswamy sticks
+        `c`, `d` with `b` under the mean-field posterior (structured sticks
+        are global parameters), and `mu`, `sigma` with `r`.
+        """
+        heads = ()
+        if self.uses_b:
+            heads = ("pi",) if structured else ("c", "d", "pi")
+        if self.uses_r:
+            heads += ("mu", "sigma")
+        return heads
+
 
 @dataclass(frozen=True)
 class VariationalOutput:
-    """Per-node encoder outputs, each N x K; c and d strictly positive."""
+    """Per-node encoder outputs, each N x K; c and d strictly positive.
 
-    c: Tensor
-    d: Tensor
-    pi_logits: Tensor
-    mu: Tensor
-    log_sigma: Tensor
+    A field is None when the encoder has no head for it.
+    """
+
+    c: Tensor | None = None
+    d: Tensor | None = None
+    pi_logits: Tensor | None = None
+    mu: Tensor | None = None
+    log_sigma: Tensor | None = None
 
 
 @dataclass
 class EncoderParams:
+    """First-layer weight plus one weight per head, keyed by ENCODER_HEADS names."""
+
     w1: Parameter
-    w_c: Parameter
-    w_d: Parameter
-    w_pi: Parameter
-    w_mu: Parameter
-    w_sigma: Parameter
+    heads: dict[str, Parameter]
     dropout: float = 0.5
 
     def parameters(self) -> list[Parameter]:
-        return [self.w1, self.w_c, self.w_d, self.w_pi, self.w_mu, self.w_sigma]
-
-    @property
-    def k(self) -> int:
-        return self.w_pi.shape[1]
+        return [self.w1, *self.heads.values()]
 
 
 @dataclass
@@ -174,18 +189,17 @@ def init_encoder(
     d_in: int,
     hidden: int,
     k: int,
+    heads: tuple[str, ...],
     dropout: float = 0.5,
 ) -> EncoderParams:
-    def head(name: str) -> Parameter:
-        return Parameter(glorot_uniform(rng, hidden, k), f"encoder.{name}")
-
+    w1 = Parameter(glorot_uniform(rng, d_in, hidden), "encoder.w1")
+    # A block is drawn for every head, kept or not, so that the weights of a
+    # kept head and every later draw from rng (decoder, dropout masks, noise)
+    # do not depend on which heads the variant has.
+    blocks = {name: glorot_uniform(rng, hidden, k) for name in ENCODER_HEADS}
     return EncoderParams(
-        w1=Parameter(glorot_uniform(rng, d_in, hidden), "encoder.w1"),
-        w_c=head("w_c"),
-        w_d=head("w_d"),
-        w_pi=head("w_pi"),
-        w_mu=head("w_mu"),
-        w_sigma=head("w_sigma"),
+        w1=w1,
+        heads={name: Parameter(blocks[name], f"encoder.w_{name}") for name in heads},
         dropout=dropout,
     )
 
@@ -240,11 +254,6 @@ def init_global_sticks(k: int, alpha: float) -> GlobalSticks:
 # Forward passes
 
 
-def _check_head_finite(name: str, value: Tensor) -> None:
-    if not np.all(np.isfinite(value.data)):
-        raise tc.NumericDomainError(f"encoder head {name}: non-finite output")
-
-
 def encode(
     g: Graph,
     a_hat: SparseMatrix,
@@ -252,7 +261,7 @@ def encode(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> VariationalOutput:
-    """Shared hidden layer, then five linear heads; identity features when absent."""
+    """Shared hidden layer, then the encoder's linear heads; identity features when absent."""
     if g.features is not None:
         if g.features.shape[1] != enc.w1.shape[0]:
             raise tc.ShapeError(
@@ -281,23 +290,18 @@ def encode(
     if train_mode and enc.dropout > 0.0:
         hidden = tc.dropout(hidden, enc.dropout, rng, train=True)
 
-    def head(w: Parameter) -> Tensor:
-        return tc.spmm(a_hat, tc.matmul(hidden, w))
-
-    c = tc.softplus(head(enc.w_c)) + PARAM_FLOOR
-    d = tc.softplus(head(enc.w_d)) + PARAM_FLOOR
-    pi_logits = head(enc.w_pi)
-    mu = head(enc.w_mu)
-    log_sigma = head(enc.w_sigma)
-    for name, value in (
-        ("c", c),
-        ("d", d),
-        ("pi_logits", pi_logits),
-        ("mu", mu),
-        ("log_sigma", log_sigma),
-    ):
-        _check_head_finite(name, value)
-    return VariationalOutput(c=c, d=d, pi_logits=pi_logits, mu=mu, log_sigma=log_sigma)
+    # each head is A_hat @ (hidden @ w) = (A_hat @ hidden) @ w: one sparse product for all
+    propagated = tc.spmm(a_hat, hidden)
+    out = {}
+    for name, w in enc.heads.items():
+        value = tc.matmul(propagated, w)
+        if name in ("c", "d"):
+            value = tc.softplus(value) + PARAM_FLOOR
+        field = ENCODER_HEADS[name]
+        if not np.all(np.isfinite(value.data)):
+            raise tc.NumericDomainError(f"encoder head {field}: non-finite output")
+        out[field] = value
+    return VariationalOutput(**out)
 
 
 def _pairs_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:

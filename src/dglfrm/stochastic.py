@@ -182,10 +182,3 @@ def kl_gaussian_std(p: GaussianParams, prior_sigma: float = 1.0) -> Tensor:
         - 0.5
     )
     return terms.sum()
-
-
-def kumaraswamy_mean(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Posterior mean d * B(1 + 1/c, d), evaluated outside the tape."""
-    c = np.asarray(c, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    return d * np.exp(_special.betaln(1.0 + 1.0 / c, d))

@@ -7,7 +7,6 @@ just compute values, which is what evaluation paths use. Gradients accumulate
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -25,15 +24,6 @@ class NumericDomainError(ArithmeticError):
 
 class UsageError(RuntimeError):
     """The tape/op contract was violated by the caller."""
-
-
-_CHECK_FINITE = os.environ.get("DGLFRM_CHECK_FINITE", "") not in ("", "0")
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle per-op output finiteness checks (debug aid, off by default)."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
 
 
 def _first_index(mask: np.ndarray) -> tuple[int, ...]:
@@ -184,18 +174,12 @@ def as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _finite_or_raise(out: np.ndarray, op: str) -> None:
-    if _CHECK_FINITE and not np.all(np.isfinite(out)):
-        raise NumericDomainError(f"{op}: non-finite output")
-
-
 def _make(
     out_data: np.ndarray,
     parents: Sequence[Tensor],
     backward_fn: Callable[[np.ndarray], None],
     op: str,
 ) -> Tensor:
-    _finite_or_raise(out_data, op)
     out = Tensor(out_data)
     tape = _active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
@@ -217,9 +201,13 @@ def backward(loss: Tensor) -> None:
         raise UsageError("tape already backpropagated; record a fresh forward pass")
     tape._used = True
     loss.grad = np.ones_like(loss.data)
+    # creation order is topological, so once a node has propagated nothing
+    # adds to its gradient again: drop it, and the closure holding its inputs
     for node in reversed(tape._nodes):
         if node.grad is not None and node._backward_fn is not None:
             node._backward_fn(node.grad)
+        node.grad = None
+        node._backward_fn = None
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:

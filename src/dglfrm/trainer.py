@@ -230,6 +230,7 @@ def init_params(g: Graph, config: TrainConfig, rng: np.random.Generator) -> md.M
         d_in=d_in,
         hidden=config.effective_hidden(g),
         k=config.k,
+        heads=variant.encoder_heads(config.structured),
         dropout=config.dropout,
     )
     decoder = md.init_decoder(rng, variant, config.k, hidden=config.decoder_hidden)
@@ -346,7 +347,10 @@ def _snapshot(params: md.ModelParams) -> dict[str, np.ndarray]:
 
 
 def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, TrainReport]:
-    """Full-batch SGVB; keeps the checkpoint with the best validation AUC."""
+    """Full-batch SGVB; keeps the checkpoint with the best validation AUC.
+
+    A split without validation pairs keeps the parameters of the last epoch.
+    """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     train_graph = Graph(
@@ -362,7 +366,7 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
     )
 
     report = TrainReport()
-    best: dict[str, np.ndarray] = _snapshot(params)
+    best: dict[str, np.ndarray] = {}
     best_epoch = 0
     best_auc: float | None = None
 
@@ -406,14 +410,14 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
             # divergence: the loss and adam_step raise before any parameter
             # changes, so params still hold the last good values
             report.diverged = True
-            if best_auc is None:
-                best = _snapshot(params)
-                best_epoch = epoch - 1
             break
         report.losses.append(parts.as_dict())
         if epoch % config.val_every == 0 or epoch == config.epochs:
             validate(epoch)
 
+    if best_auc is None:  # nothing was validated: keep the last parameters
+        best = _snapshot(params)
+        best_epoch = len(report.losses)
     report.best_epoch = best_epoch
     report.best_val_auc = best_auc
     report.wall_seconds = time.perf_counter() - start
@@ -427,46 +431,25 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
 
 @dataclass(frozen=True)
 class EvalLatents:
-    """Deterministic posterior summaries used for scoring and communities."""
+    """Deterministic posterior summaries used for scoring and communities.
 
-    b_prob: np.ndarray  # sigmoid of the encoder's membership logits
-    mu: np.ndarray
-    v_mean: np.ndarray  # Kumaraswamy posterior mean of the sticks
-    pi_prior: np.ndarray  # stick products of v_mean
+    `b_prob` and `mu` are None for a variant without that latent.
+    """
+
+    b_prob: np.ndarray | None  # sigmoid of the encoder's membership logits
+    mu: np.ndarray | None
     z: Tensor
-    variant: md.ModelVariant
-
-
-def _compose_eval_z(variant: md.ModelVariant, b_prob: np.ndarray, mu: np.ndarray) -> Tensor:
-    if variant is md.ModelVariant.DGLFRM:
-        return Tensor(b_prob * mu)
-    if variant.uses_b:
-        return Tensor(b_prob)
-    return Tensor(mu)
 
 
 def _latents_from_params(
     params: md.ModelParams, config: TrainConfig, g: Graph, a_hat: SparseMatrix
 ) -> EvalLatents:
     out = md.encode(g, a_hat, params.encoder, train_mode=False)
-    b_prob = tc.sigmoid(out.pi_logits).data
-    mu = out.mu.data
-    if config.structured and params.sticks is not None:
-        c = params.sticks.c().data
-        d = params.sticks.d().data
-    else:
-        c = out.c.data
-        d = out.d.data
-    v_mean = sl.kumaraswamy_mean(c, d)
-    pi_prior = np.cumprod(v_mean, axis=1)
-    variant = config.model_variant
+    b = None if out.pi_logits is None else tc.sigmoid(out.pi_logits)
     return EvalLatents(
-        b_prob=b_prob,
-        mu=mu,
-        v_mean=v_mean,
-        pi_prior=pi_prior,
-        z=_compose_eval_z(variant, b_prob, mu),
-        variant=variant,
+        b_prob=None if b is None else b.data,
+        mu=None if out.mu is None else out.mu.data,
+        z=md.compose_z(config.model_variant, sl.LatentSample(b=b, r=out.mu)),
     )
 
 
@@ -483,14 +466,13 @@ def rebuild_params(ckpt: Checkpoint) -> md.ModelParams:
 
     encoder = md.EncoderParams(
         w1=take("encoder.w1"),
-        w_c=take("encoder.w_c"),
-        w_d=take("encoder.w_d"),
-        w_pi=take("encoder.w_pi"),
-        w_mu=take("encoder.w_mu"),
-        w_sigma=take("encoder.w_sigma"),
+        heads={
+            name: take(f"encoder.w_{name}")
+            for name in variant.encoder_heads(config.structured)
+        },
         dropout=config.dropout,
     )
-    for head in (encoder.w_c, encoder.w_d, encoder.w_pi, encoder.w_mu, encoder.w_sigma):
+    for head in encoder.heads.values():
         if head.shape[1] != config.k:
             raise CheckpointError(
                 f"parameter {head.name} has {head.shape[1]} columns, config k={config.k}"
@@ -509,7 +491,7 @@ def rebuild_params(ckpt: Checkpoint) -> md.ModelParams:
     if "feature_decoder.w" in store:
         feature_decoder = md.FeatureDecoderParams(w=take("feature_decoder.w"))
     sticks = None
-    if "sticks.raw_c" in store:
+    if variant.uses_b and config.structured:
         sticks = md.GlobalSticks(raw_c=take("sticks.raw_c"), raw_d=take("sticks.raw_d"))
     params = md.ModelParams(
         encoder=encoder,
@@ -591,7 +573,7 @@ def evaluate_split(ckpt: Checkpoint, g: Graph, split: SplitSpec) -> "mx.MetricsR
 # Checkpoint serialization
 
 _MAGIC = b"DGLFRMCK"
-_VERSION = 2
+_VERSION = 3
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

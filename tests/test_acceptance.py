@@ -359,23 +359,16 @@ def test_a7_variant_reductions():
     cfg = TrainConfig(variant="dglfrm-b", k=4, hidden=5, dropout=0.0,
                       epochs=1, seed=2)
     params = trainer.init_params(g, cfg, np.random.default_rng(2))
-    noise = trainer.draw_noise(np.random.default_rng(3), g.n_nodes,
-                               cfg.k, cfg.model_variant, cfg.structured)
-    with tc.Tape() as tape:
-        loss, _ = trainer.elbo_loss(g, a_hat, split, params, cfg, noise)
-        tc.backward(loss)
-    tape.clear()
-    r_ignored = (not np.any(params.encoder.w_mu.grad)
-                 and not np.any(params.encoder.w_sigma.grad))
-    tc.zero_grads(params.parameters())
+    names = {p.name for p in params.parameters()}
+    no_r_heads = not names & {"encoder.w_mu", "encoder.w_sigma"}
 
-    ok = same and zero_kls and r_ignored
+    ok = same and zero_kls and no_r_heads
     verdict("A7 variant reductions", ok,
             f"bilinear(I)==inner {same}, zero KLs {zero_kls}, "
-            f"binary ignores r {r_ignored}")
+            f"binary has no Gaussian heads {no_r_heads}")
     assert same
     assert zero_kls
-    assert r_ignored
+    assert no_r_heads
 
 
 # ---------------------------------------------------------------------------

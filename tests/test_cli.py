@@ -13,6 +13,7 @@ import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dglfrm import cli
@@ -141,6 +142,17 @@ class TestSplit:
         assert not (tmp_path / "s").exists()
 
 
+def four_node_files(tmp_path, sections):
+    """A 4-node graph and its split, with section contents replaced by `sections`."""
+    graph = tmp_path / "g.txt"
+    graph.write_text("# nodes 4\n0 1\n1 2\n2 3\n0 2\n0 3\n")
+    pairs = {"TRAIN": "0 1\n1 2\n", "VAL_POS": "2 3\n", "VAL_NEG": "0 3\n",
+             "TEST_POS": "0 2\n", "TEST_NEG": "1 3\n", **sections}
+    split = tmp_path / "s.split"
+    split.write_text("# nodes 4\n# seed 0\n" + "".join(f"{k}\n{v}" for k, v in pairs.items()))
+    return graph, split
+
+
 class TestTrain:
     def test_report_shows_decreasing_loss(self, ws):
         report = json.loads(Path(ws["ckpt"] + ".report.json").read_text())
@@ -200,6 +212,26 @@ class TestTrain:
         assert "no space left" in capsys.readouterr().err
         assert ckpt.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+
+    def test_without_validation_pairs_saves_last_epoch(self, tmp_path, capsys):
+        graph, split = four_node_files(tmp_path, {"VAL_POS": "", "VAL_NEG": ""})
+        for epochs in (0, 3):
+            assert run("train", "--graph", graph, "--split", split, "--k", 2,
+                       "--epochs", epochs, "--out-ckpt", tmp_path / f"e{epochs}") == 0
+        init, last = (trainer.load_checkpoint(tmp_path / f"e{e}") for e in (0, 3))
+        assert (init.step, last.step) == (0, 3)
+        for name, arr in init.params.items():
+            assert not np.array_equal(arr, last.params[name]), name
+        report = json.loads((tmp_path / "e3.report.json").read_text())
+        assert report["best_epoch"] == 3 and report["best_val_auc"] is None
+
+    @pytest.mark.parametrize("section", ["VAL_POS", "VAL_NEG"])
+    def test_one_empty_validation_section_is_data_error(self, tmp_path, capsys, section):
+        graph, split = four_node_files(tmp_path, {section: ""})
+        code = run("train", "--graph", graph, "--split", split, "--k", 2,
+                   "--epochs", 1, "--out-ckpt", tmp_path / "c")
+        assert code == 2
+        assert f"{split}: {section} is empty" in capsys.readouterr().err
 
     def test_split_graph_mismatch(self, ws, tmp_path, capsys):
         prefix = tmp_path / "other"
@@ -279,7 +311,33 @@ class TestEval:
         v1.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         code = run("eval", "--ckpt", v1, "--graph", ws["graph"], "--split", ws["split"])
         assert code == 2
-        assert "version 1, this build supports 2" in capsys.readouterr().err
+        assert "version 1, this build supports 3" in capsys.readouterr().err
+
+    def test_version_2_checkpoint_is_data_error(self, ws, tmp_path, capsys):
+        # a version 2 file stored all five encoder heads whatever the variant
+        ckpt = trainer.load_checkpoint(ws["ckpt"])
+        params = dict(ckpt.params)
+        for head in ("c", "d"):
+            params[f"encoder.w_{head}"] = np.zeros_like(params["encoder.w_pi"])
+        v2 = tmp_path / "v2.ckpt"
+        trainer.save_checkpoint(trainer.Checkpoint(ckpt.config, params, ckpt.step), v2)
+        raw = bytearray(v2.read_bytes())
+        raw[8:12] = struct.pack("<I", 2)
+        body = bytes(raw[:-4])
+        v2.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code = run("eval", "--ckpt", v2, "--graph", ws["graph"], "--split", ws["split"])
+        assert code == 2
+        assert f"{v2}: checkpoint version 2, this build supports 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["TEST_POS", "TEST_NEG"])
+    def test_empty_test_section_is_data_error(self, tmp_path, capsys, section):
+        graph, split = four_node_files(tmp_path, {section: ""})
+        ckpt = tmp_path / "c"
+        assert run("train", "--graph", graph, "--split", split, "--k", 2,
+                   "--epochs", 1, "--out-ckpt", ckpt) == 0
+        code = run("eval", "--ckpt", ckpt, "--graph", graph, "--split", split)
+        assert code == 2
+        assert f"{split}: {section} is empty" in capsys.readouterr().err
 
 
     @staticmethod

@@ -23,6 +23,10 @@ def graph_from_pairs(pairs, n):
     return gd.Graph(n_nodes=n, adjacency=gd._adjacency_from_pairs(pairs, n))
 
 
+def edge_set(adjacency):
+    return set(map(tuple, gd._upper_pairs(adjacency).tolist()))
+
+
 # ---------------------------------------------------------------------------
 # load_edge_list
 
@@ -164,8 +168,8 @@ def random_graph(seed, n=60, fill=0.08):
 def test_splits_partition_edges():
     g = random_graph(0)
     split = gd.make_splits(g, 0.10, 0.05, seed=1)
-    full = set(gd.undirected_edges(g))
-    train = set(gd.undirected_edges(gd.Graph(g.n_nodes, split.train_adjacency)))
+    full = edge_set(g.adjacency)
+    train = edge_set(split.train_adjacency)
     held_val = set(split.val_pos)
     held_test = set(split.test_pos)
     assert train | held_val | held_test == full
@@ -265,6 +269,62 @@ def test_splits_dense_graph_fallback_finds_negatives():
     dense = g.adjacency.to_dense()
     for u, v in list(split.val_neg) + list(split.test_neg):
         assert dense[u, v] == 0.0
+
+
+def oracle_make_splits(g, test_frac, val_frac, seed):
+    """make_splits over lists of edge tuples: the reference for the array version."""
+    edges = sorted(edge_set(g.adjacency))
+    n_test = gd._holdout_size(test_frac, len(edges))
+    n_val = gd._holdout_size(val_frac, len(edges))
+    n = g.n_nodes
+    n_neg = n_test + n_val
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(edges))
+    test_pos = tuple(edges[i] for i in order[:n_test])
+    val_pos = tuple(edges[i] for i in order[n_test : n_test + n_val])
+    train_edges = [edges[i] for i in order[n_test + n_val :]]
+    negatives, chosen, attempts = [], set(), 0
+    while len(negatives) < n_neg and attempts < 100 * n_neg + 1000:
+        attempts += 1
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        pair = (min(u, v), max(u, v))
+        if u != v and pair not in edges and pair not in chosen:
+            chosen.add(pair)
+            negatives.append(pair)
+    if len(negatives) < n_neg:
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)
+                if (u, v) not in edges and (u, v) not in chosen]
+        negatives.extend(pool[i] for i in rng.permutation(len(pool))[: n_neg - len(negatives)])
+    return gd.SplitSpec(
+        n_nodes=n,
+        train_adjacency=gd._adjacency_from_pairs(sorted(train_edges), n),
+        val_pos=val_pos,
+        val_neg=tuple(negatives[n_test:]),
+        test_pos=test_pos,
+        test_neg=tuple(negatives[:n_test]),
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dense", [False, True])
+def test_splits_match_the_tuple_reference(seed, dense, tmp_path, monkeypatch):
+    rng = np.random.default_rng(seed)
+    if dense:  # 70 nodes, every pair an edge but the 24 the negatives need
+        n, test_frac, val_frac = 70, 0.005, 0.005
+        upper = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        pairs = [upper[i] for i in np.sort(rng.permutation(len(upper))[24:])]
+    else:
+        n, test_frac, val_frac = 40, 0.2, 0.1
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.1]
+    g = graph_from_pairs(pairs, n)
+    dense_calls = []
+    to_dense = SparseMatrix.to_dense
+    monkeypatch.setattr(SparseMatrix, "to_dense", lambda m: dense_calls.append(1) or to_dense(m))
+    gd.save_split(gd.make_splits(g, test_frac, val_frac, seed=seed), tmp_path / "new")
+    assert bool(dense_calls) == dense  # the dense graphs reach the enumeration fallback
+    gd.save_split(oracle_make_splits(g, test_frac, val_frac, seed), tmp_path / "old")
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
 def test_cora_split_sizes(cora_dir):
@@ -511,7 +571,7 @@ def test_splits_partition_property(seed, n_edges_scale):
     except gd.SplitError:
         return
     full = set(pairs)
-    train = set(gd.undirected_edges(gd.Graph(n, split.train_adjacency)))
+    train = edge_set(split.train_adjacency)
     assert train | set(split.val_pos) | set(split.test_pos) == full
     assert len(train) + len(split.val_pos) + len(split.test_pos) == len(full)
     dense = g.adjacency.to_dense()

@@ -22,8 +22,12 @@ def ring_graph(n, extra=(), features=None, seed=None):
     return Graph(n_nodes=n, adjacency=adj, features=features)
 
 
+ALL_HEADS = tuple(md.ENCODER_HEADS)
+VARIANT_MODES = [(v.value, structured) for v in md.ModelVariant for structured in (False, True)]
+
+
 def zero_encoder(d_in, hidden, k, dropout=0.0):
-    enc = md.init_encoder(np.random.default_rng(0), d_in, hidden, k, dropout=dropout)
+    enc = md.init_encoder(np.random.default_rng(0), d_in, hidden, k, ALL_HEADS, dropout=dropout)
     for p in enc.parameters():
         p.data[...] = 0.0
     return enc
@@ -36,7 +40,7 @@ def zero_encoder(d_in, hidden, k, dropout=0.0):
 class TestEncode:
     def test_output_shapes_and_positivity(self):
         g = ring_graph(5, seed=1)
-        enc = md.init_encoder(np.random.default_rng(2), 3, 7, 4)
+        enc = md.init_encoder(np.random.default_rng(2), 3, 7, 4, ALL_HEADS)
         out = md.encode(g, normalize_adjacency(g), enc)
         for t in (out.c, out.d, out.pi_logits, out.mu, out.log_sigma):
             assert t.shape == (5, 4)
@@ -45,7 +49,7 @@ class TestEncode:
 
     def test_eval_mode_deterministic(self):
         g = ring_graph(5, seed=1)
-        enc = md.init_encoder(np.random.default_rng(2), 3, 7, 4, dropout=0.5)
+        enc = md.init_encoder(np.random.default_rng(2), 3, 7, 4, ALL_HEADS, dropout=0.5)
         a_hat = normalize_adjacency(g)
         a = md.encode(g, a_hat, enc, train_mode=False)
         b = md.encode(g, a_hat, enc, train_mode=False)
@@ -65,32 +69,32 @@ class TestEncode:
 
     def test_identity_features_needs_square_w1(self):
         g = ring_graph(4)  # no features
-        enc = md.init_encoder(np.random.default_rng(0), 3, 6, 5)
+        enc = md.init_encoder(np.random.default_rng(0), 3, 6, 5, ALL_HEADS)
         with pytest.raises(ShapeError):
             md.encode(g, normalize_adjacency(g), enc)
 
     def test_identity_features_path(self):
         g = ring_graph(4)
-        enc = md.init_encoder(np.random.default_rng(0), 4, 6, 5)
+        enc = md.init_encoder(np.random.default_rng(0), 4, 6, 5, ALL_HEADS)
         out = md.encode(g, normalize_adjacency(g), enc)
         assert out.mu.shape == (4, 5)
 
     def test_feature_width_mismatch(self):
         g = ring_graph(4, seed=3)
-        enc = md.init_encoder(np.random.default_rng(0), 9, 6, 5)
+        enc = md.init_encoder(np.random.default_rng(0), 9, 6, 5, ALL_HEADS)
         with pytest.raises(ShapeError):
             md.encode(g, normalize_adjacency(g), enc)
 
     def test_dropout_needs_rng(self):
         g = ring_graph(4, seed=3)
-        enc = md.init_encoder(np.random.default_rng(0), 3, 6, 5, dropout=0.5)
+        enc = md.init_encoder(np.random.default_rng(0), 3, 6, 5, ALL_HEADS, dropout=0.5)
         with pytest.raises(UsageError):
             md.encode(g, normalize_adjacency(g), enc, train_mode=True)
 
     def test_nonfinite_names_the_head(self):
         g = ring_graph(4, seed=3)
-        enc = md.init_encoder(np.random.default_rng(0), 3, 6, 5)
-        enc.w_mu.data[...] = np.inf
+        enc = md.init_encoder(np.random.default_rng(0), 3, 6, 5, ALL_HEADS)
+        enc.heads["mu"].data[...] = np.inf
         with pytest.raises(tc.NumericDomainError, match="mu"):
             with np.errstate(invalid="ignore"):
                 md.encode(g, normalize_adjacency(g), enc)
@@ -104,7 +108,7 @@ class TestEncode:
             dense = dense + dense.T
             x = (rng.random((n, 4)) < 0.5).astype(float)
             g = Graph(n_nodes=n, adjacency=SparseMatrix(dense), features=Tensor(x))
-            enc = md.init_encoder(np.random.default_rng(trial), 4, 6, 3)
+            enc = md.init_encoder(np.random.default_rng(trial), 4, 6, 3, ALL_HEADS)
             out = md.encode(g, normalize_adjacency(g), enc)
 
             perm = rng.permutation(n)
@@ -288,17 +292,7 @@ class TestDecoderParamsValidation:
 # gradient flow per variant
 
 
-UNUSED_UNDER = {
-    ("dglfrm", True): {"encoder.w_c", "encoder.w_d"},
-    ("dglfrm", False): set(),
-    ("dglfrm-b", True): {"encoder.w_c", "encoder.w_d", "encoder.w_mu", "encoder.w_sigma"},
-    ("lfrm", True): {"encoder.w_c", "encoder.w_d", "encoder.w_mu", "encoder.w_sigma"},
-    ("lsm", True): {"encoder.w_c", "encoder.w_d", "encoder.w_pi"},
-    ("vgae", True): {"encoder.w_c", "encoder.w_d", "encoder.w_pi"},
-}
-
-
-@pytest.mark.parametrize("variant,structured", sorted(UNUSED_UNDER))
+@pytest.mark.parametrize("variant,structured", VARIANT_MODES)
 def test_every_active_parameter_gets_gradient(variant, structured):
     g = ring_graph(6, extra=[(1, 4)], seed=8)
     split = SplitSpec(
@@ -328,10 +322,52 @@ def test_every_active_parameter_gets_gradient(variant, structured):
         loss, _ = trainer.elbo_loss(g, a_hat, split, params, cfg, noise)
         tc.backward(loss)
     tape.clear()
-    unused = UNUSED_UNDER[(variant, structured)]
     for p in params.parameters():
-        if p.name in unused:
-            assert not np.any(p.grad), f"{p.name} should stay untouched"
-        else:
-            assert np.any(p.grad), f"{p.name} received no gradient"
+        assert np.any(p.grad), f"{p.name} received no gradient"
     tc.zero_grads(params.parameters())
+
+
+@pytest.mark.parametrize("variant,structured", VARIANT_MODES)
+def test_kept_heads_get_the_five_head_draws(variant, structured):
+    # w1, then one glorot block per head in the order c, d, pi, mu, sigma
+    d_in, hidden, k = 3, 5, 4
+    hand = np.random.default_rng(7)
+    w1_limit = np.sqrt(6.0 / (d_in + hidden))
+    w1 = hand.uniform(-w1_limit, w1_limit, (d_in, hidden))
+    limit = np.sqrt(6.0 / (hidden + k))
+    blocks = {
+        name: hand.uniform(-limit, limit, (hidden, k))
+        for name in ("c", "d", "pi", "mu", "sigma")
+    }
+
+    rng = np.random.default_rng(7)
+    heads = md.ModelVariant.parse(variant).encoder_heads(structured)
+    enc = md.init_encoder(rng, d_in, hidden, k, heads)
+    np.testing.assert_array_equal(enc.w1.data, w1)
+    assert list(enc.heads) == list(heads)
+    for name, w in enc.heads.items():
+        assert w.name == f"encoder.w_{name}"
+        np.testing.assert_array_equal(w.data, blocks[name])
+    assert rng.random() == hand.random()  # later draws see the same stream
+
+
+@pytest.mark.parametrize("heads", [("pi",), ("mu", "sigma"), ALL_HEADS])
+def test_encode_propagates_once_for_all_heads(heads, monkeypatch):
+    g = ring_graph(5, seed=1)
+    enc = md.init_encoder(np.random.default_rng(2), 3, 7, 4, heads, dropout=0.5)
+    calls = []
+    spmm = tc.spmm
+
+    def counting_spmm(s, b):
+        calls.append(b.shape)
+        return spmm(s, b)
+
+    monkeypatch.setattr(tc, "spmm", counting_spmm)
+    with tc.Tape():
+        out = md.encode(
+            g, normalize_adjacency(g), enc, train_mode=True, rng=np.random.default_rng(3)
+        )
+    assert calls == [(5, 7), (5, 7)]  # first layer, then the shared propagation
+    present = {md.ENCODER_HEADS[name] for name in heads}
+    for field in md.ENCODER_HEADS.values():
+        assert (getattr(out, field) is not None) == (field in present)

@@ -419,18 +419,3 @@ def test_gaussian_gradients():
         return (r * weights).sum() + st.kl_gaussian_std(st.GaussianParams(mu, ls), 1.3)
 
     assert tc.gradient_check(f, [mu, ls]) < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# kumaraswamy_mean
-
-
-def test_kumaraswamy_mean_uniform():
-    assert st.kumaraswamy_mean(1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_kumaraswamy_mean_matches_quadrature():
-    for a, b in [(0.5, 0.5), (2.0, 3.0), (4.0, 1.5)]:
-        oracle, err = integrate.quad(lambda x: x * kumar_pdf(x, a, b), 0, 1, limit=200)
-        assert err < 1e-6
-        assert st.kumaraswamy_mean(a, b) == pytest.approx(oracle, abs=1e-6)
