@@ -227,14 +227,14 @@ def cmd_communities(args) -> None:
         raise UsageError(f"--min-members must be >= 1, got {args.min_members}")
     ckpt = trainer.load_checkpoint(args.ckpt)
     g = _load_graph(args.graph, args.features)
-    assignment = mx.extract_communities(ckpt, g, args.tau)
+    a_hat = gd.normalize_adjacency(trainer.effective_graph(g, ckpt.config))
+    latents = trainer.posterior_latents(ckpt, g, a_hat)
+    assignment = mx.extract_communities(ckpt.config.model_variant, latents, args.tau)
     out = str(args.out)
     gd.write_atomic(out, mx.format_communities(assignment))
     outputs = [out]
 
     if args.export_latent:
-        a_hat = gd.normalize_adjacency(trainer.effective_graph(g, ckpt.config))
-        latents = trainer.posterior_latents(ckpt, g, a_hat)
         text = io.StringIO()
         np.savetxt(text, latents.z.data, delimiter=",", fmt="%.17g")
         gd.write_atomic(args.export_latent, text.getvalue())

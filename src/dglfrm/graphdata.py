@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as _sp
 
-from .tensor import SparseMatrix, Tensor
+from .tensor import LINK_BLOCK_ELEMENTS, SparseMatrix
 
 logger = logging.getLogger("dglfrm.graphdata")
 
@@ -28,11 +28,11 @@ class SplitError(Exception):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph: symmetric 0/1 adjacency, optional dense features."""
+    """Undirected graph: symmetric 0/1 adjacency, optional sparse N x D features."""
 
     n_nodes: int
     adjacency: SparseMatrix
-    features: Tensor | None = None
+    features: SparseMatrix | None = None
 
     def __post_init__(self) -> None:
         a = self.adjacency.scipy()
@@ -322,12 +322,12 @@ def save_memberships(memberships: np.ndarray, path) -> None:
     write_atomic(path, header + _int_lines(values, before + np.arange(n) + counts))
 
 
-def load_features(path, n_nodes: int) -> Tensor:
+def load_features(path, n_nodes: int) -> SparseMatrix:
     """Read node features: "row col value" triplets (.txt) or dense CSV (.csv)."""
     f = _TextFile(path)
     data = ~f.comment
     if f.path.suffix.lower() == ".csv":
-        return Tensor(_csv_table(f, data, n_nodes))
+        return SparseMatrix(_csv_table(f, data, n_nodes))
 
     row, bad_row = f.ints(0)
     col, bad_col = f.ints(1)
@@ -342,11 +342,11 @@ def load_features(path, n_nodes: int) -> Tensor:
     if not data.any():
         raise LoadError(f"{f.path}: no feature entries")
     row, col, value = row[data], col[data], value[data]
-    out = np.zeros((n_nodes, int(col.max()) + 1))
-    # a later triplet for the same entry overwrites an earlier one
-    last = row.size - 1 - _first_of_each((row * out.shape[1] + col)[::-1])
-    out[row[last], col[last]] = value[last]
-    return Tensor(out)
+    width = int(col.max()) + 1
+    # a later triplet for the same entry overwrites an earlier one; keep only
+    # the last, as SparseMatrix sums duplicates
+    last = row.size - 1 - _first_of_each((row * width + col)[::-1])
+    return SparseMatrix.from_coo(row[last], col[last], value[last], (n_nodes, width))
 
 
 def _csv_table(f: _TextFile, data: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -475,12 +475,17 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, np.ndarray]:
         if k > 1 and rng.random() < OVERLAP_PROB:
             extra = (primary + 1 + int(rng.integers(k - 1))) % k
             memberships[node, extra] = 1.0
-    probs = 1.0 / (1.0 + np.exp(-(8.0 * (memberships @ memberships.T) - 4.0)))
-    iu, iv = np.triu_indices(n, k=1)
-    draws = rng.random(iu.size)
-    present = draws < probs[iu, iv]
-    pairs = np.column_stack((iu[present], iv[present]))
-    return Graph(n_nodes=n, adjacency=_adjacency_from_pairs(pairs, n)), memberships
+    # Pairs u < v are drawn in row-major order, in row blocks so that no N x N
+    # array is formed; Generator.random gives the same stream in any chunking.
+    pairs = []
+    rows = max(1, LINK_BLOCK_ELEMENTS // n)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        probs = 1.0 / (1.0 + np.exp(-(8.0 * (memberships[a:b] @ memberships.T) - 4.0)))
+        u, v = np.nonzero(np.arange(n) > np.arange(a, b)[:, None])
+        present = rng.random(u.size) < probs[u, v]
+        pairs.append(np.column_stack((u[present] + a, v[present])))
+    return Graph(n_nodes=n, adjacency=_adjacency_from_pairs(np.concatenate(pairs), n)), memberships
 
 
 _SPLIT_SECTIONS = ("TRAIN", "VAL_POS", "VAL_NEG", "TEST_POS", "TEST_NEG")

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as md
-from .graphdata import Graph, normalize_adjacency
 from .tensor import UsageError
 
 
@@ -164,19 +163,14 @@ def communities_from_memberships(
     )
 
 
-def extract_communities(ckpt, g: Graph, threshold: float = 0.5) -> CommunityAssignment:
-    """Overlapping communities from a trained checkpoint's posteriors."""
-    from . import trainer  # deferred: trainer imports this module
-
-    if not 0.0 < threshold <= 1.0:
-        raise UsageError(f"threshold must be in (0, 1], got {threshold}")
-    variant = ckpt.config.model_variant
+def extract_communities(
+    variant: md.ModelVariant, latents, threshold: float = 0.5
+) -> CommunityAssignment:
+    """Overlapping communities from a checkpoint's `trainer.posterior_latents`."""
     if not variant.supports_communities:
         raise UsageError(
             f"variant {variant.value} has no membership posteriors to threshold"
         )
-    a_hat = normalize_adjacency(trainer.effective_graph(g, ckpt.config))
-    latents = trainer.posterior_latents(ckpt, g, a_hat)
     if variant is md.ModelVariant.DGLFRM:
         strength = np.abs(latents.b_prob * latents.mu)
     else:

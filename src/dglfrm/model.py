@@ -262,17 +262,20 @@ def encode(
     rng: np.random.Generator | None = None,
 ) -> VariationalOutput:
     """Shared hidden layer, then the encoder's linear heads; identity features when absent."""
+    drop = train_mode and enc.dropout > 0.0
+    if drop and rng is None:
+        raise UsageError("encode: dropout at train time needs an rng")
     if g.features is not None:
         if g.features.shape[1] != enc.w1.shape[0]:
             raise tc.ShapeError(
                 f"encode: features {g.features.shape} vs w1 {enc.w1.shape}"
             )
         x = g.features
-        if train_mode and enc.dropout > 0.0:
-            if rng is None:
-                raise UsageError("encode: dropout at train time needs an rng")
-            x = tc.dropout(x, enc.dropout, rng, train=True)
-        first = tc.matmul(x, enc.w1)
+        if drop:
+            # the keep mask is drawn over all N x D entries, as tc.dropout draws
+            # it, so the rng stream and every later draw are unchanged
+            x = tc.sparse_dropout(x, enc.dropout, rng)
+        first = tc.spmm(x, enc.w1)
     else:
         # identity features: X @ W1 is W1 itself, so drop entries of W1 directly
         if g.n_nodes != enc.w1.shape[0]:
@@ -281,13 +284,11 @@ def encode(
                 f"got {enc.w1.shape}"
             )
         first = enc.w1
-        if train_mode and enc.dropout > 0.0:
-            if rng is None:
-                raise UsageError("encode: dropout at train time needs an rng")
+        if drop:
             first = tc.dropout(first, enc.dropout, rng, train=True)
 
     hidden = tc.leaky_relu(tc.spmm(a_hat, first), LEAKY_SLOPE)
-    if train_mode and enc.dropout > 0.0:
+    if drop:
         hidden = tc.dropout(hidden, enc.dropout, rng, train=True)
 
     # each head is A_hat @ (hidden @ w) = (A_hat @ hidden) @ w: one sparse product for all

@@ -210,11 +210,6 @@ def backward(loss: Tensor) -> None:
         node._backward_fn = None
 
 
-def zero_grads(params: Iterable[Parameter]) -> None:
-    for p in params:
-        p.grad = np.zeros_like(p.data)
-
-
 # ---------------------------------------------------------------------------
 # Sparse matrices
 
@@ -236,10 +231,6 @@ class SparseMatrix:
     @classmethod
     def from_coo(cls, rows, cols, vals, shape: tuple[int, int]) -> "SparseMatrix":
         return cls(_sp.coo_matrix((vals, (rows, cols)), shape=shape))
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(_sp.identity(n, format="csr"))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -485,29 +476,6 @@ def digamma(x) -> Tensor:
     return _unary(x, _special.digamma, lambda d, _: _special.polygamma(1, d), "digamma")
 
 
-# Registries drive the blanket gradient-check property test. Domain tags tell
-# the test how to sample valid inputs.
-UNARY_REGISTRY: dict[str, tuple[Callable[..., Tensor], str]] = {
-    "sigmoid": (sigmoid, "real"),
-    "softplus": (softplus, "real"),
-    "exp": (exp, "real"),
-    "log": (log, "positive"),
-    "leaky_relu": (leaky_relu, "real"),
-    "negate": (negate, "real"),
-    "reciprocal": (reciprocal, "positive"),
-    "digamma": (digamma, "positive"),
-}
-
-BINARY_REGISTRY: dict[str, tuple[Callable[..., Tensor], str, str]] = {
-    "add": (add, "real", "real"),
-    "sub": (sub, "real", "real"),
-    "mul": (mul, "real", "real"),
-    "div": (div, "real", "positive"),
-    "pow": (pow_, "positive", "real"),
-    "logaddexp": (logaddexp, "real", "real"),
-}
-
-
 # ---------------------------------------------------------------------------
 # Structural ops
 
@@ -527,7 +495,11 @@ def matmul(a, b) -> Tensor:
 
 
 def spmm(s: SparseMatrix, b) -> Tensor:
-    """Sparse @ dense. Gradient flows to the dense operand only."""
+    """Sparse @ dense. Gradient flows to the dense operand only.
+
+    Backward multiplies by the sparse operand's transpose, built once per
+    matrix and cached: a feature matrix is not symmetric.
+    """
     if not isinstance(s, SparseMatrix):
         raise UsageError("spmm: first operand must be a SparseMatrix")
     b = as_tensor(b)
@@ -644,43 +616,48 @@ def dropout(x, rate: float, rng: np.random.Generator, train: bool = True) -> Ten
     return _make(x.data * mask, (x,), bwd, "dropout")
 
 
-def weighted_bce_with_logits_sum(logits, targets, pos_weight: float = 1.0) -> Tensor:
-    """Sum of -[w*y*log sigmoid(x) + (1-y)*log(1-sigmoid(x))], computed stably."""
-    logits = as_tensor(logits)
-    targets = np.asarray(targets, dtype=np.float64)
-    if logits.shape != targets.shape:
-        raise ShapeError(f"bce: logits {logits.shape} vs targets {targets.shape}")
-    x = logits.data
-    sp_pos = _softplus_np(x)  # -log(1 - sigmoid) = softplus(x)
-    sp_neg = sp_pos - x       # -log sigmoid     = softplus(-x)
-    val = float((pos_weight * targets * sp_neg + (1.0 - targets) * sp_pos).sum())
-
-    def bwd(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            s = _special.expit(x)
-            logits._accum(
-                g * (pos_weight * targets * (s - 1.0) + (1.0 - targets) * s)
-            )
-
-    return _make(np.asarray(val), (logits,), bwd, "weighted_bce_with_logits_sum")
-
-
-# Logits per row block of link_bce_sum (2 MB of float64 per temporary). Sizes
-# 2**16 to 2**18 timed within 10% of each other at N = 2000 to 5000, 2**20 up
-# to 16% slower; the larger of the fast sizes keeps the block count low at large N.
+# Elements per row block of the blocked ops: link_bce_sum, feature_bce_sum,
+# sparse_dropout and the synthetic edge draw (2 MB of float64 per temporary).
+# For link_bce_sum, sizes 2**16 to 2**18 timed within 10% of each other at
+# N = 2000 to 5000, 2**20 up to 16% slower; the larger of the fast sizes keeps
+# the block count low at large N.
 LINK_BLOCK_ELEMENTS = 2**18
+
+
+def sparse_dropout(x: SparseMatrix, rate: float, rng: np.random.Generator) -> SparseMatrix:
+    """`dropout` of a constant sparse matrix, rate in (0, 1): stored values are scaled or zeroed.
+
+    The keep mask is drawn over all rows x cols entries in row-major order,
+    as `dropout` draws it over the dense matrix, so the kept entries, their
+    values and every later draw from `rng` are the same as on the dense
+    path. `Generator.random` gives the same stream in any chunking, so the
+    mask is drawn in row blocks of LINK_BLOCK_ELEMENTS // cols and only its
+    stored positions are read.
+    """
+    n, d = x.shape
+    indptr, indices = x.indptr, x.indices
+    keep = np.empty(x.nnz, dtype=bool)
+    rows = max(1, LINK_BLOCK_ELEMENTS // d)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        r = np.repeat(np.arange(b - a), np.diff(indptr[a : b + 1]))
+        c = indices[indptr[a] : indptr[b]]
+        keep[indptr[a] : indptr[b]] = rng.random((b - a, d))[r, c] >= rate
+    dropped = x.scipy().copy()
+    dropped.data = x.values * (keep / (1.0 - rate))
+    return SparseMatrix(dropped)
 
 
 def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Tensor:
     """Weighted BCE of X = left @ right.T summed over all N x N pairs, X never formed.
 
-    Equals weighted_bce_with_logits_sum(X, Y, pos_weight) with targets Y the
-    pattern of `positives` (its values are not read) plus the diagonal. X and
-    `positives` must be symmetric: the pairs are walked in row blocks [a, b)
-    over columns [a, N), so only the upper triangle and the diagonal are
-    computed, each pair above the diagonal counted twice. Memory is
-    O(LINK_BLOCK_ELEMENTS + N * F), and the fixed block order makes the
-    result deterministic.
+    A pair's loss is -[w y log sigmoid(x) + (1 - y) log(1 - sigmoid(x))],
+    with w = pos_weight and targets Y the pattern of `positives` (its values
+    are not read) plus the diagonal. X and `positives` must be symmetric:
+    the pairs are walked in row blocks [a, b) over columns [a, N), so only
+    the upper triangle and the diagonal are computed, each pair above the
+    diagonal counted twice. Memory is O(LINK_BLOCK_ELEMENTS + N * F), and
+    the fixed block order makes the result deterministic.
 
     Both gradients are accumulated in the forward pass, so backward only
     scales them: left gets G @ right and right gets G.T @ left, with G the
@@ -735,8 +712,48 @@ def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Ten
     return _make(np.asarray(total), (left, right), bwd, "link_bce_sum")
 
 
+def feature_bce_sum(z, w, targets: SparseMatrix) -> Tensor:
+    """BCE of X = z @ w against `targets`, summed over all N x D entries, X never formed.
+
+    An entry's loss -[y log sigmoid(x) + (1 - y) log(1 - sigmoid(x))] is
+    softplus(x) - y * x for any target y, so each row block [a, b) of
+    LINK_BLOCK_ELEMENTS // D rows adds the sum of softplus over its logits
+    minus y * x over its stored targets. Memory is O(LINK_BLOCK_ELEMENTS +
+    N * K + K * D). As in link_bce_sum, both gradients are accumulated in the
+    forward pass: z gets G @ w.T and w gets z.T @ G, with G = sigmoid(X) - Y.
+    """
+    z, w = as_tensor(z), as_tensor(w)
+    n, d = targets.shape
+    if z.data.ndim != 2 or z.shape[0] != n or w.shape != (z.shape[1], d):
+        raise ShapeError(f"feature_bce_sum: z {z.shape}, w {w.shape}, targets {targets.shape}")
+    grad_z = np.empty_like(z.data)
+    grad_w = np.zeros_like(w.data)
+    indptr, indices, values = targets.indptr, targets.indices, targets.values
+    rows = max(1, LINK_BLOCK_ELEMENTS // d)
+    total = 0.0
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        x = z.data[a:b] @ w.data
+        r = np.repeat(np.arange(b - a), np.diff(indptr[a : b + 1]))
+        c = indices[indptr[a] : indptr[b]]
+        y = values[indptr[a] : indptr[b]]
+        total += float(_softplus_np(x).sum()) - float(y @ x[r, c])
+        g = _special.expit(x)
+        g[r, c] -= y
+        grad_z[a:b] = g @ w.data.T
+        grad_w += z.data[a:b].T @ g
+
+    def bwd(g: np.ndarray) -> None:
+        if z.requires_grad:
+            z._accum(g * grad_z)
+        if w.requires_grad:
+            w._accum(g * grad_w)
+
+    return _make(np.asarray(total), (z, w), bwd, "feature_bce_sum")
+
+
 # ---------------------------------------------------------------------------
-# Optimizer and gradient checking
+# Optimizer
 
 
 def adam_step(
@@ -766,43 +783,3 @@ def adam_step(
         v_hat = p.v / (1.0 - beta2**p.t)
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
         p.grad = np.zeros_like(p.data)
-
-
-def gradient_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Parameter],
-    h: float = 1e-5,
-) -> float:
-    """Compare tape gradients of scalar f() against central differences.
-
-    Returns the max relative error |a - n| / max(1, |a| + |n|) over all
-    parameter entries. f must be deterministic given the parameter values.
-    """
-    zero_grads(params)
-    with Tape():
-        loss = f()
-        if loss.size != 1:
-            raise UsageError("gradient_check: f() must return a scalar")
-        backward(loss)
-    analytic = {id(p): np.array(p.grad, copy=True) for p in params}
-    zero_grads(params)
-
-    max_rel = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        ana = analytic[id(p)].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = f().item()
-            flat[i] = orig - h
-            down = f().item()
-            flat[i] = orig
-            num = (up - down) / (2.0 * h)
-            if not (np.isfinite(num) and np.isfinite(ana[i])):
-                raise NumericDomainError(
-                    f"gradient_check: non-finite derivative for {p.name!r}[{i}]"
-                )
-            rel = abs(ana[i] - num) / max(1.0, abs(ana[i]) + abs(num))
-            max_rel = max(max_rel, rel)
-    return max_rel

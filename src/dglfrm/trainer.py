@@ -3,7 +3,8 @@
 Held-out validation edges are never folded back into the train adjacency;
 the train graph is fixed per split. The link likelihood is summed over all
 N x N node pairs by `tensor.link_bce_sum`, which walks symmetric row blocks,
-so no N x N array is formed during training. Scoring uses deterministic
+and the feature likelihood over all N x D entries by `tensor.feature_bce_sum`,
+so neither grid is formed during training. Scoring uses deterministic
 posterior means (flagged in the report) rather than Monte Carlo draws.
 """
 
@@ -311,8 +312,7 @@ def elbo_loss(
 
     feat_nll = None
     if config.feature_term_enabled(g) and params.feature_decoder is not None:
-        feat_logits = tc.matmul(z, params.feature_decoder.w)
-        feat_nll = tc.weighted_bce_with_logits_sum(feat_logits, g.features.data, 1.0)
+        feat_nll = tc.feature_bce_sum(z, params.feature_decoder.w, g.features)
 
     loss = link_nll
     if feat_nll is not None:

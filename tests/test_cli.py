@@ -18,6 +18,7 @@ import pytest
 
 from dglfrm import cli
 from dglfrm import graphdata as gd
+from dglfrm import model as md
 from dglfrm import trainer
 
 
@@ -407,6 +408,25 @@ class TestCommunities:
         rows = latent.read_text().splitlines()
         assert len(rows) == 100
         assert len(rows[0].split(",")) == 8
+
+
+    def test_export_latent_encodes_once(self, ws, tmp_path, monkeypatch):
+        plain = tmp_path / "plain.txt"
+        assert run("communities", "--ckpt", ws["ckpt"], "--graph", ws["graph"],
+                   "--out", plain) == 0
+        calls = []
+        encode = md.encode
+
+        def counting_encode(*args, **kwargs):
+            calls.append(args)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(md, "encode", counting_encode)
+        out = tmp_path / "comms.txt"
+        assert run("communities", "--ckpt", ws["ckpt"], "--graph", ws["graph"],
+                   "--out", out, "--export-latent", tmp_path / "z.csv") == 0
+        assert len(calls) == 1
+        assert out.read_bytes() == plain.read_bytes()
 
 
 class TestManifests:

@@ -1,0 +1,130 @@
+"""Sparse node features: the fused feature likelihood and the sparse dropout.
+
+`tensor.feature_bce_sum` walks row blocks of z @ w and never forms the
+N x D logit matrix; its oracle is the dense logits and
+`weighted_bce_with_logits_sum` with positive weight 1. `tensor.sparse_dropout`
+must keep exactly the entries `tensor.dropout` keeps on the dense matrix and
+leave the generator where the dense draw leaves it.
+"""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dglfrm import tensor as tc
+from dglfrm import trainer
+from dglfrm.graphdata import Graph, SplitSpec
+from dglfrm.tensor import Parameter, SparseMatrix, Tensor
+from dglfrm.trainer import TrainConfig
+from oracles import assert_close, weighted_bce_with_logits_sum
+
+
+def random_targets(n, d, density, binary, rng) -> np.ndarray:
+    """Dense targets with about `density` nonzeros and about a third of the rows all zero."""
+    values = np.ones((n, d)) if binary else rng.uniform(-0.5, 2.0, size=(n, d))
+    keep = rng.random((n, d)) < density
+    keep[rng.random(n) < 0.3] = False
+    return np.where(keep, values, 0.0)
+
+
+def loss_and_grads(loss_fn, z0, w0, targets):
+    z = Parameter(z0, "z")
+    w = Parameter(w0, "w")
+    with tc.Tape():
+        loss = loss_fn(z, w, targets)
+        tc.backward(loss)
+    return loss.item(), z.grad, w.grad
+
+
+def dense_feature_bce_sum(z, w, targets: SparseMatrix):
+    return weighted_bce_with_logits_sum(tc.matmul(z, w), targets.to_dense(), 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(1, 4),
+    d=st.integers(1, 40),
+    density=st.floats(0.0, 1.0),
+    binary=st.booleans(),
+    scale=st.floats(0.0, 3.0),
+    block=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one block holding every row
+@example(n=9, k=3, d=20, density=0.2, binary=False, scale=1.0, block=tc.LINK_BLOCK_ELEMENTS, seed=1)
+# D larger than a block: one row per block; 37 divides neither 16 nor 50
+@example(n=6, k=2, d=37, density=0.3, binary=False, scale=1.0, block=16, seed=2)
+@example(n=6, k=2, d=37, density=0.3, binary=True, scale=2.0, block=50, seed=3)
+# 3 rows per block over 10 rows: the last block is short
+@example(n=10, k=3, d=7, density=0.4, binary=False, scale=1.0, block=21, seed=4)
+# no stored target at all
+@example(n=5, k=2, d=4, density=0.0, binary=True, scale=1.0, block=8, seed=5)
+def test_feature_bce_sum_matches_dense_oracle(n, k, d, density, binary, scale, block, seed):
+    rng = np.random.default_rng(seed)
+    targets = SparseMatrix(random_targets(n, d, density, binary, rng))
+    z0 = rng.normal(size=(n, k)) * scale
+    w0 = rng.normal(size=(k, d))
+    dense = loss_and_grads(dense_feature_bce_sum, z0, w0, targets)
+    with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", block):
+        fused = loss_and_grads(tc.feature_bce_sum, z0, w0, targets)
+    for got, want in zip(fused, dense):
+        assert_close(got, want)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [((4, 2), (3, 5), (4, 5)), ((4, 2), (2, 5), (3, 5)), ((4, 2), (2, 5), (4, 6)), ((4,), (2, 5), (4, 5))],
+    ids=["inner", "rows", "columns", "not-a-matrix"],
+)
+def test_feature_bce_sum_rejects_mismatched_shapes(shapes):
+    z, w, targets = shapes
+    with pytest.raises(tc.ShapeError):
+        tc.feature_bce_sum(np.zeros(z), np.zeros(w), SparseMatrix(np.zeros(targets)))
+
+
+@pytest.mark.parametrize(
+    "shape,block",
+    [((50, 30), tc.LINK_BLOCK_ELEMENTS), ((50, 30), 64), ((7, 100), 16), ((1, 3), 2)],
+    ids=["one-block", "short-last-block", "wider-than-a-block", "one-row"],
+)
+def test_sparse_dropout_matches_dense_dropout(shape, block):
+    rng = np.random.default_rng(0)
+    dense = random_targets(*shape, 0.2, False, rng)
+    x = SparseMatrix(dense)
+    dense_rng, sparse_rng = np.random.default_rng(5), np.random.default_rng(5)
+    want = tc.dropout(Tensor(dense), 0.4, dense_rng).data
+    with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", block):
+        got = tc.sparse_dropout(x, 0.4, sparse_rng)
+    np.testing.assert_array_equal(got.indptr, x.indptr)
+    np.testing.assert_array_equal(got.indices, x.indices)
+    np.testing.assert_array_equal(got.to_dense(), want)
+    assert sparse_rng.bit_generator.state == dense_rng.bit_generator.state
+
+
+def test_feature_training_epoch_allocates_no_n_by_d_array():
+    """One epoch with the feature term at N=500, D=5000 peaks below the N x D float64 array (20 MB)."""
+    n, d = 500, 5000
+    rng = np.random.default_rng(0)
+    ring = np.arange(n)
+    adjacency = SparseMatrix.from_coo(
+        np.r_[ring, (ring + 1) % n], np.r_[(ring + 1) % n, ring], np.ones(2 * n), (n, n)
+    )
+    cells = rng.choice(n * d, size=n * d // 100, replace=False)
+    features = SparseMatrix.from_coo(cells // d, cells % d, np.ones(cells.size), (n, d))
+    g = Graph(n_nodes=n, adjacency=adjacency, features=features)
+    split = SplitSpec(n_nodes=n, train_adjacency=adjacency,
+                      val_pos=(), val_neg=(), test_pos=(), test_neg=(), seed=0)
+    cfg = TrainConfig(variant="vgae", feature_term=True, k=8, hidden=16, epochs=1, seed=0)
+    tracemalloc.start()
+    try:
+        _, report = trainer.train(g, split, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.losses[0]["feat_nll"] > 0.0
+    assert peak < n * d * 8, f"peak {peak / 2**20:.1f} MiB"

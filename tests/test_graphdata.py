@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 import subprocess
 import sys
@@ -80,13 +81,25 @@ def test_cora_counts(cora_dir):
 def test_features_triplets(tmp_path):
     p = write(tmp_path, "f.txt", "0 0 1\n1 2 1\n")
     feats = gd.load_features(p, n_nodes=2)
-    np.testing.assert_array_equal(feats.data, [[1, 0, 0], [0, 0, 1]])
+    np.testing.assert_array_equal(feats.to_dense(), [[1, 0, 0], [0, 0, 1]])
 
 
 def test_features_csv(tmp_path):
     p = write(tmp_path, "f.csv", "1.0,0.5\n0.0,2.0\n")
     feats = gd.load_features(p, n_nodes=2)
-    np.testing.assert_array_equal(feats.data, [[1.0, 0.5], [0.0, 2.0]])
+    np.testing.assert_array_equal(feats.to_dense(), [[1.0, 0.5], [0.0, 2.0]])
+
+
+def test_features_last_triplet_wins(tmp_path):
+    p = write(tmp_path, "f.txt", "0 1 2\n1 0 5\n0 1 3\n")
+    feats = gd.load_features(p, n_nodes=2)
+    np.testing.assert_array_equal(feats.to_dense(), [[0, 3], [5, 0]])
+
+
+def test_features_explicit_zero_overwrites(tmp_path):
+    p = write(tmp_path, "f.txt", "0 1 2\n0 1 0\n1 2 0\n")
+    feats = gd.load_features(p, n_nodes=2)
+    np.testing.assert_array_equal(feats.to_dense(), np.zeros((2, 3)))
 
 
 def test_features_row_out_of_range(tmp_path):
@@ -526,6 +539,42 @@ def test_synthetic_edge_probability_constants():
     # shared membership: sigmoid(8*1 - 4) ~ 0.982; disjoint: sigmoid(-4) ~ 0.018
     assert 1.0 / (1.0 + np.exp(-4.0)) == pytest.approx(0.982, abs=5e-4)
     assert 1.0 / (1.0 + np.exp(4.0)) == pytest.approx(0.018, abs=5e-4)
+
+
+def dense_generate_synthetic(spec):
+    """The one-shot construction: the N x N probability matrix and every upper pair."""
+    n, k = spec.n_nodes, spec.n_communities
+    rng = np.random.default_rng(spec.seed)
+    memberships = np.zeros((n, k))
+    for node in range(n):
+        primary = node % k
+        memberships[node, primary] = 1.0
+        if k > 1 and rng.random() < gd.OVERLAP_PROB:
+            extra = (primary + 1 + int(rng.integers(k - 1))) % k
+            memberships[node, extra] = 1.0
+    probs = 1.0 / (1.0 + np.exp(-(8.0 * (memberships @ memberships.T) - 4.0)))
+    iu, iv = np.triu_indices(n, k=1)
+    present = rng.random(iu.size) < probs[iu, iv]
+    return graph_from_pairs(np.column_stack((iu[present], iv[present])), n), memberships
+
+
+def _output_digests(tmp_path, g, memberships):
+    gd.save_edge_list(g, tmp_path / "e.txt")
+    gd.save_memberships(memberships, tmp_path / "m.txt")
+    return [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("e.txt", "m.txt")]
+
+
+@pytest.mark.parametrize(
+    "n,k,seed",
+    [(2000, 40, 1), (2000, 40, 2), (2000, 40, 3), (1000, 25, 4), (300, 10, 5)],
+    ids=["2000-seed1", "2000-seed2", "2000-seed3", "short-last-block", "one-block"],
+)
+def test_blocked_synthetic_matches_dense_construction(tmp_path, n, k, seed):
+    # blocks of LINK_BLOCK_ELEMENTS // N rows: N=1000 ends on a short block
+    # (262 rows per block), and N=300 fits in one
+    spec = gd.SyntheticSpec(n, k, seed=seed)
+    want = _output_digests(tmp_path, *dense_generate_synthetic(spec))
+    assert _output_digests(tmp_path, *gd.generate_synthetic(spec)) == want
 
 
 def test_synthetic_rejects_more_communities_than_nodes():

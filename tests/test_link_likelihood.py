@@ -3,7 +3,7 @@
 `tensor.link_bce_sum` walks symmetric row blocks and never forms the logit
 grid. The oracle here is the dense path: the full logit grid, the train
 adjacency with the diagonal set to 1 as targets, and
-`weighted_bce_with_logits_sum`.
+`oracles.weighted_bce_with_logits_sum`.
 """
 
 import tracemalloc
@@ -17,11 +17,9 @@ from hypothesis import strategies as st
 from dglfrm import tensor as tc
 from dglfrm import trainer
 from dglfrm.graphdata import Graph, SplitSpec, normalize_adjacency
-from dglfrm.tensor import Parameter, SparseMatrix, Tensor
+from dglfrm.tensor import Parameter, SparseMatrix
 from dglfrm.trainer import TrainConfig
-
-RTOL = 1e-12
-
+from oracles import assert_close, weighted_bce_with_logits_sum, zero_grads
 
 def labels_grid(positives: SparseMatrix) -> np.ndarray:
     """Dense targets: the train adjacency with the diagonal set to 1."""
@@ -33,7 +31,7 @@ def labels_grid(positives: SparseMatrix) -> np.ndarray:
 def dense_link_bce_sum(left, right, positives, pos_weight):
     """The oracle: logit grid, then labels_grid, then the weighted BCE."""
     logits = tc.matmul(left, tc.transpose(right))
-    return tc.weighted_bce_with_logits_sum(logits, labels_grid(positives), pos_weight)
+    return weighted_bce_with_logits_sum(logits, labels_grid(positives), pos_weight)
 
 
 def random_positives(n: int, density: float, rng: np.random.Generator) -> SparseMatrix:
@@ -41,12 +39,6 @@ def random_positives(n: int, density: float, rng: np.random.Generator) -> Sparse
     return SparseMatrix.from_coo(
         np.concatenate([u, v]), np.concatenate([v, u]), np.ones(2 * u.size), (n, n)
     )
-
-
-def assert_close(actual, expected):
-    expected = np.asarray(expected)
-    atol = RTOL * max(1.0, float(np.max(np.abs(expected), initial=0.0)))
-    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=atol)
 
 
 def loss_and_grads(loss_fn, z0, w0, shared, positives, pos_weight):
@@ -113,7 +105,7 @@ def _random_graph(n, rng, with_features=True):
     pairs |= {tuple(sorted(p)) for p in rng.integers(0, n, size=(n, 2)) if p[0] != p[1]}
     u, v = np.array(sorted(pairs)).T
     adj = SparseMatrix.from_coo(np.r_[u, v], np.r_[v, u], np.ones(2 * u.size), (n, n))
-    features = Tensor((rng.random((n, 3)) < 0.5).astype(float)) if with_features else None
+    features = SparseMatrix((rng.random((n, 3)) < 0.5).astype(float)) if with_features else None
     return Graph(n_nodes=n, adjacency=adj, features=features)
 
 
@@ -135,7 +127,7 @@ def test_elbo_matches_dense_oracle(variant, structured):
     g, a_hat, split, params, cfg, noise = _elbo_setup(variant, structured)
 
     def run():
-        tc.zero_grads(params.parameters())
+        zero_grads(params.parameters())
         with tc.Tape():
             loss, parts = trainer.elbo_loss(g, a_hat, split, params, cfg, noise)
             tc.backward(loss)

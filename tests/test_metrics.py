@@ -323,28 +323,36 @@ class TestExtractCommunities:
         ckpt, _ = trainer.train(g, split, cfg)
         return ckpt, g
 
+    @staticmethod
+    def extract(ckpt, g, threshold):
+        from dglfrm.graphdata import normalize_adjacency
+
+        a_hat = normalize_adjacency(trainer.effective_graph(g, ckpt.config))
+        latents = trainer.posterior_latents(ckpt, g, a_hat)
+        return mx.extract_communities(ckpt.config.model_variant, latents, threshold)
+
     def test_deterministic_given_checkpoint(self):
         ckpt, g = self.make_synth_ckpt()
-        a = mx.extract_communities(ckpt, g, 0.5)
-        b = mx.extract_communities(ckpt, g, 0.5)
+        a = self.extract(ckpt, g, 0.5)
+        b = self.extract(ckpt, g, 0.5)
         assert a == b
 
     def test_membership_variants_supported(self):
         for variant in ("dglfrm", "dglfrm-b", "lfrm"):
             ckpt, g = self.make_synth_ckpt(variant=variant, epochs=2)
-            assign = mx.extract_communities(ckpt, g, 0.5)
+            assign = self.extract(ckpt, g, 0.5)
             assert assign.n_nodes == g.n_nodes
 
     @pytest.mark.parametrize("variant", ["lsm", "vgae"])
     def test_dense_variants_rejected(self, variant):
         ckpt, g = self.make_synth_ckpt(variant=variant, epochs=1)
         with pytest.raises(UsageError, match="membership"):
-            mx.extract_communities(ckpt, g, 0.5)
+            self.extract(ckpt, g, 0.5)
 
     def test_tau_validated_before_compute(self):
         ckpt, g = self.make_synth_ckpt(epochs=1)
         with pytest.raises(UsageError):
-            mx.extract_communities(ckpt, g, 1.5)
+            self.extract(ckpt, g, 1.5)
 
     def test_dglfrm_strength_is_masked_magnitude(self):
         ckpt, g = self.make_synth_ckpt(epochs=2)
@@ -353,7 +361,7 @@ class TestExtractCommunities:
         latents = trainer.posterior_latents(
             ckpt, g, normalize_adjacency(trainer.effective_graph(g, ckpt.config))
         )
-        assign = mx.extract_communities(ckpt, g, 0.5)
+        assign = self.extract(ckpt, g, 0.5)
         want = np.abs(latents.b_prob * latents.mu)
         for node, row in enumerate(assign.memberships):
             for new_k, strength in row.items():

@@ -9,6 +9,7 @@ from dglfrm import tensor as tc
 from dglfrm import trainer
 from dglfrm.graphdata import Graph, SplitSpec, normalize_adjacency
 from dglfrm.tensor import Parameter, ShapeError, SparseMatrix, Tensor, UsageError
+from oracles import zero_grads
 
 
 def ring_graph(n, extra=(), features=None, seed=None):
@@ -18,7 +19,7 @@ def ring_graph(n, extra=(), features=None, seed=None):
     adj = SparseMatrix.from_coo(rows, cols, np.ones(len(rows)), (n, n))
     if features is None and seed is not None:
         rng = np.random.default_rng(seed)
-        features = Tensor((rng.random((n, 3)) < 0.5).astype(float))
+        features = SparseMatrix((rng.random((n, 3)) < 0.5).astype(float))
     return Graph(n_nodes=n, adjacency=adj, features=features)
 
 
@@ -107,7 +108,7 @@ class TestEncode:
             dense = np.triu(dense, 1)
             dense = dense + dense.T
             x = (rng.random((n, 4)) < 0.5).astype(float)
-            g = Graph(n_nodes=n, adjacency=SparseMatrix(dense), features=Tensor(x))
+            g = Graph(n_nodes=n, adjacency=SparseMatrix(dense), features=SparseMatrix(x))
             enc = md.init_encoder(np.random.default_rng(trial), 4, 6, 3, ALL_HEADS)
             out = md.encode(g, normalize_adjacency(g), enc)
 
@@ -115,7 +116,7 @@ class TestEncode:
             gp = Graph(
                 n_nodes=n,
                 adjacency=SparseMatrix(dense[np.ix_(perm, perm)]),
-                features=Tensor(x[perm]),
+                features=SparseMatrix(x[perm]),
             )
             outp = md.encode(gp, normalize_adjacency(gp), enc)
             for a, b in (
@@ -324,7 +325,7 @@ def test_every_active_parameter_gets_gradient(variant, structured):
     tape.clear()
     for p in params.parameters():
         assert np.any(p.grad), f"{p.name} received no gradient"
-    tc.zero_grads(params.parameters())
+    zero_grads(params.parameters())
 
 
 @pytest.mark.parametrize("variant,structured", VARIANT_MODES)
@@ -367,7 +368,9 @@ def test_encode_propagates_once_for_all_heads(heads, monkeypatch):
         out = md.encode(
             g, normalize_adjacency(g), enc, train_mode=True, rng=np.random.default_rng(3)
         )
-    assert calls == [(5, 7), (5, 7)]  # first layer, then the shared propagation
+    # the sparse feature product X @ W1, the first layer's propagation, then
+    # the shared propagation of the heads
+    assert calls == [(3, 7), (5, 7), (5, 7)]
     present = {md.ENCODER_HEADS[name] for name in heads}
     for field in md.ENCODER_HEADS.values():
         assert (getattr(out, field) is not None) == (field in present)

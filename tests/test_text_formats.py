@@ -394,7 +394,27 @@ def test_triplet_features_match_oracle(tmp_path, data, n):
     if got[0] == "error":
         assert got[1] == expected[1]
     else:
-        np.testing.assert_array_equal(got[1].data, expected[1])
+        np.testing.assert_array_equal(got[1].to_dense(), expected[1])
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("f.txt", "0 0 1\n1 2 1\n"),
+        ("f.txt", "# row col value\n0 1 2\n1 0 5\n0 1 3\n"),  # the last triplet wins
+        ("f.txt", "0 1 2\n0 1 0\n1 3 0\n1 0 -0.0\n"),  # explicit zeros, one overwriting
+        ("f.txt", "1 4 0.25\n"),  # row 0 empty
+        ("f.csv", "1.0,0.5\n0.0,2.0\n"),
+        ("f.csv", "0,0,0\n# comment\n0,-1.5,0\n"),
+    ],
+    ids=["triplets", "last-wins", "explicit-zeros", "empty-row", "csv", "csv-zero-row"],
+)
+def test_feature_fixtures_match_oracle(tmp_path, name, text):
+    path = write(tmp_path, name, text)
+    expected = oracle_load_features(path, 2)
+    got = gd.load_features(path, 2)
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.to_dense(), expected)
 
 
 @SETTINGS
@@ -407,7 +427,7 @@ def test_csv_features_match_oracle(tmp_path, data, n, width):
     if got[0] == "error":
         assert got[1] == expected[1]
     else:
-        np.testing.assert_array_equal(got[1].data, expected[1])
+        np.testing.assert_array_equal(got[1].to_dense(), expected[1])
 
 
 def random_graph(seed: int, n: int, density: float = 0.5) -> gd.Graph:

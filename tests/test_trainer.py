@@ -11,10 +11,9 @@ import pytest
 from dglfrm import graphdata as gd
 from dglfrm import metrics as mx
 from dglfrm import model as md
-from dglfrm import tensor as tc
 from dglfrm import trainer
 from dglfrm.graphdata import Graph, SplitSpec, normalize_adjacency
-from dglfrm.tensor import NumericDomainError, SparseMatrix, Tensor, UsageError
+from dglfrm.tensor import NumericDomainError, SparseMatrix, UsageError
 from dglfrm.trainer import (
     Checkpoint,
     CheckpointError,
@@ -22,6 +21,7 @@ from dglfrm.trainer import (
     StepNoise,
     TrainConfig,
 )
+from oracles import gradient_check
 
 
 def small_graph(n=6, extra=((1, 4),), seed=8, with_features=True):
@@ -32,7 +32,7 @@ def small_graph(n=6, extra=((1, 4),), seed=8, with_features=True):
     features = None
     if with_features:
         rng = np.random.default_rng(seed)
-        features = Tensor((rng.random((n, 3)) < 0.5).astype(float))
+        features = SparseMatrix((rng.random((n, 3)) < 0.5).astype(float))
     return Graph(n_nodes=n, adjacency=adj, features=features)
 
 
@@ -318,7 +318,7 @@ def test_elbo_gradient_matches_finite_differences(variant, structured):
             g, a_hat, split, params, cfg, noise, train_mode=True
         )[0]
 
-    err = tc.gradient_check(f, params.parameters(), h=1e-5)
+    err = gradient_check(f, params.parameters(), h=1e-5)
     assert err < 1e-4, f"{variant} structured={structured}: rel err {err:.2e}"
 
 
@@ -405,8 +405,8 @@ class TestTrain:
     def test_feature_term_off_makes_features_irrelevant(self):
         rng = np.random.default_rng(0)
         base = small_graph(n=8, with_features=False)
-        x1 = Tensor((rng.random((8, 5)) < 0.5).astype(float))
-        x2 = Tensor((rng.random((8, 5)) < 0.5).astype(float))
+        x1 = SparseMatrix((rng.random((8, 5)) < 0.5).astype(float))
+        x2 = SparseMatrix((rng.random((8, 5)) < 0.5).astype(float))
         g1 = Graph(n_nodes=8, adjacency=base.adjacency, features=x1)
         g2 = Graph(n_nodes=8, adjacency=base.adjacency, features=x2)
         split1 = gd.make_splits(g1, test_frac=0.2, val_frac=0.1, seed=3)
