@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Digest every output of a fixed 300-node CLI pipeline, for bit-exact replay checks.
+
+    python3 scripts/replay_digests.py SRC OUT
+
+runs `python -m dglfrm.cli` from the checkout SRC (its `src` directory goes
+on PYTHONPATH) inside the new directory OUT, then prints one
+"sha256  file" line per file in OUT, sorted by file name. Two checkouts
+replay each other bit-exactly when their digests match:
+
+    diff <(python3 scripts/replay_digests.py old /tmp/a) \\
+         <(python3 scripts/replay_digests.py new /tmp/b)
+
+The pipeline: a synthetic graph, its split, a copy of the split without
+validation pairs, and deterministic triplet features. Then train, eval and,
+for the variants with memberships, communities with the latent CSV, for
+each run below. BLAS is pinned to one thread, since threaded sums may
+round differently.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+GRAPH = ["--graph", "graph.edges.txt"]
+FEATURES = [*GRAPH, "--features", "graph.features.txt"]
+TRAIN = ["--epochs", "12", "--val-every", "4", "--seed", "7"]
+
+# (name, graph and feature options, split, train options)
+RUNS = [
+    *((v, GRAPH, "graph.split", ["--variant", v]) for v in ("dglfrm", "dglfrm-b", "lfrm", "lsm", "vgae")),
+    *((f"{v}-mf", GRAPH, "graph.split", ["--variant", v, "--mean-field"]) for v in ("dglfrm", "dglfrm-b")),
+    ("dglfrm-nomlp", GRAPH, "graph.split", ["--variant", "dglfrm", "--decoder-hidden", ""]),
+    ("dglfrm-noval", GRAPH, "noval.split", ["--variant", "dglfrm"]),
+    ("x-vgae", FEATURES, "graph.split", ["--variant", "vgae"]),
+    ("x-dglfrm", FEATURES, "graph.split", ["--variant", "dglfrm"]),
+    ("x-lfrm-mf", FEATURES, "graph.split", ["--variant", "lfrm", "--mean-field"]),
+    ("x-identity-term", FEATURES, "graph.split", ["--identity-features", "--feature-term", "on"]),
+]
+WITH_MEMBERSHIPS = ("dglfrm", "dglfrm-b", "lfrm")
+
+
+def write_features(path: Path, n_nodes: int = 300, width: int = 40) -> None:
+    """About four "row col 1" triplets per node; column width - 1 always appears."""
+    rng = random.Random(11)
+    lines = [f"0 {width - 1} 1"]
+    for node in range(n_nodes):
+        for col in sorted(rng.sample(range(width), 4)):
+            lines.append(f"{node} {col} 1")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def drop_validation(split: Path, out: Path) -> None:
+    """Copy a split file without the pairs under VAL_POS and VAL_NEG."""
+    kept, section = [], None
+    for line in split.read_text().splitlines():
+        if line in ("TRAIN", "VAL_POS", "VAL_NEG", "TEST_POS", "TEST_NEG"):
+            section = line
+        elif section in ("VAL_POS", "VAL_NEG"):
+            continue
+        kept.append(line)
+    out.write_text("\n".join(kept) + "\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 1
+    src, out = Path(argv[0]).resolve(), Path(argv[1])
+    out.mkdir(parents=True, exist_ok=False)
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    env.update({name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    env.pop("DGLFRM_LOG", None)
+
+    def dglfrm(*args: str) -> None:
+        cmd = [sys.executable, "-m", "dglfrm.cli", *args]
+        done = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise SystemExit(f"exit {done.returncode}: {' '.join(args)}\n{done.stderr}")
+
+    dglfrm("synth", "--nodes", "300", "--communities", "12", "--seed", "5", "--out-prefix", "graph")
+    dglfrm("split", *GRAPH, "--seed", "5", "--out", "graph.split")
+    drop_validation(out / "graph.split", out / "noval.split")
+    write_features(out / "graph.features.txt")
+    for name, graph, split, options in RUNS:
+        ckpt = f"{name}.ckpt"
+        dglfrm("train", *graph, "--split", split, *TRAIN, *options, "--out-ckpt", ckpt)
+        dglfrm("eval", "--ckpt", ckpt, *graph, "--split", "graph.split")
+        variant = options[options.index("--variant") + 1] if "--variant" in options else "dglfrm"
+        if variant in WITH_MEMBERSHIPS:
+            dglfrm("communities", "--ckpt", ckpt, *graph, "--out", f"{name}.communities.txt",
+                   "--export-latent", f"{name}.latent.csv")
+
+    for path in sorted(out.iterdir()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

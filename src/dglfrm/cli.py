@@ -227,7 +227,7 @@ def cmd_communities(args) -> None:
         raise UsageError(f"--min-members must be >= 1, got {args.min_members}")
     ckpt = trainer.load_checkpoint(args.ckpt)
     g = _load_graph(args.graph, args.features)
-    a_hat = gd.normalize_adjacency(trainer.effective_graph(g, ckpt.config))
+    a_hat = gd.normalize_adjacency(g)
     latents = trainer.posterior_latents(ckpt, g, a_hat)
     assignment = mx.extract_communities(ckpt.config.model_variant, latents, args.tau)
     out = str(args.out)

@@ -16,6 +16,10 @@ from .tensor import LINK_BLOCK_ELEMENTS, SparseMatrix
 logger = logging.getLogger("dglfrm.graphdata")
 
 OVERLAP_PROB = 0.3  # chance a synthetic node joins one extra community
+# Loaders reject node ids, node counts and feature columns at or above this:
+# scipy's int32 CSR index range. It also keeps the dedup keys u * n + v and
+# row * width + col below 2**62.
+ID_LIMIT = 2**31
 
 
 class LoadError(Exception):
@@ -282,9 +286,11 @@ def load_edge_list(path) -> Graph:
     data = ~f.comment
     f.check(
         ((spaced & bad_count) | (joined & bad_v), lambda i: f"bad nodes directive {f.raw(i)}"),
+        ((spaced | joined) & (declared >= ID_LIMIT), lambda i: f"node count at or above 2**31 in {f.raw(i)}"),
         (data & (f.width != 2), lambda i: f"expected 'u v', got {f.raw(i)}"),
         (data & (bad_u | bad_v), lambda i: f"non-integer node id in {f.raw(i)}"),
         (data & ((u < 0) | (v < 0)), lambda i: f"negative node id in {f.raw(i)}"),
+        (data & ((u >= ID_LIMIT) | (v >= ID_LIMIT)), lambda i: f"node id at or above 2**31 in {f.raw(i)}"),
     )
     u, v = u[data], v[data]
     loops = u == v
@@ -337,6 +343,7 @@ def load_features(path, n_nodes: int) -> SparseMatrix:
         (data & (bad_row | bad_col | bad_value), lambda i: f"bad triplet {f.raw(i)}"),
         (data & ((row < 0) | (row >= n_nodes)), lambda i: f"row {row[i]} out of range for {n_nodes} nodes"),
         (data & (col < 0), lambda i: f"negative column {col[i]}"),
+        (data & (col >= ID_LIMIT), lambda i: f"column {col[i]} at or above 2**31"),
         (data & ~np.isfinite(value), lambda i: f"non-finite value in {f.raw(i)}"),
     )
     if not data.any():
@@ -538,6 +545,7 @@ def load_split(path) -> SplitSpec:
     f.check(
         (bad_value, lambda i: f"non-integer header {f.raw(i)}"),
         (header["nodes"] & (value <= 0), lambda i: f"node count must be positive, got {f.raw(i)}"),
+        (header["nodes"] & (value >= ID_LIMIT), lambda i: f"node count at or above 2**31 in {f.raw(i)}"),
         (is_pair & (current < 0), lambda i: "pair before any section header"),
         (is_pair & (f.width != 2), lambda i: f"expected 'u v', got {f.raw(i)}"),
         (is_pair & (bad_u | bad_v), lambda i: f"non-integer pair {f.raw(i)}"),

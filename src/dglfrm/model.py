@@ -1,31 +1,31 @@
 """GCN encoder, link decoders, feature decoder, and the model-variant switch.
 
-The encoder is one shared GCN hidden layer followed by a linear GCN head for
-each variational parameter the variant trains (`ModelVariant.encoder_heads`).
-Decoders: a small MLP feeding an inner product, a symmetrized bilinear form,
-or the plain inner product. Each is given as two factors whose product is the
-symmetric N x N logit grid (`link_factors`); training sums the likelihood over
-that grid without forming it (`tensor.link_bce_sum`), and scoring evaluates
-single pairs.
+A model's parameters are a dict of `Parameter`s keyed by name; `param_shapes`
+states which names a variant has and their shapes. The encoder is one shared
+GCN hidden layer followed by a linear GCN head for each variational parameter
+the variant trains (`ModelVariant.encoder_heads`). Decoders: a small MLP
+feeding an inner product, a symmetrized bilinear form, or the plain inner
+product. Each is given as two factors whose product is the symmetric N x N
+logit grid (`link_factors`); training sums the likelihood over that grid
+without forming it (`tensor.link_bce_sum`), and scoring evaluates single
+pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import tensor as tc
 from .graphdata import Graph
-from .stochastic import LatentSample
 from .tensor import Parameter, SparseMatrix, Tensor, UsageError
 
 PARAM_FLOOR = 1e-4  # added after softplus so c, d stay strictly positive
 LEAKY_SLOPE = 0.2  # negative-side slope of the encoder and MLP-decoder activations
-# Every encoder head, in the order init_encoder draws their weights. Head h
-# has weight "encoder.w_<h>" and fills the VariationalOutput field named here.
-ENCODER_HEADS = {"c": "c", "d": "d", "pi": "pi_logits", "mu": "mu", "sigma": "log_sigma"}
+# Every encoder head, in the order init_params draws their weights. Head h has
+# weight "encoder.w_<h>"; the "sigma" head outputs log sigma.
+ENCODER_HEADS = ("c", "d", "pi", "mu", "sigma")
 
 
 class ModelVariant(Enum):
@@ -78,176 +78,40 @@ class ModelVariant(Enum):
         return heads
 
 
-@dataclass(frozen=True)
-class VariationalOutput:
-    """Per-node encoder outputs, each N x K; c and d strictly positive.
+def param_shapes(
+    variant: ModelVariant,
+    structured: bool,
+    d_in: int,
+    hidden: int,
+    k: int,
+    decoder_hidden: tuple[int, ...],
+    d_features: int | None,
+) -> dict[str, tuple[int, int]]:
+    """Name and shape of every parameter the variant trains, in draw order.
 
-    A field is None when the encoder has no head for it.
+    `d_features` is the feature decoder's width, None when it has none.
     """
-
-    c: Tensor | None = None
-    d: Tensor | None = None
-    pi_logits: Tensor | None = None
-    mu: Tensor | None = None
-    log_sigma: Tensor | None = None
-
-
-@dataclass
-class EncoderParams:
-    """First-layer weight plus one weight per head, keyed by ENCODER_HEADS names."""
-
-    w1: Parameter
-    heads: dict[str, Parameter]
-    dropout: float = 0.5
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w1, *self.heads.values()]
-
-
-@dataclass
-class DecoderParams:
-    """Exactly one decoder form: 'mlp' (layers), 'bilinear' (w), or 'inner'."""
-
-    form: str
-    layers: tuple[tuple[Parameter, Parameter], ...] = ()
-    bilinear_w: Parameter | None = None
-
-    def __post_init__(self) -> None:
-        if self.form not in ("mlp", "bilinear", "inner"):
-            raise UsageError(f"unknown decoder form {self.form!r}")
-        if self.form == "bilinear" and self.bilinear_w is None:
-            raise UsageError("bilinear decoder needs a weight matrix")
-        if self.form != "bilinear" and self.bilinear_w is not None:
-            raise UsageError(f"{self.form} decoder must not carry a bilinear matrix")
-        if self.form != "mlp" and self.layers:
-            raise UsageError(f"{self.form} decoder must not carry MLP layers")
-
-    def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        for w, b in self.layers:
-            out.extend((w, b))
-        if self.bilinear_w is not None:
-            out.append(self.bilinear_w)
-        return out
-
-
-@dataclass
-class FeatureDecoderParams:
-    w: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w]
-
-
-@dataclass
-class GlobalSticks:
-    """Free per-component stick parameters for the structured posterior."""
-
-    raw_c: Parameter
-    raw_d: Parameter
-
-    def c(self) -> Tensor:
-        return tc.softplus(self.raw_c) + PARAM_FLOOR
-
-    def d(self) -> Tensor:
-        return tc.softplus(self.raw_d) + PARAM_FLOOR
-
-    def parameters(self) -> list[Parameter]:
-        return [self.raw_c, self.raw_d]
-
-
-@dataclass
-class ModelParams:
-    encoder: EncoderParams
-    decoder: DecoderParams
-    feature_decoder: FeatureDecoderParams | None = None
-    sticks: GlobalSticks | None = None
-
-    def parameters(self) -> list[Parameter]:
-        out = self.encoder.parameters() + self.decoder.parameters()
-        if self.feature_decoder is not None:
-            out += self.feature_decoder.parameters()
-        if self.sticks is not None:
-            out += self.sticks.parameters()
-        names = [p.name for p in out]
-        if len(set(names)) != len(names):
-            raise UsageError("duplicate parameter names in model")
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Initialization
+    shapes = {"encoder.w1": (d_in, hidden)}
+    for head in variant.encoder_heads(structured):
+        shapes[f"encoder.w_{head}"] = (hidden, k)
+    if variant.decoder_form == "mlp":
+        width = k
+        for i, out in enumerate(decoder_hidden):
+            shapes[f"decoder.mlp{i}.w"] = (width, out)
+            shapes[f"decoder.mlp{i}.b"] = (1, out)
+            width = out
+    elif variant.decoder_form == "bilinear":
+        shapes["decoder.bilinear"] = (k, k)
+    if d_features is not None:
+        shapes["feature_decoder.w"] = (k, d_features)
+    if variant.uses_b and structured:
+        shapes["sticks.raw_c"] = shapes["sticks.raw_d"] = (1, k)
+    return shapes
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def init_encoder(
-    rng: np.random.Generator,
-    d_in: int,
-    hidden: int,
-    k: int,
-    heads: tuple[str, ...],
-    dropout: float = 0.5,
-) -> EncoderParams:
-    w1 = Parameter(glorot_uniform(rng, d_in, hidden), "encoder.w1")
-    # A block is drawn for every head, kept or not, so that the weights of a
-    # kept head and every later draw from rng (decoder, dropout masks, noise)
-    # do not depend on which heads the variant has.
-    blocks = {name: glorot_uniform(rng, hidden, k) for name in ENCODER_HEADS}
-    return EncoderParams(
-        w1=w1,
-        heads={name: Parameter(blocks[name], f"encoder.w_{name}") for name in heads},
-        dropout=dropout,
-    )
-
-
-def init_decoder(
-    rng: np.random.Generator,
-    variant: ModelVariant,
-    k: int,
-    hidden: tuple[int, ...] = (32, 16),
-) -> DecoderParams:
-    form = variant.decoder_form
-    if form == "mlp":
-        layers = []
-        d_in = k
-        for i, width in enumerate(hidden):
-            layers.append(
-                (
-                    Parameter(glorot_uniform(rng, d_in, width), f"decoder.mlp{i}.w"),
-                    Parameter(np.zeros((1, width)), f"decoder.mlp{i}.b"),
-                )
-            )
-            d_in = width
-        return DecoderParams(form="mlp", layers=tuple(layers))
-    if form == "bilinear":
-        return DecoderParams(
-            form="bilinear",
-            bilinear_w=Parameter(glorot_uniform(rng, k, k), "decoder.bilinear"),
-        )
-    return DecoderParams(form="inner")
-
-
-def init_feature_decoder(rng: np.random.Generator, k: int, d: int) -> FeatureDecoderParams:
-    return FeatureDecoderParams(w=Parameter(glorot_uniform(rng, k, d), "feature_decoder.w"))
-
-
-def _softplus_inverse(y: float) -> float:
-    # solve softplus(x) = y for y > 0
-    return float(np.log(np.expm1(y)))
-
-
-def init_global_sticks(k: int, alpha: float) -> GlobalSticks:
-    """Start at the prior: c_k = alpha, d_k = 1."""
-    raw_c = np.full((1, k), _softplus_inverse(alpha - PARAM_FLOOR))
-    raw_d = np.full((1, k), _softplus_inverse(1.0 - PARAM_FLOOR))
-    return GlobalSticks(
-        raw_c=Parameter(raw_c, "sticks.raw_c"),
-        raw_d=Parameter(raw_d, "sticks.raw_d"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -257,52 +121,57 @@ def init_global_sticks(k: int, alpha: float) -> GlobalSticks:
 def encode(
     g: Graph,
     a_hat: SparseMatrix,
-    enc: EncoderParams,
-    train_mode: bool = False,
+    params: dict[str, Parameter],
+    dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> VariationalOutput:
-    """Shared hidden layer, then the encoder's linear heads; identity features when absent."""
-    drop = train_mode and enc.dropout > 0.0
+) -> dict[str, Tensor]:
+    """Shared hidden layer, then {head: N x K output} for each head in `params`.
+
+    Outputs c and d are strictly positive; sigma holds log sigma. Identity
+    features when the graph has none. `dropout` > 0 drops inputs and
+    hidden units, drawing masks from `rng`; evaluation passes 0.
+    """
+    drop = dropout > 0.0
     if drop and rng is None:
         raise UsageError("encode: dropout at train time needs an rng")
+    w1 = params["encoder.w1"]
     if g.features is not None:
-        if g.features.shape[1] != enc.w1.shape[0]:
-            raise tc.ShapeError(
-                f"encode: features {g.features.shape} vs w1 {enc.w1.shape}"
-            )
+        if g.features.shape[1] != w1.shape[0]:
+            raise tc.ShapeError(f"encode: features {g.features.shape} vs w1 {w1.shape}")
         x = g.features
         if drop:
             # the keep mask is drawn over all N x D entries, as tc.dropout draws
             # it, so the rng stream and every later draw are unchanged
-            x = tc.sparse_dropout(x, enc.dropout, rng)
-        first = tc.spmm(x, enc.w1)
+            x = tc.sparse_dropout(x, dropout, rng)
+        first = tc.spmm(x, w1)
     else:
         # identity features: X @ W1 is W1 itself, so drop entries of W1 directly
-        if g.n_nodes != enc.w1.shape[0]:
+        if g.n_nodes != w1.shape[0]:
             raise tc.ShapeError(
-                f"encode: identity features need w1 with {g.n_nodes} rows, "
-                f"got {enc.w1.shape}"
+                f"encode: identity features need w1 with {g.n_nodes} rows, got {w1.shape}"
             )
-        first = enc.w1
+        first = w1
         if drop:
-            first = tc.dropout(first, enc.dropout, rng, train=True)
+            first = tc.dropout(first, dropout, rng, train=True)
 
     hidden = tc.leaky_relu(tc.spmm(a_hat, first), LEAKY_SLOPE)
     if drop:
-        hidden = tc.dropout(hidden, enc.dropout, rng, train=True)
+        hidden = tc.dropout(hidden, dropout, rng, train=True)
 
     # each head is A_hat @ (hidden @ w) = (A_hat @ hidden) @ w: one sparse product for all
     propagated = tc.spmm(a_hat, hidden)
     out = {}
-    for name, w in enc.heads.items():
+    for head in ENCODER_HEADS:
+        w = params.get(f"encoder.w_{head}")
+        if w is None:
+            continue
         value = tc.matmul(propagated, w)
-        if name in ("c", "d"):
+        if head in ("c", "d"):
             value = tc.softplus(value) + PARAM_FLOOR
-        field = ENCODER_HEADS[name]
         if not np.all(np.isfinite(value.data)):
-            raise tc.NumericDomainError(f"encoder head {field}: non-finite output")
-        out[field] = value
-    return VariationalOutput(**out)
+            raise tc.NumericDomainError(f"encoder head {head}: non-finite output")
+        out[head] = value
+    return out
 
 
 def _pairs_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -312,46 +181,42 @@ def _pairs_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def link_factors(z: Tensor, dec: DecoderParams) -> tuple[Tensor, Tensor]:
+def link_factors(z: Tensor, params: dict[str, Parameter]) -> tuple[Tensor, Tensor]:
     """Factors (left, right) whose product left @ right.T is the link-logit grid.
 
     The grid is symmetric for every form: MLP and inner product return the
     same tensor twice, and the bilinear form scores z @ w_sym @ z.T with
-    w_sym the symmetric part of its weight.
+    w_sym the symmetric part of its weight. Without decoder parameters, or
+    with an MLP of no layers, the decoder is the plain inner product.
     """
-    if dec.form == "mlp":
-        f = z
-        for w, b in dec.layers:
-            f = tc.leaky_relu(tc.matmul(f, w) + b, LEAKY_SLOPE)
-        return f, f
-    if dec.form == "bilinear":
-        w_sym = (dec.bilinear_w + tc.transpose(dec.bilinear_w)) * 0.5
-        return tc.matmul(z, w_sym), z
+    if "decoder.bilinear" in params:
+        w = params["decoder.bilinear"]
+        return tc.matmul(z, (w + tc.transpose(w)) * 0.5), z
+    i = 0
+    while f"decoder.mlp{i}.w" in params:
+        z = tc.matmul(z, params[f"decoder.mlp{i}.w"]) + params[f"decoder.mlp{i}.b"]
+        z = tc.leaky_relu(z, LEAKY_SLOPE)
+        i += 1
     return z, z
 
 
-def decode_link_logits(z: Tensor, dec: DecoderParams, pairs) -> Tensor:
+def decode_link_logits(z: Tensor, params: dict[str, Parameter], pairs) -> Tensor:
     """Link logits of the (u, v) pairs."""
-    left, right = link_factors(z, dec)
+    left, right = link_factors(z, params)
     u, v = _pairs_arrays(pairs)
     return tc.row_sum(tc.take_rows(left, u) * tc.take_rows(right, v))
 
 
-def decode_links(z: Tensor, dec: DecoderParams, pairs) -> Tensor:
+def decode_links(z: Tensor, params: dict[str, Parameter], pairs) -> Tensor:
     """Link probabilities sigmoid(logits) of the (u, v) pairs."""
-    return tc.sigmoid(decode_link_logits(z, dec, pairs))
+    return tc.sigmoid(decode_link_logits(z, params, pairs))
 
 
-def compose_z(variant: ModelVariant, sample: LatentSample) -> Tensor:
+def compose_z(variant: ModelVariant, b: Tensor | None, r: Tensor | None) -> Tensor:
     """Per-variant embedding: b*r, b alone, or r alone."""
+    if (variant.uses_b and b is None) or (variant.uses_r and r is None):
+        needs = [name for name, used in (("b", variant.uses_b), ("r", variant.uses_r)) if used]
+        raise UsageError(f"{variant.value} needs {' and '.join(needs)} in the sample")
     if variant is ModelVariant.DGLFRM:
-        if sample.b is None or sample.r is None:
-            raise UsageError("DGLFRM needs both b and r in the sample")
-        return sample.b * sample.r
-    if variant.uses_b:
-        if sample.b is None:
-            raise UsageError(f"{variant.value} needs b in the sample")
-        return sample.b
-    if sample.r is None:
-        raise UsageError(f"{variant.value} needs r in the sample")
-    return sample.r
+        return b * r
+    return b if variant.uses_b else r

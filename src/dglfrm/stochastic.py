@@ -74,14 +74,6 @@ class ReparamNoise:
         return cls(rng.random(shape))
 
 
-@dataclass(frozen=True)
-class LatentSample:
-    """One reparameterized draw; fields unused by a variant stay None."""
-
-    b: Tensor | None = None
-    r: Tensor | None = None
-
-
 # ---------------------------------------------------------------------------
 # Samplers
 

@@ -98,10 +98,11 @@ class TrainConfig:
             raise ConfigError("feature_term requires node features")
         return self.feature_term
 
-    def effective_hidden(self, g: Graph) -> int:
+    def effective_hidden(self, reads_features: bool) -> int:
+        """The encoder's hidden width, by default 32 on features and 128 on identity input."""
         if self.hidden is not None:
             return self.hidden
-        return 32 if self.features_used(g) else 128
+        return 32 if reads_features else 128
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -223,30 +224,41 @@ def effective_graph(g: Graph, config: TrainConfig) -> Graph:
     return Graph(n_nodes=g.n_nodes, adjacency=g.adjacency)
 
 
-def init_params(g: Graph, config: TrainConfig, rng: np.random.Generator) -> md.ModelParams:
-    variant = config.model_variant
-    d_in = g.d_features if config.features_used(g) else g.n_nodes
-    encoder = md.init_encoder(
-        rng,
-        d_in=d_in,
-        hidden=config.effective_hidden(g),
+def _train_graph(g: Graph, split: SplitSpec) -> tuple[Graph, SparseMatrix]:
+    """The split's train edges with g's features, and their normalized adjacency."""
+    train_graph = Graph(n_nodes=g.n_nodes, adjacency=split.train_adjacency, features=g.features)
+    return train_graph, normalize_adjacency(train_graph)
+
+
+def init_params(g: Graph, config: TrainConfig, rng: np.random.Generator) -> dict[str, Parameter]:
+    """Glorot weights, zero biases and global sticks at the prior Beta(alpha, 1).
+
+    Weights are drawn in `md.param_shapes` order, except that a block is
+    drawn for every encoder head, kept or not, so that the weights of a kept
+    head and every later draw from rng (decoder, dropout masks, noise) do not
+    depend on which heads the variant has.
+    """
+    shapes = md.param_shapes(
+        config.model_variant,
+        config.structured,
+        d_in=g.d_features if config.features_used(g) else g.n_nodes,
+        hidden=config.effective_hidden(config.features_used(g)),
         k=config.k,
-        heads=variant.encoder_heads(config.structured),
-        dropout=config.dropout,
+        decoder_hidden=config.decoder_hidden,
+        d_features=g.d_features if config.feature_term_enabled(g) else None,
     )
-    decoder = md.init_decoder(rng, variant, config.k, hidden=config.decoder_hidden)
-    feature_decoder = None
-    if config.feature_term_enabled(g):
-        feature_decoder = md.init_feature_decoder(rng, config.k, g.d_features)
-    sticks = None
-    if variant.uses_b and config.structured:
-        sticks = md.init_global_sticks(config.k, config.alpha)
-    return md.ModelParams(
-        encoder=encoder,
-        decoder=decoder,
-        feature_decoder=feature_decoder,
-        sticks=sticks,
-    )
+    data = {"encoder.w1": md.glorot_uniform(rng, *shapes["encoder.w1"])}
+    for head in md.ENCODER_HEADS:
+        data[f"encoder.w_{head}"] = md.glorot_uniform(rng, shapes["encoder.w1"][1], config.k)
+    sticks = {"sticks.raw_c": config.alpha, "sticks.raw_d": 1.0}  # c and d at the prior
+    for name, shape in shapes.items():
+        if name in sticks:  # the raw value whose softplus plus the floor is the target
+            data[name] = np.full(shape, np.log(np.expm1(sticks[name] - md.PARAM_FLOOR)))
+        elif name.endswith(".b"):
+            data[name] = np.zeros(shape)
+        elif name not in data:
+            data[name] = md.glorot_uniform(rng, *shape)
+    return {name: Parameter(data[name], name) for name in shapes}
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +269,16 @@ def elbo_loss(
     g: Graph,
     a_hat: SparseMatrix,
     split: SplitSpec,
-    params: md.ModelParams,
+    params: dict[str, Parameter],
     config: TrainConfig,
     noise: StepNoise,
     *,
     kl_weight: float = 1.0,
     rng: np.random.Generator | None = None,
-    train_mode: bool = True,
 ) -> tuple[Tensor, LossParts]:
     """Negative ELBO for one step; returns the scalar node plus components.
 
+    The encoder drops units at the config's rate, drawing masks from `rng`.
     The link term is the weighted BCE of every node pair against the train
     adjacency plus the diagonal. Unless the config sets it, the positive
     weight balances the two classes: negatives / positives.
@@ -278,7 +290,7 @@ def elbo_loss(
         positives = split.train_adjacency.nnz + n
         pos_weight = (n * n - positives) / positives
 
-    out = md.encode(effective_graph(g, config), a_hat, params.encoder, train_mode=train_mode, rng=rng)
+    out = md.encode(effective_graph(g, config), a_hat, params, config.dropout, rng)
 
     kl_b = kl_v = kl_r = None
     b = r = None
@@ -286,15 +298,16 @@ def elbo_loss(
         if noise.u_v is None or noise.u_b is None:
             raise UsageError("variant needs stick and membership noise")
         if config.structured:
-            if params.sticks is None:
-                raise UsageError("structured posterior needs global sticks")
-            sticks_q = sl.KumaraswamyParams(params.sticks.c(), params.sticks.d())
+            sticks_q = sl.KumaraswamyParams(
+                tc.softplus(params["sticks.raw_c"]) + md.PARAM_FLOOR,
+                tc.softplus(params["sticks.raw_d"]) + md.PARAM_FLOOR,
+            )
         else:
-            sticks_q = sl.KumaraswamyParams(out.c, out.d)
+            sticks_q = sl.KumaraswamyParams(out["c"], out["d"])
         v = sl.sample_kumaraswamy(sticks_q, noise.u_v)
         pi = sl.stick_breaking(v)
         prior_b = sl.ConcreteParams.from_pi(pi, config.lambda_prior)
-        q_b = sl.ConcreteParams(out.pi_logits, config.lambda_post)
+        q_b = sl.ConcreteParams(out["pi"], config.lambda_post)
         b = sl.sample_binary_concrete(q_b, noise.u_b)
         kl_b = sl.kl_concrete_mc(q_b, prior_b, b)
         # structured sticks are global: their KL is counted once, not per node
@@ -302,17 +315,17 @@ def elbo_loss(
     if variant.uses_r:
         if noise.eps_r is None:
             raise UsageError("variant needs gaussian noise")
-        q_r = sl.GaussianParams(out.mu, out.log_sigma)
+        q_r = sl.GaussianParams(out["mu"], out["sigma"])
         r = sl.sample_gaussian(q_r, noise.eps_r)
         kl_r = sl.kl_gaussian_std(q_r, config.prior_r_sigma)
 
-    z = md.compose_z(variant, sl.LatentSample(b=b, r=r))
-    left, right = md.link_factors(z, params.decoder)
+    z = md.compose_z(variant, b, r)
+    left, right = md.link_factors(z, params)
     link_nll = tc.link_bce_sum(left, right, split.train_adjacency, pos_weight)
 
     feat_nll = None
-    if config.feature_term_enabled(g) and params.feature_decoder is not None:
-        feat_nll = tc.feature_bce_sum(z, params.feature_decoder.w, g.features)
+    if "feature_decoder.w" in params:
+        feat_nll = tc.feature_bce_sum(z, params["feature_decoder.w"], g.features)
 
     loss = link_nll
     if feat_nll is not None:
@@ -342,8 +355,8 @@ def elbo_loss(
 # Training
 
 
-def _snapshot(params: md.ModelParams) -> dict[str, np.ndarray]:
-    return {p.name: p.data.copy() for p in params.parameters()}
+def _snapshot(params: dict[str, Parameter]) -> dict[str, np.ndarray]:
+    return {name: p.data.copy() for name, p in params.items()}
 
 
 def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, TrainReport]:
@@ -353,12 +366,8 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    train_graph = Graph(
-        n_nodes=g.n_nodes, adjacency=split.train_adjacency, features=g.features
-    )
-    a_hat = normalize_adjacency(train_graph)
+    train_graph, a_hat = _train_graph(g, split)
     params = init_params(train_graph, config, rng)
-    all_params = params.parameters()
     variant = config.model_variant
     val_pairs = list(split.val_pos) + list(split.val_neg)
     val_labels = np.concatenate(
@@ -401,11 +410,10 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
                         noise,
                         kl_weight=kl_weight,
                         rng=rng,
-                        train_mode=True,
                     )
                     tc.backward(loss)
                 tape.clear()
-                tc.adam_step(all_params, lr=config.lr)
+                tc.adam_step(params.values(), lr=config.lr)
         except NumericDomainError:
             # divergence: the loss and adam_step raise before any parameter
             # changes, so params still hold the last good values
@@ -442,68 +450,62 @@ class EvalLatents:
 
 
 def _latents_from_params(
-    params: md.ModelParams, config: TrainConfig, g: Graph, a_hat: SparseMatrix
+    params: dict[str, Parameter], config: TrainConfig, g: Graph, a_hat: SparseMatrix
 ) -> EvalLatents:
-    out = md.encode(g, a_hat, params.encoder, train_mode=False)
-    b = None if out.pi_logits is None else tc.sigmoid(out.pi_logits)
+    out = md.encode(g, a_hat, params)
+    b = tc.sigmoid(out["pi"]) if "pi" in out else None
+    r = out.get("mu")
     return EvalLatents(
         b_prob=None if b is None else b.data,
-        mu=None if out.mu is None else out.mu.data,
-        z=md.compose_z(config.model_variant, sl.LatentSample(b=b, r=out.mu)),
+        mu=None if r is None else r.data,
+        z=md.compose_z(config.model_variant, b, r),
     )
 
 
-def rebuild_params(ckpt: Checkpoint) -> md.ModelParams:
-    """Reconstruct a ModelParams tree from checkpoint arrays."""
-    config = ckpt.config
-    variant = config.model_variant
-    store = ckpt.params
+def rebuild_params(ckpt: Checkpoint) -> dict[str, Parameter]:
+    """The checkpoint's arrays as parameters, checked against `md.param_shapes`.
 
-    def take(name: str) -> Parameter:
-        if name not in store:
-            raise CheckpointError(f"checkpoint missing parameter {name!r}")
-        return Parameter(store[name], name)
-
-    encoder = md.EncoderParams(
-        w1=take("encoder.w1"),
-        heads={
-            name: take(f"encoder.w_{name}")
-            for name in variant.encoder_heads(config.structured)
-        },
-        dropout=config.dropout,
+    Any missing, extra or mis-shaped parameter raises CheckpointError. The
+    stored config fixes every shape except two input widths, which come from
+    the stored arrays: the encoder's (node or feature count) and the feature
+    decoder's.
+    """
+    config, store = ckpt.config, ckpt.params
+    w1, feature_w = store.get("encoder.w1"), store.get("feature_decoder.w")
+    d_in = w1.shape[0] if w1 is not None and w1.ndim == 2 else 0
+    # The config does not record whether the graph had features. A feature
+    # decoder shows that it had; with the feature term off, the width of w1 does.
+    had_features = feature_w is not None
+    if config.feature_term is False:
+        had_features = w1 is not None and w1.shape[1:] == (config.effective_hidden(True),)
+    read_features = config.use_features and had_features
+    term = read_features if config.feature_term is None else config.feature_term
+    d_features = None
+    if term:  # the encoder's input width when it read features
+        d_features = d_in
+        if not read_features:
+            d_features = feature_w.shape[-1] if feature_w is not None and feature_w.ndim else 0
+    shapes = md.param_shapes(
+        config.model_variant,
+        config.structured,
+        d_in=d_in,
+        hidden=config.effective_hidden(read_features),
+        k=config.k,
+        decoder_hidden=config.decoder_hidden,
+        d_features=d_features,
     )
-    for head in encoder.heads.values():
-        if head.shape[1] != config.k:
-            raise CheckpointError(
-                f"parameter {head.name} has {head.shape[1]} columns, config k={config.k}"
-            )
-    form = variant.decoder_form
-    if form == "mlp":
-        layers = []
-        for i in range(len(config.decoder_hidden)):
-            layers.append((take(f"decoder.mlp{i}.w"), take(f"decoder.mlp{i}.b")))
-        decoder = md.DecoderParams(form="mlp", layers=tuple(layers))
-    elif form == "bilinear":
-        decoder = md.DecoderParams(form="bilinear", bilinear_w=take("decoder.bilinear"))
-    else:
-        decoder = md.DecoderParams(form="inner")
-    feature_decoder = None
-    if "feature_decoder.w" in store:
-        feature_decoder = md.FeatureDecoderParams(w=take("feature_decoder.w"))
-    sticks = None
-    if variant.uses_b and config.structured:
-        sticks = md.GlobalSticks(raw_c=take("sticks.raw_c"), raw_d=take("sticks.raw_d"))
-    params = md.ModelParams(
-        encoder=encoder,
-        decoder=decoder,
-        feature_decoder=feature_decoder,
-        sticks=sticks,
-    )
-    expected = {p.name for p in params.parameters()}
-    extra = set(store) - expected
+    missing = [name for name in shapes if name not in store]
+    if missing:
+        raise CheckpointError(f"checkpoint missing parameter {missing[0]!r}")
+    extra = sorted(set(store) - set(shapes))
     if extra:
-        raise CheckpointError(f"checkpoint carries unexpected parameters: {sorted(extra)}")
-    return params
+        raise CheckpointError(f"checkpoint carries unexpected parameters: {extra}")
+    for name, shape in shapes.items():
+        if store[name].shape != shape:
+            raise CheckpointError(
+                f"parameter {name!r} has shape {store[name].shape}, the stored config implies {shape}"
+            )
+    return {name: Parameter(store[name], name) for name in shapes}
 
 
 def check_compatible(ckpt: Checkpoint, g: Graph) -> None:
@@ -527,14 +529,14 @@ def posterior_latents(ckpt: Checkpoint, g: Graph, a_hat: SparseMatrix) -> EvalLa
 
 
 def _score_with_params(
-    params: md.ModelParams,
+    params: dict[str, Parameter],
     config: TrainConfig,
     g: Graph,
     a_hat: SparseMatrix,
     pairs,
 ) -> np.ndarray:
     latents = _latents_from_params(params, config, effective_graph(g, config), a_hat)
-    probs = md.decode_links(latents.z, params.decoder, pairs=pairs)
+    probs = md.decode_links(latents.z, params, pairs=pairs)
     return probs.data.copy()
 
 
@@ -554,9 +556,7 @@ def score_pairs(ckpt: Checkpoint, g: Graph, a_hat: SparseMatrix, pairs) -> np.nd
 
 def evaluate_split(ckpt: Checkpoint, g: Graph, split: SplitSpec) -> "mx.MetricsReport":
     """AUC/AP on the split's held-out test pairs."""
-    a_hat = normalize_adjacency(
-        Graph(n_nodes=g.n_nodes, adjacency=split.train_adjacency, features=g.features)
-    )
+    _, a_hat = _train_graph(g, split)
     pairs = list(split.test_pos) + list(split.test_neg)
     labels = np.concatenate([np.ones(len(split.test_pos)), np.zeros(len(split.test_neg))])
     scores = score_pairs(ckpt, g, a_hat, pairs)
@@ -641,5 +641,8 @@ def load_checkpoint(path) -> Checkpoint:
     if pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes in checkpoint")
     ckpt = Checkpoint(config=config, params=params, step=step)
-    rebuild_params(ckpt)  # shape/name consistency against the stored config
+    try:
+        rebuild_params(ckpt)  # names and shapes against the stored config
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from e
     return ckpt

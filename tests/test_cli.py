@@ -341,6 +341,21 @@ class TestEval:
         assert f"{split}: {section} is empty" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "name,shape",
+        [("decoder.mlp0.b", (1, 1)), ("sticks.raw_c", (1, 9)), ("encoder.w1", (100, 33)),
+         ("feature_decoder.w", (9, 100))],
+    )
+    def test_misshaped_parameter_is_data_error(self, ws, tmp_path, capsys, name, shape):
+        # the CRC is valid: only the layout check can refuse the file
+        ckpt = trainer.load_checkpoint(ws["ckpt"])
+        params = dict(ckpt.params, **{name: np.zeros(shape)})
+        path = tmp_path / "bad.ckpt"
+        trainer.save_checkpoint(trainer.Checkpoint(ckpt.config, params, ckpt.step), path)
+        code = run("eval", "--ckpt", path, "--graph", ws["graph"], "--split", ws["split"])
+        assert code == 2
+        assert f"{path}: parameter {name!r} has shape {shape}" in capsys.readouterr().err
+
     @staticmethod
     def _with_stored_config(ckpt, tmp_path, edit):
         """A copy of `ckpt` whose stored config JSON went through `edit`, CRC intact."""

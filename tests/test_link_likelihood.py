@@ -127,11 +127,11 @@ def test_elbo_matches_dense_oracle(variant, structured):
     g, a_hat, split, params, cfg, noise = _elbo_setup(variant, structured)
 
     def run():
-        zero_grads(params.parameters())
+        zero_grads(params.values())
         with tc.Tape():
             loss, parts = trainer.elbo_loss(g, a_hat, split, params, cfg, noise)
             tc.backward(loss)
-        return parts, {p.name: p.grad.copy() for p in params.parameters()}
+        return parts, {p.name: p.grad.copy() for p in params.values()}
 
     with mock.patch.object(tc, "link_bce_sum", dense_link_bce_sum):
         dense_parts, dense_grads = run()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dglfrm import model as md
-from dglfrm import stochastic as sl
 from dglfrm import tensor as tc
 from dglfrm import trainer
 from dglfrm.graphdata import Graph, SplitSpec, normalize_adjacency
@@ -27,9 +26,16 @@ ALL_HEADS = tuple(md.ENCODER_HEADS)
 VARIANT_MODES = [(v.value, structured) for v in md.ModelVariant for structured in (False, True)]
 
 
-def zero_encoder(d_in, hidden, k, dropout=0.0):
-    enc = md.init_encoder(np.random.default_rng(0), d_in, hidden, k, ALL_HEADS, dropout=dropout)
-    for p in enc.parameters():
+def encoder_params(seed, d_in, hidden, k, heads=ALL_HEADS):
+    """Glorot encoder weights: w1 and one weight per head."""
+    rng = np.random.default_rng(seed)
+    shapes = {"encoder.w1": (d_in, hidden), **{f"encoder.w_{h}": (hidden, k) for h in heads}}
+    return {name: Parameter(md.glorot_uniform(rng, *shape), name) for name, shape in shapes.items()}
+
+
+def zero_encoder(d_in, hidden, k):
+    enc = encoder_params(0, d_in, hidden, k)
+    for p in enc.values():
         p.data[...] = 0.0
     return enc
 
@@ -41,61 +47,61 @@ def zero_encoder(d_in, hidden, k, dropout=0.0):
 class TestEncode:
     def test_output_shapes_and_positivity(self):
         g = ring_graph(5, seed=1)
-        enc = md.init_encoder(np.random.default_rng(2), 3, 7, 4, ALL_HEADS)
+        enc = encoder_params(2, 3, 7, 4)
         out = md.encode(g, normalize_adjacency(g), enc)
-        for t in (out.c, out.d, out.pi_logits, out.mu, out.log_sigma):
+        assert list(out) == list(ALL_HEADS)
+        for t in out.values():
             assert t.shape == (5, 4)
-        assert np.all(out.c.data > 0)
-        assert np.all(out.d.data > 0)
+        assert np.all(out["c"].data > 0)
+        assert np.all(out["d"].data > 0)
 
     def test_eval_mode_deterministic(self):
         g = ring_graph(5, seed=1)
-        enc = md.init_encoder(np.random.default_rng(2), 3, 7, 4, ALL_HEADS, dropout=0.5)
+        enc = encoder_params(2, 3, 7, 4)
         a_hat = normalize_adjacency(g)
-        a = md.encode(g, a_hat, enc, train_mode=False)
-        b = md.encode(g, a_hat, enc, train_mode=False)
-        np.testing.assert_array_equal(a.pi_logits.data, b.pi_logits.data)
-        np.testing.assert_array_equal(a.c.data, b.c.data)
+        a = md.encode(g, a_hat, enc)
+        b = md.encode(g, a_hat, enc)
+        np.testing.assert_array_equal(a["pi"].data, b["pi"].data)
+        np.testing.assert_array_equal(a["c"].data, b["c"].data)
 
     def test_zero_weights_constants(self):
         g = ring_graph(4, seed=3)
         enc = zero_encoder(3, 6, 5)
         out = md.encode(g, normalize_adjacency(g), enc)
         want = np.log(2.0) + 1e-4  # softplus(0) plus the positivity floor
-        np.testing.assert_allclose(out.c.data, want, atol=1e-12)
-        np.testing.assert_allclose(out.d.data, want, atol=1e-12)
-        np.testing.assert_array_equal(out.pi_logits.data, 0.0)
-        np.testing.assert_array_equal(out.mu.data, 0.0)
-        np.testing.assert_array_equal(out.log_sigma.data, 0.0)
+        np.testing.assert_allclose(out["c"].data, want, atol=1e-12)
+        np.testing.assert_allclose(out["d"].data, want, atol=1e-12)
+        for head in ("pi", "mu", "sigma"):
+            np.testing.assert_array_equal(out[head].data, 0.0)
 
     def test_identity_features_needs_square_w1(self):
         g = ring_graph(4)  # no features
-        enc = md.init_encoder(np.random.default_rng(0), 3, 6, 5, ALL_HEADS)
+        enc = encoder_params(0, 3, 6, 5)
         with pytest.raises(ShapeError):
             md.encode(g, normalize_adjacency(g), enc)
 
     def test_identity_features_path(self):
         g = ring_graph(4)
-        enc = md.init_encoder(np.random.default_rng(0), 4, 6, 5, ALL_HEADS)
+        enc = encoder_params(0, 4, 6, 5)
         out = md.encode(g, normalize_adjacency(g), enc)
-        assert out.mu.shape == (4, 5)
+        assert out["mu"].shape == (4, 5)
 
     def test_feature_width_mismatch(self):
         g = ring_graph(4, seed=3)
-        enc = md.init_encoder(np.random.default_rng(0), 9, 6, 5, ALL_HEADS)
+        enc = encoder_params(0, 9, 6, 5)
         with pytest.raises(ShapeError):
             md.encode(g, normalize_adjacency(g), enc)
 
     def test_dropout_needs_rng(self):
         g = ring_graph(4, seed=3)
-        enc = md.init_encoder(np.random.default_rng(0), 3, 6, 5, ALL_HEADS, dropout=0.5)
+        enc = encoder_params(0, 3, 6, 5)
         with pytest.raises(UsageError):
-            md.encode(g, normalize_adjacency(g), enc, train_mode=True)
+            md.encode(g, normalize_adjacency(g), enc, dropout=0.5)
 
     def test_nonfinite_names_the_head(self):
         g = ring_graph(4, seed=3)
-        enc = md.init_encoder(np.random.default_rng(0), 3, 6, 5, ALL_HEADS)
-        enc.heads["mu"].data[...] = np.inf
+        enc = encoder_params(0, 3, 6, 5)
+        enc["encoder.w_mu"].data[...] = np.inf
         with pytest.raises(tc.NumericDomainError, match="mu"):
             with np.errstate(invalid="ignore"):
                 md.encode(g, normalize_adjacency(g), enc)
@@ -109,7 +115,7 @@ class TestEncode:
             dense = dense + dense.T
             x = (rng.random((n, 4)) < 0.5).astype(float)
             g = Graph(n_nodes=n, adjacency=SparseMatrix(dense), features=SparseMatrix(x))
-            enc = md.init_encoder(np.random.default_rng(trial), 4, 6, 3, ALL_HEADS)
+            enc = encoder_params(trial, 4, 6, 3)
             out = md.encode(g, normalize_adjacency(g), enc)
 
             perm = rng.permutation(n)
@@ -119,25 +125,27 @@ class TestEncode:
                 features=SparseMatrix(x[perm]),
             )
             outp = md.encode(gp, normalize_adjacency(gp), enc)
-            for a, b in (
-                (out.pi_logits, outp.pi_logits),
-                (out.mu, outp.mu),
-                (out.c, outp.c),
-                (out.log_sigma, outp.log_sigma),
-            ):
-                np.testing.assert_allclose(b.data, a.data[perm], atol=1e-10)
+            for head in ALL_HEADS:
+                np.testing.assert_allclose(outp[head].data, out[head].data[perm], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # decoders
 
 
-def mlp_decoder(k, hidden=(3,), seed=0, zero=False):
-    dec = md.init_decoder(np.random.default_rng(seed), md.ModelVariant.DGLFRM, k, hidden=hidden)
-    if zero:
-        for p in dec.parameters():
-            p.data[...] = 0.0
+def mlp_decoder(k, hidden=(3,), seed=0):
+    """Glorot weights and zero biases, as training starts them."""
+    rng = np.random.default_rng(seed)
+    dec, width = {}, k
+    for i, out in enumerate(hidden):
+        dec[f"decoder.mlp{i}.w"] = Parameter(md.glorot_uniform(rng, width, out), f"decoder.mlp{i}.w")
+        dec[f"decoder.mlp{i}.b"] = Parameter(np.zeros((1, out)), f"decoder.mlp{i}.b")
+        width = out
     return dec
+
+
+def bilinear_decoder(w):
+    return {"decoder.bilinear": Parameter(w, "decoder.bilinear")}
 
 
 def all_pairs(n):
@@ -155,8 +163,8 @@ def random_decoder(form, k, seed):
         return mlp_decoder(k, seed=seed)
     if form == "bilinear":
         w = np.random.default_rng(seed).normal(size=(k, k))
-        return md.DecoderParams(form="bilinear", bilinear_w=Parameter(w, "w"))
-    return md.DecoderParams(form="inner")
+        return bilinear_decoder(w)
+    return {}
 
 
 class TestDecodeLinks:
@@ -167,15 +175,15 @@ class TestDecodeLinks:
 
     def test_bilinear_identity_equals_inner(self):
         z = Tensor(np.random.default_rng(1).normal(size=(6, 4)))
-        bil = md.DecoderParams(form="bilinear", bilinear_w=Parameter(np.eye(4), "w"))
-        inner = md.DecoderParams(form="inner")
+        bil = bilinear_decoder(np.eye(4))
+        inner = {}
         a = md.decode_links(z, bil, pairs=all_pairs(6)).data
         b = md.decode_links(z, inner, pairs=all_pairs(6)).data
         np.testing.assert_array_equal(a, b)
 
     def test_inner_pair_closed_form(self):
         z = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        probs = md.decode_links(z, md.DecoderParams(form="inner"), pairs=[(0, 1)])
+        probs = md.decode_links(z, {}, pairs=[(0, 1)])
         np.testing.assert_allclose(probs.data, [1.0 / (1.0 + np.exp(-1.0))], atol=1e-12)
         assert abs(probs.data[0] - 0.7311) < 1e-4
 
@@ -204,9 +212,7 @@ class TestDecodeLinks:
         np.testing.assert_allclose(vec, [grid[u, v] for u, v in pairs], atol=1e-12)
 
     def test_shape_mismatch(self):
-        dec = md.DecoderParams(
-            form="bilinear", bilinear_w=Parameter(np.eye(4), "w")
-        )
+        dec = bilinear_decoder(np.eye(4))
         with pytest.raises(ShapeError):
             md.decode_links(Tensor(np.zeros((5, 3))), dec, pairs=[(0, 1)])
 
@@ -254,39 +260,24 @@ class TestComposeZ:
         self.r = Tensor(np.array([[2.0, 5.0, -1.0]]))
 
     def test_dglfrm_masks(self):
-        z = md.compose_z(md.ModelVariant.DGLFRM, sl.LatentSample(b=self.b, r=self.r))
+        z = md.compose_z(md.ModelVariant.DGLFRM, self.b, self.r)
         np.testing.assert_array_equal(z.data, [[2.0, 0.0, -1.0]])
 
     def test_binary_variant_keeps_b(self):
-        z = md.compose_z(md.ModelVariant.DGLFRM_B, sl.LatentSample(b=self.b, r=self.r))
+        z = md.compose_z(md.ModelVariant.DGLFRM_B, self.b, self.r)
         np.testing.assert_array_equal(z.data, [[1.0, 0.0, 1.0]])
 
     def test_vgae_keeps_r(self):
-        z = md.compose_z(md.ModelVariant.VGAE_STYLE, sl.LatentSample(b=self.b, r=self.r))
+        z = md.compose_z(md.ModelVariant.VGAE_STYLE, self.b, self.r)
         np.testing.assert_array_equal(z.data, [[2.0, 5.0, -1.0]])
 
     def test_missing_field_errors(self):
         with pytest.raises(UsageError):
-            md.compose_z(md.ModelVariant.DGLFRM, sl.LatentSample(b=self.b))
+            md.compose_z(md.ModelVariant.DGLFRM, self.b, None)
         with pytest.raises(UsageError):
-            md.compose_z(md.ModelVariant.LFRM, sl.LatentSample(r=self.r))
+            md.compose_z(md.ModelVariant.LFRM, None, self.r)
         with pytest.raises(UsageError):
-            md.compose_z(md.ModelVariant.LSM, sl.LatentSample(b=self.b))
-
-
-class TestDecoderParamsValidation:
-    def test_bilinear_needs_matrix(self):
-        with pytest.raises(UsageError):
-            md.DecoderParams(form="bilinear")
-
-    def test_inner_rejects_layers(self):
-        layer = (Parameter(np.zeros((2, 2)), "w"), Parameter(np.zeros((1, 2)), "b"))
-        with pytest.raises(UsageError):
-            md.DecoderParams(form="inner", layers=(layer,))
-
-    def test_unknown_form(self):
-        with pytest.raises(UsageError):
-            md.DecoderParams(form="transformer")
+            md.compose_z(md.ModelVariant.LSM, self.b, None)
 
 
 # ---------------------------------------------------------------------------
@@ -323,39 +314,63 @@ def test_every_active_parameter_gets_gradient(variant, structured):
         loss, _ = trainer.elbo_loss(g, a_hat, split, params, cfg, noise)
         tc.backward(loss)
     tape.clear()
-    for p in params.parameters():
+    for p in params.values():
         assert np.any(p.grad), f"{p.name} received no gradient"
-    zero_grads(params.parameters())
+    zero_grads(params.values())
 
 
 @pytest.mark.parametrize("variant,structured", VARIANT_MODES)
 def test_kept_heads_get_the_five_head_draws(variant, structured):
-    # w1, then one glorot block per head in the order c, d, pi, mu, sigma
-    d_in, hidden, k = 3, 5, 4
-    hand = np.random.default_rng(7)
-    w1_limit = np.sqrt(6.0 / (d_in + hidden))
-    w1 = hand.uniform(-w1_limit, w1_limit, (d_in, hidden))
-    limit = np.sqrt(6.0 / (hidden + k))
-    blocks = {
-        name: hand.uniform(-limit, limit, (hidden, k))
-        for name in ("c", "d", "pi", "mu", "sigma")
-    }
+    # the whole of init_params, drawn by hand: w1, one glorot block per head
+    # in the order c, d, pi, mu, sigma, the decoder's weights, the feature
+    # decoder's, then nothing for the zero biases and the sticks
+    g = ring_graph(6, seed=1)  # 3 feature columns
+    d_in, hidden, k, alpha = 3, 5, 4, 2.5
+    form = md.ModelVariant.parse(variant).decoder_form
+    for feature_term in (False, True):
+        hand = np.random.default_rng(7)
 
-    rng = np.random.default_rng(7)
-    heads = md.ModelVariant.parse(variant).encoder_heads(structured)
-    enc = md.init_encoder(rng, d_in, hidden, k, heads)
-    np.testing.assert_array_equal(enc.w1.data, w1)
-    assert list(enc.heads) == list(heads)
-    for name, w in enc.heads.items():
-        assert w.name == f"encoder.w_{name}"
-        np.testing.assert_array_equal(w.data, blocks[name])
-    assert rng.random() == hand.random()  # later draws see the same stream
+        def glorot(fan_in, fan_out):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            return hand.uniform(-limit, limit, (fan_in, fan_out))
+
+        want = {"encoder.w1": glorot(d_in, hidden)}
+        blocks = {name: glorot(hidden, k) for name in ("c", "d", "pi", "mu", "sigma")}
+        heads = md.ModelVariant.parse(variant).encoder_heads(structured)
+        want.update({f"encoder.w_{name}": blocks[name] for name in heads})
+        if form == "mlp":
+            want["decoder.mlp0.w"], want["decoder.mlp0.b"] = glorot(k, 3), np.zeros((1, 3))
+            want["decoder.mlp1.w"], want["decoder.mlp1.b"] = glorot(3, 2), np.zeros((1, 2))
+        elif form == "bilinear":
+            want["decoder.bilinear"] = glorot(k, k)
+        if feature_term:
+            want["feature_decoder.w"] = glorot(k, d_in)
+
+        cfg = trainer.TrainConfig(
+            variant=variant, structured=structured, k=k, hidden=hidden, alpha=alpha,
+            decoder_hidden=(3, 2), feature_term=feature_term, seed=7,
+        )
+        rng = np.random.default_rng(7)
+        params = trainer.init_params(g, cfg, rng)
+        sticks = [name for name in params if name.startswith("sticks.")]
+        assert list(params) == list(want) + sticks
+        for name, w in want.items():
+            assert params[name].name == name
+            np.testing.assert_array_equal(params[name].data, w)
+        if sticks:  # the structured posterior starts at the prior Beta(alpha, 1)
+            assert sticks == ["sticks.raw_c", "sticks.raw_d"] and md.ModelVariant.parse(variant).uses_b
+            for name, target in zip(sticks, (alpha, 1.0)):
+                value = np.logaddexp(0.0, params[name].data) + md.PARAM_FLOOR
+                np.testing.assert_allclose(value, np.full((1, k), target), rtol=1e-12)
+        else:
+            assert not (structured and md.ModelVariant.parse(variant).uses_b)
+        assert rng.random() == hand.random()  # later draws see the same stream
 
 
 @pytest.mark.parametrize("heads", [("pi",), ("mu", "sigma"), ALL_HEADS])
 def test_encode_propagates_once_for_all_heads(heads, monkeypatch):
     g = ring_graph(5, seed=1)
-    enc = md.init_encoder(np.random.default_rng(2), 3, 7, 4, heads, dropout=0.5)
+    enc = encoder_params(2, 3, 7, 4, heads)
     calls = []
     spmm = tc.spmm
 
@@ -365,12 +380,8 @@ def test_encode_propagates_once_for_all_heads(heads, monkeypatch):
 
     monkeypatch.setattr(tc, "spmm", counting_spmm)
     with tc.Tape():
-        out = md.encode(
-            g, normalize_adjacency(g), enc, train_mode=True, rng=np.random.default_rng(3)
-        )
+        out = md.encode(g, normalize_adjacency(g), enc, dropout=0.5, rng=np.random.default_rng(3))
     # the sparse feature product X @ W1, the first layer's propagation, then
     # the shared propagation of the heads
     assert calls == [(3, 7), (5, 7), (5, 7)]
-    present = {md.ENCODER_HEADS[name] for name in heads}
-    for field in md.ENCODER_HEADS.values():
-        assert (getattr(out, field) is not None) == (field in present)
+    assert list(out) == list(heads)

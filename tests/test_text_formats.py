@@ -10,7 +10,8 @@ from both.
 Deliberate differences, tested one by one at the end: integer fields are
 an optional sign and 1 to 18 ASCII digits, so `1_000`, non-ASCII digits
 and longer numerals that Python's `int` accepts are rejected; a file
-that is not valid text is a LoadError instead of a UnicodeDecodeError.
+that is not valid text is a LoadError instead of a UnicodeDecodeError;
+node ids, node counts and feature columns must be below 2**31.
 """
 
 import math
@@ -560,3 +561,38 @@ def test_undecodable_file_is_a_load_error(tmp_path):
         oracle_load_edge_list(path)
     with pytest.raises(LoadError, match="cannot read"):
         gd.load_edge_list(path)
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [("0 1\n2 2147483648\n", ":2: node id at or above 2**31"),
+     ("0 99999999999\n", ":1: node id at or above 2**31"),
+     ("0 1\n# nodes 2147483648\n", ":2: node count at or above 2**31")],
+    ids=["id", "long-id", "nodes-directive"],
+)
+def test_edge_list_ids_stay_below_2_31(tmp_path, text, where):
+    path = write(tmp_path, "e.txt", text)
+    with pytest.raises(LoadError) as e:
+        gd.load_edge_list(path)
+    assert str(e.value).startswith(f"{path}{where}")
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [("# nodes 2147483648\nTRAIN\n0 1\n", ":1: node count at or above 2**31"),
+     ("# nodes 4\nTRAIN\n0 1\n2 2147483648\n", ":4: TRAIN pair 2 2147483648 needs two distinct")],
+    ids=["nodes-header", "pair"],
+)
+def test_split_ids_stay_below_2_31(tmp_path, text, where):
+    path = write(tmp_path, "s.split", text)
+    with pytest.raises(LoadError) as e:
+        gd.load_split(path)
+    assert str(e.value).startswith(f"{path}{where}")
+
+
+def test_feature_columns_stay_below_2_31(tmp_path):
+    path = write(tmp_path, "f.txt", "0 0 1\n0 999999999999999999 1\n")
+    with pytest.raises(LoadError, match=r"f\.txt:2: column 999999999999999999 at or above 2\*\*31"):
+        gd.load_features(path, 3)
+    path = write(tmp_path, "f.txt", f"0 0 1\n1 {2**31 - 1} 1\n")
+    assert gd.load_features(path, 3).shape == (3, 2**31)

@@ -11,6 +11,7 @@ import pytest
 from dglfrm import graphdata as gd
 from dglfrm import metrics as mx
 from dglfrm import model as md
+from dglfrm import tensor as tc
 from dglfrm import trainer
 from dglfrm.graphdata import Graph, SplitSpec, normalize_adjacency
 from dglfrm.tensor import NumericDomainError, SparseMatrix, UsageError
@@ -129,9 +130,11 @@ class TestTrainConfig:
     def test_effective_hidden_defaults(self):
         with_x = small_graph(with_features=True)
         without_x = small_graph(with_features=False)
-        assert TrainConfig().effective_hidden(with_x) == 32
-        assert TrainConfig().effective_hidden(without_x) == 128
-        assert TrainConfig(hidden=7).effective_hidden(with_x) == 7
+        assert TrainConfig().effective_hidden(TrainConfig().features_used(with_x)) == 32
+        assert TrainConfig().effective_hidden(TrainConfig().features_used(without_x)) == 128
+        no_x = TrainConfig(use_features=False)
+        assert no_x.effective_hidden(no_x.features_used(with_x)) == 128
+        assert TrainConfig(hidden=7).effective_hidden(True) == 7
 
     def test_feature_term_requires_features(self):
         g = small_graph(with_features=False)
@@ -191,8 +194,9 @@ class TestElboLoss:
         # the link term is plain cross entropy at probability 0.5 per cell
         g, split, cfg, params, noise = two_node_setup()
         cfg = dataclasses.replace(cfg, pos_weight=1.0)
-        for p in params.decoder.parameters():
-            p.data[...] = 0.0
+        for name, p in params.items():
+            if name.startswith("decoder."):
+                p.data[...] = 0.0
         a_hat = normalize_adjacency(g)
         loss, parts = trainer.elbo_loss(g, a_hat, split, params, cfg, noise, kl_weight=0.0)
         assert abs(parts.link_nll - 4.0 * np.log(2.0)) < 1e-12
@@ -209,18 +213,9 @@ class TestElboLoss:
         losses = []
         for scale in (1.0, 10.0):
             params = trainer.init_params(g, cfg, np.random.default_rng(0))
-            params.encoder.w1.data[...] = np.eye(2) * scale
-            params.encoder.heads["mu"].data[...] = scale
-            loss, parts = trainer.elbo_loss(
-                g,
-                a_hat,
-                split,
-                params,
-                cfg,
-                noise,
-                kl_weight=0.0,
-                train_mode=False,
-            )
+            params["encoder.w1"].data[...] = np.eye(2) * scale
+            params["encoder.w_mu"].data[...] = scale
+            loss, parts = trainer.elbo_loss(g, a_hat, split, params, cfg, noise, kl_weight=0.0)
             losses.append(parts.total)
         assert losses[1] < losses[0]
         assert losses[1] < 1e-6
@@ -244,14 +239,15 @@ class TestElboLoss:
 
         g, split, cfg, params, noise = two_node_setup()
         _, parts = trainer.elbo_loss(g, normalize_adjacency(g), split, params, cfg, noise)
-        q = sl.KumaraswamyParams(params.sticks.c(), params.sticks.d())
+        c, d = (tc.softplus(params[f"sticks.raw_{x}"]) + md.PARAM_FLOOR for x in "cd")
+        q = sl.KumaraswamyParams(c, d)
         direct = sl.kl_kumaraswamy_beta(q, cfg.alpha).item()
         assert abs(parts.kl_v - direct) < 1e-12
 
     def test_nonfinite_loss_reports_components(self):
         g, split, cfg, params, noise = two_node_setup()
-        params.encoder.heads["mu"].data[...] = 1e200
-        params.encoder.w1.data[...] = 1e200
+        params["encoder.w_mu"].data[...] = 1e200
+        params["encoder.w1"].data[...] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericDomainError):
                 trainer.elbo_loss(g, normalize_adjacency(g), split, params, cfg, noise)
@@ -314,11 +310,9 @@ def test_elbo_gradient_matches_finite_differences(variant, structured):
     a_hat = normalize_adjacency(g)
 
     def f():
-        return trainer.elbo_loss(
-            g, a_hat, split, params, cfg, noise, train_mode=True
-        )[0]
+        return trainer.elbo_loss(g, a_hat, split, params, cfg, noise)[0]
 
-    err = gradient_check(f, params.parameters(), h=1e-5)
+    err = gradient_check(f, params.values(), h=1e-5)
     assert err < 1e-4, f"{variant} structured={structured}: rel err {err:.2e}"
 
 
@@ -326,9 +320,9 @@ def test_binary_variant_has_no_gaussian_heads():
     g = small_graph()
     cfg = tiny_config(variant="dglfrm-b")
     params = trainer.init_params(g, cfg, np.random.default_rng(1))
-    assert list(params.encoder.heads) == ["pi"]
-    out = md.encode(g, normalize_adjacency(g), params.encoder)
-    assert out.mu is None and out.log_sigma is None
+    assert [name for name in params if name.startswith("encoder.w_")] == ["encoder.w_pi"]
+    out = md.encode(g, normalize_adjacency(g), params)
+    assert list(out) == ["pi"]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +373,8 @@ class TestTrain:
             cfg,
             np.random.default_rng(cfg.seed),
         )
-        for p in want.parameters():
+        assert list(ckpt.params) == list(want)
+        for p in want.values():
             np.testing.assert_array_equal(ckpt.params[p.name], p.data)
 
     def test_divergence_aborts_with_last_good_checkpoint(self, synth):
@@ -431,7 +426,7 @@ class TestTrain:
             np.random.default_rng(cfg.seed),
         )
         longer, _ = trainer.train(g, no_val, dataclasses.replace(cfg, epochs=5))
-        for p in init.parameters():
+        for p in init.values():
             assert not np.array_equal(ckpt.params[p.name], p.data), p.name
             assert not np.array_equal(ckpt.params[p.name], longer.params[p.name]), p.name
 
@@ -451,7 +446,7 @@ def zero_checkpoint(n_nodes=8, with_features=False, **over):
     cfg = tiny_config(use_features=with_features, **over)
     g = small_graph(n=n_nodes, with_features=with_features)
     params = trainer.init_params(g, cfg, np.random.default_rng(0))
-    arrays = {p.name: np.zeros_like(p.data) for p in params.parameters()}
+    arrays = {name: np.zeros_like(p.data) for name, p in params.items()}
     return Checkpoint(config=cfg, params=arrays, step=0), g
 
 
@@ -584,7 +579,7 @@ class TestCheckpointIO:
             params=ckpt.params,
             step=0,
         )
-        with pytest.raises(CheckpointError, match="k=7"):
+        with pytest.raises(CheckpointError, match=r"'encoder.w_pi' has shape \(5, 4\).* implies \(5, 7\)"):
             trainer.rebuild_params(doctored)
 
     def test_unexpected_parameter_is_rejected(self):
@@ -600,6 +595,50 @@ class TestCheckpointIO:
         del params["encoder.w_pi"]
         with pytest.raises(CheckpointError, match="encoder.w_pi"):
             trainer.rebuild_params(Checkpoint(config=ckpt.config, params=params, step=0))
+
+    @pytest.mark.parametrize(
+        "name,shape",
+        [("decoder.mlp0.b", (1, 1)), ("sticks.raw_c", (1, 5)), ("feature_decoder.w", (4, 4)),
+         ("encoder.w1", (3, 6))],
+    )
+    def test_misshaped_parameter_is_rejected_by_name(self, tmp_path, name, shape):
+        g = small_graph()  # 3 feature columns: w1 is (3, 5), feature_decoder.w (4, 3)
+        ckpt, _ = trainer.train(g, trivial_split(g), tiny_config(epochs=0))
+        params = dict(ckpt.params, **{name: np.zeros(shape)})
+        path = tmp_path / "bad.ckpt"
+        trainer.save_checkpoint(Checkpoint(ckpt.config, params, 0), path)
+        with pytest.raises(CheckpointError) as e:
+            trainer.load_checkpoint(path)
+        assert str(e.value).startswith(f"{path}: parameter {name!r} has shape {shape}")
+
+    @pytest.mark.parametrize("use_features", [True, False])
+    @pytest.mark.parametrize("feature_term", [None, True, False])
+    def test_default_hidden_width_is_recovered(self, tmp_path, use_features, feature_term):
+        # without --hidden the width is 32 with features and 128 without; the
+        # stored config does not say whether the graph had features
+        path = tmp_path / "m.ckpt"
+        for g in (small_graph(), small_graph(with_features=False)):
+            if feature_term and g.features is None:
+                continue
+            cfg = tiny_config(hidden=None, use_features=use_features, feature_term=feature_term, epochs=0)
+            ckpt, _ = trainer.train(g, trivial_split(g), cfg)
+            trainer.save_checkpoint(ckpt, path)
+            assert sorted(trainer.rebuild_params(trainer.load_checkpoint(path))) == sorted(ckpt.params)
+            w1 = ckpt.params["encoder.w1"]
+            wider = dict(ckpt.params, **{"encoder.w1": np.zeros((w1.shape[0], w1.shape[1] + 1))})
+            with pytest.raises(CheckpointError, match="'encoder.w1' has shape"):
+                trainer.rebuild_params(Checkpoint(cfg, wider, 0))
+
+    def test_feature_decoder_follows_the_feature_term(self):
+        g = small_graph()
+        on, _ = trainer.train(g, trivial_split(g), tiny_config(feature_term=True, epochs=0))
+        off, _ = trainer.train(g, trivial_split(g), tiny_config(feature_term=False, epochs=0))
+        missing = {k: v for k, v in on.params.items() if k != "feature_decoder.w"}
+        with pytest.raises(CheckpointError, match="missing parameter 'feature_decoder.w'"):
+            trainer.rebuild_params(Checkpoint(on.config, missing, 0))
+        extra = dict(off.params, **{"feature_decoder.w": on.params["feature_decoder.w"]})
+        with pytest.raises(CheckpointError, match="unexpected parameters: \\['feature_decoder.w'\\]"):
+            trainer.rebuild_params(Checkpoint(off.config, extra, 0))
 
     def test_graph_compatibility_check(self):
         ckpt, _ = zero_checkpoint(n_nodes=8)
@@ -635,7 +674,7 @@ class TestCheckpointIO:
         loaded = trainer.load_checkpoint(tmp_path / "m.ckpt")
         assert sorted(loaded.params) == sorted(want)
         init = trainer.init_params(g, cfg, np.random.default_rng(cfg.seed))
-        for p in init.parameters():  # one Adam step moves every stored array
+        for p in init.values():  # one Adam step moves every stored array
             assert not np.array_equal(loaded.params[p.name], p.data), p.name
 
     def test_step_survives_roundtrip(self, tmp_path):
