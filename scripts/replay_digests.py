@@ -16,6 +16,11 @@ validation pairs, and deterministic triplet features. Then train, eval and,
 for the variants with memberships, communities with the latent CSV, for
 each run below. BLAS is pinned to one thread, since threaded sums may
 round differently.
+
+The 300-node graph fits in one row block of the fused likelihoods, so one
+more run trains on an 800-node graph with 1000 feature columns: 5 blocks of
+the link likelihood and 7 of the feature likelihood at the default block
+size, summed from the worker threads in block order.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from pathlib import Path
 
 GRAPH = ["--graph", "graph.edges.txt"]
 FEATURES = [*GRAPH, "--features", "graph.features.txt"]
+BIG_FEATURES = ["--graph", "big.edges.txt", "--features", "big.features.txt"]
 TRAIN = ["--epochs", "12", "--val-every", "4", "--seed", "7"]
 
 # (name, graph and feature options, split, train options)
@@ -41,7 +47,10 @@ RUNS = [
     ("x-dglfrm", FEATURES, "graph.split", ["--variant", "dglfrm"]),
     ("x-lfrm-mf", FEATURES, "graph.split", ["--variant", "lfrm", "--mean-field"]),
     ("x-identity-term", FEATURES, "graph.split", ["--identity-features", "--feature-term", "on"]),
+    ("big-x-dglfrm", BIG_FEATURES, "big.split", ["--variant", "dglfrm"]),
 ]
+# a run trained without validation pairs is scored on the full split
+EVAL_SPLIT = {"noval.split": "graph.split"}
 WITH_MEMBERSHIPS = ("dglfrm", "dglfrm-b", "lfrm")
 
 
@@ -87,10 +96,13 @@ def main(argv: list[str]) -> int:
     dglfrm("split", *GRAPH, "--seed", "5", "--out", "graph.split")
     drop_validation(out / "graph.split", out / "noval.split")
     write_features(out / "graph.features.txt")
+    dglfrm("synth", "--nodes", "800", "--communities", "16", "--seed", "5", "--out-prefix", "big")
+    dglfrm("split", "--graph", "big.edges.txt", "--seed", "5", "--out", "big.split")
+    write_features(out / "big.features.txt", n_nodes=800, width=1000)
     for name, graph, split, options in RUNS:
         ckpt = f"{name}.ckpt"
         dglfrm("train", *graph, "--split", split, *TRAIN, *options, "--out-ckpt", ckpt)
-        dglfrm("eval", "--ckpt", ckpt, *graph, "--split", "graph.split")
+        dglfrm("eval", "--ckpt", ckpt, *graph, "--split", EVAL_SPLIT.get(split, split))
         variant = options[options.index("--variant") + 1] if "--variant" in options else "dglfrm"
         if variant in WITH_MEMBERSHIPS:
             dglfrm("communities", "--ckpt", ckpt, *graph, "--out", f"{name}.communities.txt",

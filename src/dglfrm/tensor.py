@@ -7,6 +7,8 @@ just compute values, which is what evaluation paths use. Gradients accumulate
 
 from __future__ import annotations
 
+import contextvars
+import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -401,16 +403,17 @@ def logaddexp(a, b) -> Tensor:
 # Unary elementwise ops
 
 
-def _softplus_np(x: np.ndarray) -> np.ndarray:
+def _softplus_np(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow.
 
     Within 5e-16 relative of np.logaddexp(0, x), at about 40% of its cost.
+    `out` and `scratch`, arrays shaped like x, take the result and max(x, 0).
     """
-    out = np.abs(x)
+    out = np.abs(x, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(x, 0.0)
+    out += np.maximum(x, 0.0, out=scratch)
     return out
 
 
@@ -617,11 +620,46 @@ def dropout(x, rate: float, rng: np.random.Generator, train: bool = True) -> Ten
 
 
 # Elements per row block of the blocked ops: link_bce_sum, feature_bce_sum,
-# sparse_dropout and the synthetic edge draw (2 MB of float64 per temporary).
+# sparse_dropout and the synthetic edge draw (1 MB of float64 per temporary).
 # For link_bce_sum, sizes 2**16 to 2**18 timed within 10% of each other at
-# N = 2000 to 5000, 2**20 up to 16% slower; the larger of the fast sizes keeps
-# the block count low at large N.
-LINK_BLOCK_ELEMENTS = 2**18
+# N = 2000 to 5000, 2**20 up to 16% slower. The fused likelihoods keep up to
+# BLOCK_WORKERS blocks in flight: at 2**17 two hold what one 2**18 block held.
+LINK_BLOCK_ELEMENTS = 2**17
+
+# Threads that run the fused likelihoods' row blocks: every CPU this process may use.
+BLOCK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _sum_blocks(n: int, rows: int, width: int, partial_shape: tuple, block) -> float:
+    """Sum block(a, b, scratch, partial) over the row blocks [a, b) of n rows, `rows` at a time.
+
+    A block returns its loss, its partial gradient (written into `partial`,
+    shaped partial_shape) and the array to add that to; rows no other block
+    touches it writes itself. Up to BLOCK_WORKERS blocks run at once on
+    threads, each in a copy of the caller's contextvars context (np.errstate
+    lives there). Their buffers (`scratch` is three of rows * width) belong to
+    the calling thread: large allocations made on the workers stay in glibc's
+    per-thread arenas and raise peak RSS. The calling thread adds the results
+    in block order, so the bits do not depend on the worker count. A block's
+    exception is raised once the blocks in flight are done.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # only training walks blocks
+
+    starts = range(0, n, rows)
+    workers = max(1, min(BLOCK_WORKERS, len(starts)))
+    scratch = np.empty((workers, 3, rows * width))
+    partials = np.empty((workers, *partial_shape))
+    total, in_flight = 0.0, []
+    with ThreadPoolExecutor(workers) as pool:
+        for i, a in enumerate(starts):
+            run, slot = contextvars.copy_context().run, i % workers
+            in_flight.append(pool.submit(run, block, a, min(a + rows, n), scratch[slot], partials[slot]))
+            # the oldest block is added once the next needs its buffers, all after the last
+            while len(in_flight) == workers or (in_flight and i == len(starts) - 1):
+                loss, partial, into = in_flight.pop(0).result()
+                total += loss
+                into += partial
+    return total
 
 
 def sparse_dropout(x: SparseMatrix, rate: float, rng: np.random.Generator) -> SparseMatrix:
@@ -656,8 +694,10 @@ def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Ten
     are not read) plus the diagonal. X and `positives` must be symmetric:
     the pairs are walked in row blocks [a, b) over columns [a, N), so only
     the upper triangle and the diagonal are computed, each pair above the
-    diagonal counted twice. Memory is O(LINK_BLOCK_ELEMENTS + N * F), and
-    the fixed block order makes the result deterministic.
+    diagonal counted twice. The blocks run on BLOCK_WORKERS threads and are
+    summed in block order (see _sum_blocks), so the result is deterministic
+    and independent of the worker count. Memory is O(BLOCK_WORKERS *
+    (LINK_BLOCK_ELEMENTS + N * F) + N * F).
 
     Both gradients are accumulated in the forward pass, so backward only
     scales them: left gets G @ right and right gets G.T @ left, with G the
@@ -675,12 +715,11 @@ def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Ten
     grad_left = np.zeros_like(left.data)
     grad_right = np.zeros_like(right.data)
     indptr, indices = positives.indptr, positives.indices
-    rows = max(1, LINK_BLOCK_ELEMENTS // n)
-    total = 0.0
-    for a in range(0, n, rows):
-        b = min(a + rows, n)
-        m = b - a
-        x = left.data[a:b] @ right.data[a:].T
+
+    def block(a: int, b: int, scratch: np.ndarray, partial: np.ndarray):
+        m, cols = b - a, n - a
+        x, loss, d = (buf[: m * cols].reshape(m, cols) for buf in scratch)
+        np.matmul(left.data[a:b], right.data[a:].T, out=x)
         # targets in the block: train edges above the diagonal, then the diagonal
         r = np.repeat(np.arange(m), np.diff(indptr[a : b + 1]))
         c = indices[indptr[a] : indptr[b]] - a
@@ -691,17 +730,19 @@ def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Ten
         w = np.triu(np.full((m, m), 2.0), 1)
         np.fill_diagonal(w, 1.0)
 
-        loss = _softplus_np(x)  # -log(1 - sigmoid(x)) for a non-edge
+        _softplus_np(x, out=loss, scratch=d)  # -log(1 - sigmoid(x)) for a non-edge
         loss[pr, pc] = pos_weight * _softplus_np(-x[pr, pc])  # -w log sigmoid(x)
         loss[:, :m] *= w
-        total += float(loss[:, :m].sum()) + 2.0 * float(loss[:, m:].sum())
+        block_total = float(loss[:, :m].sum()) + 2.0 * float(loss[:, m:].sum())
 
-        d = _special.expit(x)
+        _special.expit(x, out=d)
         d[pr, pc] = pos_weight * (d[pr, pc] - 1.0)
         d[:, :m] *= w
         d[:, m:] *= 2.0
         grad_left[a:b] += d @ right.data[a:]
-        grad_right[a:] += d.T @ left.data[a:b]
+        return block_total, np.matmul(d.T, left.data[a:b], out=partial[a:]), grad_right[a:]
+
+    total = _sum_blocks(n, max(1, min(n, LINK_BLOCK_ELEMENTS // n)), n, left.shape, block)
 
     def bwd(g: np.ndarray) -> None:
         if left.requires_grad:
@@ -718,9 +759,11 @@ def feature_bce_sum(z, w, targets: SparseMatrix) -> Tensor:
     An entry's loss -[y log sigmoid(x) + (1 - y) log(1 - sigmoid(x))] is
     softplus(x) - y * x for any target y, so each row block [a, b) of
     LINK_BLOCK_ELEMENTS // D rows adds the sum of softplus over its logits
-    minus y * x over its stored targets. Memory is O(LINK_BLOCK_ELEMENTS +
-    N * K + K * D). As in link_bce_sum, both gradients are accumulated in the
-    forward pass: z gets G @ w.T and w gets z.T @ G, with G = sigmoid(X) - Y.
+    minus y * x over its stored targets. As in link_bce_sum, the blocks run on
+    BLOCK_WORKERS threads and are summed in block order, memory is
+    O(BLOCK_WORKERS * (LINK_BLOCK_ELEMENTS + K * D) + N * K), and both
+    gradients are accumulated in the forward pass: z gets G @ w.T and w gets
+    z.T @ G, with G = sigmoid(X) - Y.
     """
     z, w = as_tensor(z), as_tensor(w)
     n, d = targets.shape
@@ -729,19 +772,20 @@ def feature_bce_sum(z, w, targets: SparseMatrix) -> Tensor:
     grad_z = np.empty_like(z.data)
     grad_w = np.zeros_like(w.data)
     indptr, indices, values = targets.indptr, targets.indices, targets.values
-    rows = max(1, LINK_BLOCK_ELEMENTS // d)
-    total = 0.0
-    for a in range(0, n, rows):
-        b = min(a + rows, n)
-        x = z.data[a:b] @ w.data
+
+    def block(a: int, b: int, scratch: np.ndarray, partial: np.ndarray):
+        x, loss, g = (buf[: (b - a) * d].reshape(b - a, d) for buf in scratch)
+        np.matmul(z.data[a:b], w.data, out=x)
         r = np.repeat(np.arange(b - a), np.diff(indptr[a : b + 1]))
         c = indices[indptr[a] : indptr[b]]
         y = values[indptr[a] : indptr[b]]
-        total += float(_softplus_np(x).sum()) - float(y @ x[r, c])
-        g = _special.expit(x)
+        block_total = float(_softplus_np(x, out=loss, scratch=g).sum()) - float(y @ x[r, c])
+        _special.expit(x, out=g)
         g[r, c] -= y
         grad_z[a:b] = g @ w.data.T
-        grad_w += z.data[a:b].T @ g
+        return block_total, np.matmul(z.data[a:b].T, g, out=partial), grad_w
+
+    total = _sum_blocks(n, max(1, min(n, LINK_BLOCK_ELEMENTS // d)), d, w.shape, block)
 
     def bwd(g: np.ndarray) -> None:
         if z.requires_grad:

@@ -4,7 +4,9 @@
 N x D logit matrix; its oracle is the dense logits and
 `weighted_bce_with_logits_sum` with positive weight 1. `tensor.sparse_dropout`
 must keep exactly the entries `tensor.dropout` keeps on the dense matrix and
-leave the generator where the dense draw leaves it.
+leave the generator where the dense draw leaves it. The feature blocks run
+on a thread pool and are summed in block order, so the bits must not depend
+on the number of workers.
 """
 
 import tracemalloc
@@ -74,6 +76,26 @@ def test_feature_bce_sum_matches_dense_oracle(n, k, d, density, binary, scale, b
         fused = loss_and_grads(tc.feature_bce_sum, z0, w0, targets)
     for got, want in zip(fused, dense):
         assert_close(got, want)
+
+
+@pytest.mark.parametrize(
+    "n,d,density,block",
+    [(10, 7, 0.4, 21), (1, 5, 0.5, 5), (6, 37, 0.3, 16), (5, 4, 0.0, 8), (40, 9, 0.2, 45)],
+    ids=["short-last-block", "one-row", "wider-than-a-block", "no-stored-target", "eight-blocks"],
+)
+def test_feature_bce_sum_bits_do_not_depend_on_the_worker_count(n, d, density, block):
+    rng = np.random.default_rng(n)
+    targets = SparseMatrix(random_targets(n, d, density, False, rng))
+    z0, w0 = rng.normal(size=(n, 3)), rng.normal(size=(3, d))
+    runs = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", block), \
+                mock.patch.object(tc, "BLOCK_WORKERS", workers):
+            runs.append(loss_and_grads(tc.feature_bce_sum, z0, w0, targets))
+    for run in runs[1:]:
+        assert run[0] == runs[0][0]
+        for got, want in zip(run[1:], runs[0][1:]):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,13 @@
 `tensor.link_bce_sum` walks symmetric row blocks and never forms the logit
 grid. The oracle here is the dense path: the full logit grid, the train
 adjacency with the diagonal set to 1 as targets, and
-`oracles.weighted_bce_with_logits_sum`.
+`oracles.weighted_bce_with_logits_sum`. The blocks run on a thread pool
+and are summed in block order, so the bits must not depend on the number
+of workers.
 """
 
+import itertools
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -87,6 +91,73 @@ def test_link_bce_sum_matches_dense_oracle(n, f, density, pos_weight, scale, blo
         fused = loss_and_grads(tc.link_bce_sum, z0, w0, shared, positives, pos_weight)
     for got, want in zip(fused, dense):
         assert_close(got, want)
+
+
+@pytest.mark.parametrize(
+    "n,density,block,shared",
+    [(10, 0.3, 30, True), (10, 0.3, 30, False), (1, 0.0, 1, True), (9, 0.0, 20, False),
+     (40, 0.1, 200, True)],
+    ids=["short-last-block-shared", "short-last-block-bilinear", "one-node", "empty-train",
+         "eight-blocks"],
+)
+def test_link_bce_sum_bits_do_not_depend_on_the_worker_count(n, density, block, shared):
+    rng = np.random.default_rng(n)
+    positives = random_positives(n, density, rng)
+    z0, w0 = rng.normal(size=(n, 3)), rng.normal(size=(3, 3))
+    runs = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", block), \
+                mock.patch.object(tc, "BLOCK_WORKERS", workers):
+            runs.append(loss_and_grads(tc.link_bce_sum, z0, w0, shared, positives, 3.0))
+    for run in runs[1:]:
+        assert run[0] == runs[0][0]
+        for got, want in zip(run[1:], runs[0][1:]):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_a_failing_block_propagates_and_leaves_no_trace():
+    """An error in the third block's expit leaves no tape node, gradient or thread behind."""
+    rng = np.random.default_rng(0)
+    positives = random_positives(12, 0.3, rng)
+    z, w = Parameter(rng.normal(size=(12, 2)), "z"), Parameter(rng.normal(size=(2, 2)), "w")
+    calls, expit = itertools.count(1), tc._special.expit
+
+    def failing_expit(*args, **kwargs):
+        if next(calls) == 3:
+            raise RuntimeError("block failed")
+        return expit(*args, **kwargs)
+
+    threads = threading.active_count()
+    with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", 24), \
+            mock.patch.object(tc, "BLOCK_WORKERS", 2), \
+            mock.patch.object(tc._special, "expit", failing_expit), tc.Tape() as tape:
+        left = tc.matmul(z, w)
+        recorded = len(tape)
+        with pytest.raises(RuntimeError, match="block failed"):
+            tc.link_bce_sum(left, z, positives, 2.0)
+        assert len(tape) == recorded
+    assert threading.active_count() == threads
+    assert not z.grad.any() and not w.grad.any()
+
+
+def test_blocks_run_under_the_callers_errstate():
+    """numpy 2 keeps np.errstate in a context variable; the worker threads must see it."""
+    rng = np.random.default_rng(1)
+    positives = random_positives(12, 0.3, rng)
+    seen, expit = [], tc._special.expit
+
+    def recording_expit(*args, **kwargs):
+        seen.append(np.geterr())
+        return expit(*args, **kwargs)
+
+    with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", 24), \
+            mock.patch.object(tc, "BLOCK_WORKERS", 2), \
+            mock.patch.object(tc._special, "expit", recording_expit), \
+            np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as the trainer sets it
+        tc.link_bce_sum(rng.normal(size=(12, 2)), rng.normal(size=(12, 2)), positives, 2.0)
+        want = np.geterr()
+    assert len(seen) == 6
+    assert all(got == want for got in seen)
 
 
 @pytest.mark.parametrize(
