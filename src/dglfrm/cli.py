@@ -17,15 +17,19 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the caller set a count, before numpy loads: row blocks already use every CPU.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from . import __version__
-from . import graphdata as gd
-from . import metrics as mx
-from . import trainer
-from .graphdata import Graph, LoadError, SplitError
-from .tensor import NumericDomainError, ShapeError, UsageError
-from .trainer import CheckpointError, ConfigError, TrainConfig
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
+from . import graphdata as gd  # noqa: E402
+from . import metrics as mx  # noqa: E402
+from . import trainer  # noqa: E402
+from .graphdata import Graph, LoadError, SplitError  # noqa: E402
+from .tensor import NumericDomainError, ShapeError, UsageError  # noqa: E402
+from .trainer import CheckpointError, ConfigError, TrainConfig  # noqa: E402
 
 logger = logging.getLogger(__name__)
 

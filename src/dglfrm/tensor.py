@@ -392,15 +392,24 @@ def logaddexp(a, b) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         # d/da = sigmoid(a - b), d/db = sigmoid(b - a)
         if a.requires_grad:
-            a._accum(_unbroadcast(g * _special.expit(a.data - b.data), a.shape))
+            a._accum(_unbroadcast(g * _sigmoid_np(a.data - b.data), a.shape))
         if b.requires_grad:
-            b._accum(_unbroadcast(g * _special.expit(b.data - a.data), b.shape))
+            b._accum(_unbroadcast(g * _sigmoid_np(b.data - a.data), b.shape))
 
     return _make(np.logaddexp(a.data, b.data), (a, b), bwd, "logaddexp")
 
 
 # ---------------------------------------------------------------------------
 # Unary elementwise ops
+
+
+def _sigmoid_np(x: np.ndarray, out=None) -> np.ndarray:
+    """1 / (1 + exp(-x)) into `out` if given: scipy.special's formula on numpy's vectorized exp."""
+    out = np.empty(np.shape(x)) if out is None else out
+    with np.errstate(over="ignore"):  # x < -709: exp(-x) is inf and the result 0, as in scipy
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _softplus_np(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -429,11 +438,11 @@ def _unary(x, fwd, dfdx, op: str) -> Tensor:
 
 
 def sigmoid(x) -> Tensor:
-    return _unary(x, _special.expit, lambda _, y: y * (1.0 - y), "sigmoid")
+    return _unary(x, _sigmoid_np, lambda _, y: y * (1.0 - y), "sigmoid")
 
 
 def softplus(x) -> Tensor:
-    return _unary(x, _softplus_np, lambda d, _: _special.expit(d), "softplus")
+    return _unary(x, _softplus_np, lambda d, _: _sigmoid_np(d), "softplus")
 
 
 def exp(x) -> Tensor:
@@ -735,7 +744,7 @@ def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Ten
         loss[:, :m] *= w
         block_total = float(loss[:, :m].sum()) + 2.0 * float(loss[:, m:].sum())
 
-        _special.expit(x, out=d)
+        _sigmoid_np(x, out=d)
         d[pr, pc] = pos_weight * (d[pr, pc] - 1.0)
         d[:, :m] *= w
         d[:, m:] *= 2.0
@@ -780,7 +789,7 @@ def feature_bce_sum(z, w, targets: SparseMatrix) -> Tensor:
         c = indices[indptr[a] : indptr[b]]
         y = values[indptr[a] : indptr[b]]
         block_total = float(_softplus_np(x, out=loss, scratch=g).sum()) - float(y @ x[r, c])
-        _special.expit(x, out=g)
+        _sigmoid_np(x, out=g)
         g[r, c] -= y
         grad_z[a:b] = g @ w.data.T
         return block_total, np.matmul(z.data[a:b].T, g, out=partial), grad_w

@@ -512,6 +512,30 @@ class TestArgHandling:
         )
         assert result.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize(
+        "preset, want",
+        [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+        ids=["unset", "caller-kept"],
+    )
+    def test_blas_threads_are_fixed_before_numpy_loads(self, preset, want):
+        """The block workers already use every CPU; a count the caller set still wins."""
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        # a finder that prints the variables when numpy is first imported, then lets it load
+        code = (
+            "import os, sys\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            f"        if name == 'numpy': print([os.environ.get(v) for v in {names!r}])\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import dglfrm.cli\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env.update(preset, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+        )
+        assert result.stdout.strip() == str(want)
+
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "dglfrm.cli", "--version"],

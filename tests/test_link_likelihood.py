@@ -116,21 +116,21 @@ def test_link_bce_sum_bits_do_not_depend_on_the_worker_count(n, density, block, 
 
 
 def test_a_failing_block_propagates_and_leaves_no_trace():
-    """An error in the third block's expit leaves no tape node, gradient or thread behind."""
+    """An error in the third block's sigmoid leaves no tape node, gradient or thread behind."""
     rng = np.random.default_rng(0)
     positives = random_positives(12, 0.3, rng)
     z, w = Parameter(rng.normal(size=(12, 2)), "z"), Parameter(rng.normal(size=(2, 2)), "w")
-    calls, expit = itertools.count(1), tc._special.expit
+    calls, sigmoid = itertools.count(1), tc._sigmoid_np
 
-    def failing_expit(*args, **kwargs):
+    def failing_sigmoid(*args, **kwargs):
         if next(calls) == 3:
             raise RuntimeError("block failed")
-        return expit(*args, **kwargs)
+        return sigmoid(*args, **kwargs)
 
     threads = threading.active_count()
     with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", 24), \
             mock.patch.object(tc, "BLOCK_WORKERS", 2), \
-            mock.patch.object(tc._special, "expit", failing_expit), tc.Tape() as tape:
+            mock.patch.object(tc, "_sigmoid_np", failing_sigmoid), tc.Tape() as tape:
         left = tc.matmul(z, w)
         recorded = len(tape)
         with pytest.raises(RuntimeError, match="block failed"):
@@ -144,15 +144,15 @@ def test_blocks_run_under_the_callers_errstate():
     """numpy 2 keeps np.errstate in a context variable; the worker threads must see it."""
     rng = np.random.default_rng(1)
     positives = random_positives(12, 0.3, rng)
-    seen, expit = [], tc._special.expit
+    seen, sigmoid = [], tc._sigmoid_np
 
-    def recording_expit(*args, **kwargs):
+    def recording_sigmoid(*args, **kwargs):
         seen.append(np.geterr())
-        return expit(*args, **kwargs)
+        return sigmoid(*args, **kwargs)
 
     with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", 24), \
             mock.patch.object(tc, "BLOCK_WORKERS", 2), \
-            mock.patch.object(tc._special, "expit", recording_expit), \
+            mock.patch.object(tc, "_sigmoid_np", recording_sigmoid), \
             np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as the trainer sets it
         tc.link_bce_sum(rng.normal(size=(12, 2)), rng.normal(size=(12, 2)), positives, 2.0)
         want = np.geterr()

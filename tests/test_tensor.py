@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import special
 
 from dglfrm import tensor as tc
 from oracles import (
@@ -73,6 +76,41 @@ def test_sparse_matrix_indices_sorted_and_unique():
 
 def test_sigmoid_at_zero():
     assert tc.sigmoid(tc.Tensor([0.0])).data[0] == 0.5
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.linspace(-800.0, 800.0, 200_001), np.random.default_rng(0).normal(size=100_000)],
+    ids=["range-800", "normals"],
+)
+def test_sigmoid_np_within_four_ulp_of_scipy(x):
+    want = special.expit(x)
+    assert (np.abs(tc._sigmoid_np(x) - want) / np.spacing(np.abs(want))).max() <= 4.0
+
+
+def test_sigmoid_np_special_values():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -710.0, -800.0])
+    got = tc._sigmoid_np(x)
+    np.testing.assert_array_equal(got, [0.5, 0.5, 1.0, 0.0, np.nan, 0.0, 0.0])
+    np.testing.assert_array_equal(got, special.expit(x))
+
+
+@pytest.mark.parametrize("over", ["warn", "raise"])
+def test_sigmoid_np_overflow_is_silent_under_any_errstate(over):
+    """exp(-x) overflows for x < -709; the result 0 is exact, so no warning or error."""
+    with warnings.catch_warnings(), np.errstate(all=over):
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(tc._sigmoid_np(np.array([-710.0, -1e308])), [0.0, 0.0])
+        assert np.geterr()["over"] == over
+
+
+def test_sigmoid_np_writes_into_out():
+    x = np.linspace(-5.0, 5.0, 11)
+    out = np.empty_like(x)
+    assert tc._sigmoid_np(x, out=out) is out
+    np.testing.assert_array_equal(out, tc._sigmoid_np(x))
+    assert tc._sigmoid_np(x, out=x) is x  # out may be x itself
+    np.testing.assert_array_equal(x, out)
 
 
 def test_softplus_at_zero():
