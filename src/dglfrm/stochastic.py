@@ -1,7 +1,10 @@
 """Reparameterized samplers and KL terms for the three variational families.
 
 All samplers take explicit noise so training steps are deterministic under a
-seed and finite-difference checks can freeze the randomness.
+seed and finite-difference checks can freeze the randomness. Parameters in a
+stated domain (positive c, d and temperature, y in (0, 1)) are the caller's
+contract, met by construction: softplus plus a floor, clips to [EPS, 1-EPS]
+and the config checks of `trainer.TrainConfig`. Nothing here scans for them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import numpy as np
 from scipy import special as _special
 
 from . import tensor as tc
-from .tensor import NumericDomainError, Tensor
+from .tensor import Tensor
 
 EPS = 1e-7
 
@@ -31,14 +34,10 @@ class KumaraswamyParams:
 
 @dataclass(frozen=True)
 class ConcreteParams:
-    """Binary Concrete distribution in logit parameterization."""
+    """Binary Concrete distribution in logit parameterization; temperature > 0."""
 
     logit_pi: Tensor
     temperature: float
-
-    def __post_init__(self) -> None:
-        if not self.temperature > 0.0:
-            raise NumericDomainError(f"concrete: temperature {self.temperature} <= 0")
 
     @classmethod
     def from_pi(cls, pi: Tensor, temperature: float) -> "ConcreteParams":
@@ -80,17 +79,13 @@ class ReparamNoise:
 
 def sample_kumaraswamy(p: KumaraswamyParams, noise: ReparamNoise) -> Tensor:
     """Inverse-CDF draw v = (1 - u^(1/d))^(1/c), clamped into (0, 1)."""
-    if np.any(p.c.data <= 0.0) or np.any(p.d.data <= 0.0):
-        raise NumericDomainError("sample_kumaraswamy: c and d must be positive")
     u = Tensor(noise.u)
     inner = tc.clip(1.0 - tc.pow_(u, tc.reciprocal(p.d)), EPS, 1.0 - EPS)
     return tc.clip(tc.pow_(inner, tc.reciprocal(p.c)), EPS, 1.0 - EPS)
 
 
 def stick_breaking(v: Tensor) -> Tensor:
-    """Row-wise stick products pi_k = prod_{j<=k} v_j; rows non-increasing."""
-    if np.any(v.data <= 0.0) or np.any(v.data >= 1.0):
-        raise NumericDomainError("stick_breaking: entries must lie in (0, 1)")
+    """Row-wise stick products pi_k = prod_{j<=k} v_j of v in (0, 1); rows non-increasing."""
     return tc.row_cumprod(v)
 
 
@@ -119,8 +114,6 @@ def log_density_binary_concrete(y: Tensor, p: ConcreteParams) -> Tensor:
     log lam + logit_pi - (lam+1)(log y + log(1-y))
         - 2*logaddexp(logit_pi - lam*log y, -lam*log(1-y))
     """
-    if np.any(y.data <= 0.0) or np.any(y.data >= 1.0):
-        raise NumericDomainError("concrete log-density: y must lie strictly in (0, 1)")
     lam = p.temperature
     log_y = tc.log(y)
     log_1my = tc.log(1.0 - y)
@@ -140,16 +133,12 @@ def kl_concrete_mc(q: ConcreteParams, p: ConcreteParams, y: Tensor) -> Tensor:
 
 
 def kl_kumaraswamy_beta(q: KumaraswamyParams, prior_alpha: float) -> Tensor:
-    """KL(Kumaraswamy(c,d) || Beta(alpha,1)) summed over entries.
+    """KL(Kumaraswamy(c,d) || Beta(alpha,1)) summed over entries, alpha > 0.
 
     The IBP stick prior is Beta(alpha, 1), for which the KL is exact
     (Nalisnick & Smyth 2017):
       ((a-alpha)/a)(-gamma - digamma(b) - 1/b) + log(ab) + logB(alpha,1) - (b-1)/b
     """
-    if not prior_alpha > 0.0:
-        raise NumericDomainError(f"kl_kumaraswamy_beta: prior alpha {prior_alpha} <= 0")
-    if np.any(q.c.data <= 0.0) or np.any(q.d.data <= 0.0):
-        raise NumericDomainError("kl_kumaraswamy_beta: c and d must be positive")
     a, b = q.c, q.d
     alpha = float(prior_alpha)
     gamma = float(np.euler_gamma)
@@ -163,9 +152,7 @@ def kl_kumaraswamy_beta(q: KumaraswamyParams, prior_alpha: float) -> Tensor:
 
 
 def kl_gaussian_std(p: GaussianParams, prior_sigma: float = 1.0) -> Tensor:
-    """Closed-form KL(N(mu, sigma^2) || N(0, prior_sigma^2)) summed over entries."""
-    if not prior_sigma > 0.0:
-        raise NumericDomainError(f"kl_gaussian_std: prior_sigma {prior_sigma} <= 0")
+    """Closed-form KL(N(mu, sigma^2) || N(0, prior_sigma^2)) summed over entries, prior_sigma > 0."""
     sigma = tc.exp(p.log_sigma)
     scale = 1.0 / (2.0 * prior_sigma * prior_sigma)
     terms = (

@@ -6,6 +6,9 @@ N x N node pairs by `tensor.link_bce_sum`, which walks symmetric row blocks,
 and the feature likelihood over all N x D entries by `tensor.feature_bce_sum`,
 so neither grid is formed during training. Scoring uses deterministic
 posterior means (flagged in the report) rather than Monte Carlo draws.
+
+Numeric faults are caught here, at the loss of each step and at the encoder
+outputs of each scoring pass, and by `tensor.adam_step` at the gradients.
 """
 
 from __future__ import annotations
@@ -164,10 +167,11 @@ class TrainReport:
     best_val_auc: float | None = None
     wall_seconds: float = 0.0
     diverged: bool = False
+    divergence: str = ""  # the failed check's message when diverged
     scoring: str = "posterior-mean"
 
     def core(self) -> dict:
-        """Deterministic content (everything except wall-clock)."""
+        """Deterministic content (everything except wall-clock and the divergence message)."""
         return {
             "losses": self.losses,
             "val_trace": self.val_trace,
@@ -176,11 +180,6 @@ class TrainReport:
             "diverged": self.diverged,
             "scoring": self.scoring,
         }
-
-    def to_json(self) -> str:
-        payload = dict(self.core())
-        payload["wall_seconds"] = self.wall_seconds
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 @dataclass(frozen=True)
@@ -414,10 +413,10 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
                     tc.backward(loss)
                 tape.clear()
                 tc.adam_step(params.values(), lr=config.lr)
-        except NumericDomainError:
+        except NumericDomainError as e:
             # divergence: the loss and adam_step raise before any parameter
             # changes, so params still hold the last good values
-            report.diverged = True
+            report.diverged, report.divergence = True, str(e)
             break
         report.losses.append(parts.as_dict())
         if epoch % config.val_every == 0 or epoch == config.epochs:
@@ -453,6 +452,9 @@ def _latents_from_params(
     params: dict[str, Parameter], config: TrainConfig, g: Graph, a_hat: SparseMatrix
 ) -> EvalLatents:
     out = md.encode(g, a_hat, params)
+    for head, value in out.items():
+        if not np.all(np.isfinite(value.data)):
+            raise NumericDomainError(f"encoder head {head}: non-finite output")
     b = tc.sigmoid(out["pi"]) if "pi" in out else None
     r = out.get("mu")
     return EvalLatents(

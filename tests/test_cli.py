@@ -163,6 +163,18 @@ class TestTrain:
         assert losses[-1] < losses[50]
         assert "wall_seconds" not in report
 
+    def test_divergence_names_the_failed_check(self, ws, tmp_path, capsys):
+        ckpt = tmp_path / "diverged.ckpt"
+        assert run("train", "--graph", ws["graph"], "--split", ws["split"], "--k", 4,
+                   "--hidden", 8, "--epochs", 5, "--lr", "1e280", "--out-ckpt", ckpt) == 0
+        out = capsys.readouterr().out
+        assert "warning: training diverged (non-finite loss: {'total': nan" in out
+        for name, arr in trainer.load_checkpoint(ckpt).params.items():
+            assert np.all(np.isfinite(arr)), name
+        report = json.loads(Path(str(ckpt) + ".report.json").read_text())
+        assert report["diverged"] and len(report["losses"]) == 1
+        assert "non-finite" not in json.dumps(report)  # the message stays out of the file
+
     def test_lfrm_variant_trains(self, ws, tmp_path):
         ckpt = tmp_path / "lfrm.ckpt"
         code = run("train", "--graph", ws["graph"], "--split", ws["split"],
@@ -271,6 +283,20 @@ class TestTrain:
                    "--epochs", 1, "--out-ckpt", tmp_path / "c")
         assert code == 2
         assert str(split) + where in capsys.readouterr().err
+
+
+class TestNumericFailure:
+    @pytest.mark.parametrize("command", ["eval", "communities"])
+    def test_nonfinite_encoder_output_exits_three(self, ws, tmp_path, capsys, command):
+        ckpt = trainer.load_checkpoint(ws["ckpt"])
+        ckpt.params["encoder.w_mu"][0, 0] = np.inf
+        path = tmp_path / "inf.ckpt"
+        trainer.save_checkpoint(ckpt, path)
+        where = ["--split", ws["split"]] if command == "eval" else ["--out", tmp_path / "c.txt"]
+        with np.errstate(invalid="ignore"):
+            code = run(command, "--ckpt", path, "--graph", ws["graph"], *where)
+        assert code == 3
+        assert "numeric failure: encoder head mu: non-finite output" in capsys.readouterr().err
 
 
 class TestEval:

@@ -98,14 +98,6 @@ class TestEncode:
         with pytest.raises(UsageError):
             md.encode(g, normalize_adjacency(g), enc, dropout=0.5)
 
-    def test_nonfinite_names_the_head(self):
-        g = ring_graph(4, seed=3)
-        enc = encoder_params(0, 3, 6, 5)
-        enc["encoder.w_mu"].data[...] = np.inf
-        with pytest.raises(tc.NumericDomainError, match="mu"):
-            with np.errstate(invalid="ignore"):
-                md.encode(g, normalize_adjacency(g), enc)
-
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         for trial in range(3):

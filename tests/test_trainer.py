@@ -386,6 +386,58 @@ class TestTrain:
         for name, arr in ckpt.params.items():
             assert np.all(np.isfinite(arr)), name
 
+    @staticmethod
+    def assert_stopped_after_two_epochs(ckpt, report, clean, clean_report):
+        assert report.diverged and report.losses == clean_report.losses
+        assert ckpt.step == clean.step == 2
+        for name, arr in clean.params.items():
+            assert ckpt.params[name].tobytes() == arr.tobytes(), name
+
+    # Without validation pairs the checkpoint holds the parameters as the run
+    # left them, so it shows whether the failed third step changed any.
+
+    def test_nan_in_a_forward_op_stops_at_the_loss(self, synth, monkeypatch):
+        g, split = synth
+        no_val = dataclasses.replace(split, val_pos=(), val_neg=())
+        cfg = tiny_config(epochs=6)
+        clean, clean_report = trainer.train(g, no_val, dataclasses.replace(cfg, epochs=2))
+        digamma, calls = tc.digamma, []
+
+        def poisoned(x):
+            out = digamma(x)
+            calls.append(x)
+            if len(calls) == 3:  # one call per step, in the stick KL
+                out.data[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(tc, "digamma", poisoned)
+        ckpt, report = trainer.train(g, no_val, cfg)
+        assert report.divergence.startswith("non-finite loss: {'total': nan")
+        self.assert_stopped_after_two_epochs(ckpt, report, clean, clean_report)
+
+    def test_nan_in_one_gradient_stops_before_adam(self, synth, monkeypatch):
+        g, split = synth
+        no_val = dataclasses.replace(split, val_pos=(), val_neg=())
+        cfg = tiny_config(epochs=6)
+        clean, clean_report = trainer.train(g, no_val, dataclasses.replace(cfg, epochs=2))
+        init_params, backward, params, calls = trainer.init_params, tc.backward, {}, []
+
+        def capturing_init(*args):
+            params.update(init_params(*args))
+            return params
+
+        def poisoned(loss):
+            backward(loss)
+            calls.append(loss)
+            if len(calls) == 3:
+                params["decoder.mlp0.w"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(trainer, "init_params", capturing_init)
+        monkeypatch.setattr(tc, "backward", poisoned)
+        ckpt, report = trainer.train(g, no_val, cfg)
+        assert report.divergence == "adam_step: non-finite gradient for 'decoder.mlp0.w'"
+        self.assert_stopped_after_two_epochs(ckpt, report, clean, clean_report)
+
     def test_best_checkpoint_tracks_validation_auc(self, synth):
         g, split = synth
         cfg = tiny_config(epochs=20, val_every=4, dropout=0.5)
@@ -430,12 +482,6 @@ class TestTrain:
             assert not np.array_equal(ckpt.params[p.name], p.data), p.name
             assert not np.array_equal(ckpt.params[p.name], longer.params[p.name]), p.name
 
-    def test_report_json_includes_wall_clock(self, synth):
-        g, split = synth
-        _, report = trainer.train(g, split, tiny_config(epochs=1))
-        payload = json.loads(report.to_json())
-        assert "wall_seconds" in payload
-        assert payload["scoring"] == "posterior-mean"
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +516,13 @@ class TestScorePairs:
         s1 = trainer.score_pairs(ckpt, g, a_hat, pairs)
         s2 = trainer.score_pairs(ckpt, g, a_hat, pairs)
         assert s1.tobytes() == s2.tobytes()
+
+    def test_nonfinite_names_the_head(self):
+        ckpt, g = zero_checkpoint()
+        ckpt.params["encoder.w_mu"][...] = np.inf
+        with pytest.raises(NumericDomainError, match="mu"):
+            with np.errstate(invalid="ignore"):
+                trainer.score_pairs(ckpt, g, normalize_adjacency(g), [(0, 1)])
 
     def test_rejects_self_pairs(self):
         ckpt, g = zero_checkpoint()
