@@ -201,7 +201,10 @@ def cmd_train(args) -> None:
         f"final loss {last:.4f}, best val auc {best if best is None else round(best, 4)}"
     )
     if report.diverged:
-        print(f"warning: training diverged ({report.divergence}); checkpoint holds the last good parameters")
+        print(
+            f"warning: training diverged ({report.divergence}); "
+            "checkpoint holds the best validated, else the last good parameters"
+        )
 
 
 def cmd_eval(args) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as _sp
 
-from .tensor import LINK_BLOCK_ELEMENTS, SparseMatrix
+from .tensor import LINK_BLOCK_ELEMENTS, SparseMatrix, sigmoid_np
 
 logger = logging.getLogger("dglfrm.graphdata")
 
@@ -488,7 +488,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, np.ndarray]:
     rows = max(1, LINK_BLOCK_ELEMENTS // n)
     for a in range(0, n, rows):
         b = min(a + rows, n)
-        probs = 1.0 / (1.0 + np.exp(-(8.0 * (memberships[a:b] @ memberships.T) - 4.0)))
+        probs = sigmoid_np(8.0 * (memberships[a:b] @ memberships.T) - 4.0)
         u, v = np.nonzero(np.arange(n) > np.arange(a, b)[:, None])
         present = rng.random(u.size) < probs[u, v]
         pairs.append(np.column_stack((u[present] + a, v[present])))

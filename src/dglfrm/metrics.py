@@ -112,11 +112,7 @@ class CommunityAssignment:
     threshold: float
     communities: tuple[tuple[tuple[int, float], ...], ...]
     source_index: tuple[int, ...]
-    memberships: tuple[dict[int, float], ...]
     n_unassigned: int
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.communities)
 
 
 def communities_from_memberships(
@@ -131,7 +127,7 @@ def communities_from_memberships(
         raise UsageError(
             f"membership and strength shapes differ: {prob.shape} vs {strength.shape}"
         )
-    n, k = prob.shape
+    n = prob.shape[0]
     mask = prob >= threshold
     sizes = mask.sum(axis=0)
     order = np.argsort(-sizes, kind="stable")
@@ -142,23 +138,12 @@ def communities_from_memberships(
         # stable sort on negated strength keeps node order among exact ties
         members = members[np.argsort(-strength[members, old], kind="stable")]
         communities.append(tuple((int(i), float(strength[i, old])) for i in members))
-
-    new_of_old = np.empty(k, dtype=np.int64)
-    new_of_old[order] = np.arange(k)
-    memberships = []
-    for i in range(n):
-        row = {
-            int(new_of_old[old]): float(strength[i, old])
-            for old in np.flatnonzero(mask[i])
-        }
-        memberships.append(row)
     n_unassigned = int(np.sum(~mask.any(axis=1)))
     return CommunityAssignment(
         n_nodes=n,
         threshold=float(threshold),
         communities=tuple(communities),
         source_index=tuple(int(o) for o in order),
-        memberships=tuple(memberships),
         n_unassigned=n_unassigned,
     )
 

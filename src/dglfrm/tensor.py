@@ -368,9 +368,9 @@ def logaddexp(a, b) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         # d/da = sigmoid(a - b), d/db = sigmoid(b - a)
         if a.requires_grad:
-            a._accum(_unbroadcast(g * _sigmoid_np(a.data - b.data), a.shape))
+            a._accum(_unbroadcast(g * sigmoid_np(a.data - b.data), a.shape))
         if b.requires_grad:
-            b._accum(_unbroadcast(g * _sigmoid_np(b.data - a.data), b.shape))
+            b._accum(_unbroadcast(g * sigmoid_np(b.data - a.data), b.shape))
 
     return _make(np.logaddexp(a.data, b.data), (a, b), bwd, "logaddexp")
 
@@ -379,7 +379,7 @@ def logaddexp(a, b) -> Tensor:
 # Unary elementwise ops
 
 
-def _sigmoid_np(x: np.ndarray, out=None) -> np.ndarray:
+def sigmoid_np(x: np.ndarray, out=None) -> np.ndarray:
     """1 / (1 + exp(-x)) into `out` if given: scipy.special's formula on numpy's vectorized exp."""
     out = np.empty(np.shape(x)) if out is None else out
     with np.errstate(over="ignore"):  # x < -709: exp(-x) is inf and the result 0, as in scipy
@@ -414,11 +414,11 @@ def _unary(x, fwd, dfdx, op: str) -> Tensor:
 
 
 def sigmoid(x) -> Tensor:
-    return _unary(x, _sigmoid_np, lambda _, y: y * (1.0 - y), "sigmoid")
+    return _unary(x, sigmoid_np, lambda _, y: y * (1.0 - y), "sigmoid")
 
 
 def softplus(x) -> Tensor:
-    return _unary(x, _softplus_np, lambda d, _: _sigmoid_np(d), "softplus")
+    return _unary(x, _softplus_np, lambda d, _: sigmoid_np(d), "softplus")
 
 
 def exp(x) -> Tensor:
@@ -513,19 +513,6 @@ def sum_all(x) -> Tensor:
     return _make(np.asarray(x.data.sum()), (x,), bwd, "sum_all")
 
 
-def row_sum(x) -> Tensor:
-    """Sum over axis 1 of a matrix; result shape (rows,)."""
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"row_sum: expected matrix, got shape {x.shape}")
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accum(np.repeat(g[:, None], x.shape[1], axis=1))
-
-    return _make(x.data.sum(axis=1), (x,), bwd, "row_sum")
-
-
 def row_cumprod(x) -> Tensor:
     """Cumulative product along axis 1. Inputs must be nonzero."""
     x = as_tensor(x)
@@ -541,24 +528,6 @@ def row_cumprod(x) -> Tensor:
             x._accum(rev / x.data)
 
     return _make(out, (x,), bwd, "row_cumprod")
-
-
-def take_rows(x, idx) -> Tensor:
-    """Gather rows by integer index; gradient scatter-adds."""
-    x = as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64)
-    if x.data.ndim != 2:
-        raise ShapeError(f"take_rows: expected matrix, got shape {x.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ShapeError(f"take_rows: index out of range for {x.shape[0]} rows")
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            buf = np.zeros_like(x.data)
-            np.add.at(buf, idx, g)
-            x._accum(buf)
-
-    return _make(x.data[idx], (x,), bwd, "take_rows")
 
 
 def clip(x, lo: float, hi: float) -> Tensor:
@@ -707,7 +676,7 @@ def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Ten
         loss[:, :m] *= w
         block_total = float(loss[:, :m].sum()) + 2.0 * float(loss[:, m:].sum())
 
-        _sigmoid_np(x, out=d)
+        sigmoid_np(x, out=d)
         d[pr, pc] = pos_weight * (d[pr, pc] - 1.0)
         d[:, :m] *= w
         d[:, m:] *= 2.0
@@ -752,7 +721,7 @@ def feature_bce_sum(z, w, targets: SparseMatrix) -> Tensor:
         c = indices[indptr[a] : indptr[b]]
         y = values[indptr[a] : indptr[b]]
         block_total = float(_softplus_np(x, out=loss, scratch=g).sum()) - float(y @ x[r, c])
-        _sigmoid_np(x, out=g)
+        sigmoid_np(x, out=g)
         g[r, c] -= y
         grad_z[a:b] = g @ w.data.T
         return block_total, np.matmul(z.data[a:b].T, g, out=partial), grad_w

@@ -91,22 +91,6 @@ class TrainConfig:
     def model_variant(self) -> md.ModelVariant:
         return md.ModelVariant.parse(self.variant)
 
-    def features_used(self, g: Graph) -> bool:
-        return self.use_features and g.features is not None
-
-    def feature_term_enabled(self, g: Graph) -> bool:
-        if self.feature_term is None:
-            return self.features_used(g)
-        if self.feature_term and g.features is None:
-            raise ConfigError("feature_term requires node features")
-        return self.feature_term
-
-    def effective_hidden(self, reads_features: bool) -> int:
-        """The encoder's hidden width, by default 32 on features and 128 on identity input."""
-        if self.hidden is not None:
-            return self.hidden
-        return 32 if reads_features else 128
-
     def to_json(self) -> str:
         payload = asdict(self)
         payload["decoder_hidden"] = list(self.decoder_hidden)
@@ -184,9 +168,13 @@ class TrainReport:
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """Parameters with the config and train-graph counts that fix their shapes."""
+
     config: TrainConfig
     params: dict[str, np.ndarray]
     step: int
+    n_nodes: int
+    d_features: int  # 0 when the train graph had no features
 
 
 @dataclass(frozen=True)
@@ -216,9 +204,7 @@ def draw_noise(
 
 def effective_graph(g: Graph, config: TrainConfig) -> Graph:
     """The graph as the encoder sees it (features stripped when unused)."""
-    if config.features_used(g):
-        return g
-    if g.features is None:
+    if config.use_features or g.features is None:
         return g
     return Graph(n_nodes=g.n_nodes, adjacency=g.adjacency)
 
@@ -229,23 +215,37 @@ def _train_graph(g: Graph, split: SplitSpec) -> tuple[Graph, SparseMatrix]:
     return train_graph, normalize_adjacency(train_graph)
 
 
+def model_shapes(config: TrainConfig, n_nodes: int, d_features: int) -> dict[str, tuple[int, int]]:
+    """Every parameter's name and shape for a graph of n_nodes and d_features (0 for none).
+
+    The encoder reads features when the config uses them and the graph has
+    them. Its hidden width defaults to 32 on features and 128 on identity
+    input, and the feature term is on by default exactly when it reads them.
+    """
+    reads = config.use_features and d_features > 0
+    term = reads if config.feature_term is None else config.feature_term
+    if term and not d_features:
+        raise ConfigError("feature_term requires node features")
+    return md.param_shapes(
+        config.model_variant,
+        config.structured,
+        d_in=d_features if reads else n_nodes,
+        hidden=config.hidden or (32 if reads else 128),
+        k=config.k,
+        decoder_hidden=config.decoder_hidden,
+        d_features=d_features if term else None,
+    )
+
+
 def init_params(g: Graph, config: TrainConfig, rng: np.random.Generator) -> dict[str, Parameter]:
     """Glorot weights, zero biases and global sticks at the prior Beta(alpha, 1).
 
-    Weights are drawn in `md.param_shapes` order, except that a block is
+    Weights are drawn in `model_shapes` order, except that a block is
     drawn for every encoder head, kept or not, so that the weights of a kept
     head and every later draw from rng (decoder, dropout masks, noise) do not
     depend on which heads the variant has.
     """
-    shapes = md.param_shapes(
-        config.model_variant,
-        config.structured,
-        d_in=g.d_features if config.features_used(g) else g.n_nodes,
-        hidden=config.effective_hidden(config.features_used(g)),
-        k=config.k,
-        decoder_hidden=config.decoder_hidden,
-        d_features=g.d_features if config.feature_term_enabled(g) else None,
-    )
+    shapes = model_shapes(config, g.n_nodes, g.d_features)
     data = {"encoder.w1": md.glorot_uniform(rng, *shapes["encoder.w1"])}
     for head in md.ENCODER_HEADS:
         data[f"encoder.w_{head}"] = md.glorot_uniform(rng, shapes["encoder.w1"][1], config.k)
@@ -362,6 +362,8 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
     """Full-batch SGVB; keeps the checkpoint with the best validation AUC.
 
     A split without validation pairs keeps the parameters of the last epoch.
+    A numeric failure stops training with the best validated parameters,
+    else the last good ones; a failed first validation leaves none and raises.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -413,14 +415,17 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
                     tc.backward(loss)
                 tape.clear()
                 tc.adam_step(params.values(), lr=config.lr)
+            report.losses.append(parts.as_dict())
+            if epoch % config.val_every == 0 or epoch == config.epochs:
+                validate(epoch)
         except NumericDomainError as e:
-            # divergence: the loss and adam_step raise before any parameter
-            # changes, so params still hold the last good values
+            # The loss and adam_step raise before any parameter changes, so
+            # params still hold the last good values. A failed validation
+            # finds them already changed: only a validated snapshot is good.
+            if len(report.losses) == epoch and best_auc is None:
+                raise
             report.diverged, report.divergence = True, str(e)
             break
-        report.losses.append(parts.as_dict())
-        if epoch % config.val_every == 0 or epoch == config.epochs:
-            validate(epoch)
 
     if best_auc is None:  # nothing was validated: keep the last parameters
         best = _snapshot(params)
@@ -428,7 +433,7 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
     report.best_epoch = best_epoch
     report.best_val_auc = best_auc
     report.wall_seconds = time.perf_counter() - start
-    ckpt = Checkpoint(config=config, params=best, step=best_epoch)
+    ckpt = Checkpoint(config, best, best_epoch, train_graph.n_nodes, train_graph.d_features)
     return ckpt, report
 
 
@@ -465,37 +470,12 @@ def _latents_from_params(
 
 
 def rebuild_params(ckpt: Checkpoint) -> dict[str, Parameter]:
-    """The checkpoint's arrays as parameters, checked against `md.param_shapes`.
+    """The checkpoint's arrays as parameters, checked against `model_shapes`.
 
-    Any missing, extra or mis-shaped parameter raises CheckpointError. The
-    stored config fixes every shape except two input widths, which come from
-    the stored arrays: the encoder's (node or feature count) and the feature
-    decoder's.
+    Any missing, extra or mis-shaped parameter raises CheckpointError.
     """
-    config, store = ckpt.config, ckpt.params
-    w1, feature_w = store.get("encoder.w1"), store.get("feature_decoder.w")
-    d_in = w1.shape[0] if w1 is not None and w1.ndim == 2 else 0
-    # The config does not record whether the graph had features. A feature
-    # decoder shows that it had; with the feature term off, the width of w1 does.
-    had_features = feature_w is not None
-    if config.feature_term is False:
-        had_features = w1 is not None and w1.shape[1:] == (config.effective_hidden(True),)
-    read_features = config.use_features and had_features
-    term = read_features if config.feature_term is None else config.feature_term
-    d_features = None
-    if term:  # the encoder's input width when it read features
-        d_features = d_in
-        if not read_features:
-            d_features = feature_w.shape[-1] if feature_w is not None and feature_w.ndim else 0
-    shapes = md.param_shapes(
-        config.model_variant,
-        config.structured,
-        d_in=d_in,
-        hidden=config.effective_hidden(read_features),
-        k=config.k,
-        decoder_hidden=config.decoder_hidden,
-        d_features=d_features,
-    )
+    store = ckpt.params
+    shapes = model_shapes(ckpt.config, ckpt.n_nodes, ckpt.d_features)
     missing = [name for name in shapes if name not in store]
     if missing:
         raise CheckpointError(f"checkpoint missing parameter {missing[0]!r}")
@@ -505,27 +485,24 @@ def rebuild_params(ckpt: Checkpoint) -> dict[str, Parameter]:
     for name, shape in shapes.items():
         if store[name].shape != shape:
             raise CheckpointError(
-                f"parameter {name!r} has shape {store[name].shape}, the stored config implies {shape}"
+                f"parameter {name!r} has shape {store[name].shape}, "
+                f"the stored config and counts imply {shape}"
             )
     return {name: Parameter(store[name], name) for name in shapes}
 
 
 def check_compatible(ckpt: Checkpoint, g: Graph) -> None:
     """Validate that a checkpoint can encode the given graph."""
-    config = ckpt.config
-    w1 = ckpt.params.get("encoder.w1")
-    if w1 is None:
-        raise CheckpointError("checkpoint missing parameter 'encoder.w1'")
-    expected = g.d_features if config.features_used(g) else g.n_nodes
-    if w1.shape[0] != expected:
-        raise CheckpointError(
-            f"checkpoint encoder expects {w1.shape[0]} input columns, graph supplies {expected}"
-        )
+    rows = ckpt.params["encoder.w1"].shape[0]
+    eff = effective_graph(g, ckpt.config)
+    expected = eff.d_features or eff.n_nodes
+    if rows != expected:
+        raise CheckpointError(f"checkpoint encoder expects {rows} input columns, graph supplies {expected}")
 
 
 def posterior_latents(ckpt: Checkpoint, g: Graph, a_hat: SparseMatrix) -> EvalLatents:
-    check_compatible(ckpt, g)
     params = rebuild_params(ckpt)
+    check_compatible(ckpt, g)
     eff = effective_graph(g, ckpt.config)
     return _latents_from_params(params, ckpt.config, eff, a_hat)
 
@@ -538,8 +515,7 @@ def _score_with_params(
     pairs,
 ) -> np.ndarray:
     latents = _latents_from_params(params, config, effective_graph(g, config), a_hat)
-    probs = md.decode_links(latents.z, params, pairs=pairs)
-    return probs.data.copy()
+    return md.decode_links(latents.z, params, pairs=pairs)
 
 
 def score_pairs(ckpt: Checkpoint, g: Graph, a_hat: SparseMatrix, pairs) -> np.ndarray:
@@ -551,8 +527,8 @@ def score_pairs(ckpt: Checkpoint, g: Graph, a_hat: SparseMatrix, pairs) -> np.nd
         raise UsageError(f"pair node id out of range for {g.n_nodes} nodes")
     if np.any(arr[:, 0] == arr[:, 1]):
         raise UsageError("pairs must have u != v")
-    check_compatible(ckpt, g)
     params = rebuild_params(ckpt)
+    check_compatible(ckpt, g)
     return _score_with_params(params, ckpt.config, g, a_hat, arr)
 
 
@@ -575,14 +551,14 @@ def evaluate_split(ckpt: Checkpoint, g: Graph, split: SplitSpec) -> "mx.MetricsR
 # Checkpoint serialization
 
 _MAGIC = b"DGLFRMCK"
-_VERSION = 3
+_VERSION = 4
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     payload = bytearray()
     payload += _MAGIC
     payload += struct.pack("<I", _VERSION)
-    payload += struct.pack("<Q", ckpt.step)
+    payload += struct.pack("<QII", ckpt.step, ckpt.n_nodes, ckpt.d_features)
     cfg = ckpt.config.to_json().encode("utf-8")
     payload += struct.pack("<I", len(cfg)) + cfg
     names = sorted(ckpt.params)
@@ -624,7 +600,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: checkpoint version {version}, this build supports {_VERSION}"
         )
-    (step,) = struct.unpack("<Q", read(8))
+    step, n_nodes, d_features = struct.unpack("<QII", read(16))
     (cfg_len,) = struct.unpack("<I", read(4))
     try:
         config = TrainConfig.from_json(read(cfg_len).decode("utf-8"))
@@ -642,9 +618,9 @@ def load_checkpoint(path) -> Checkpoint:
         params[name] = np.array(data, dtype=np.float64)
     if pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes in checkpoint")
-    ckpt = Checkpoint(config=config, params=params, step=step)
+    ckpt = Checkpoint(config, params, step, n_nodes, d_features)
     try:
-        rebuild_params(ckpt)  # names and shapes against the stored config
-    except CheckpointError as e:
+        rebuild_params(ckpt)  # names and shapes against the stored config and counts
+    except (CheckpointError, ConfigError) as e:
         raise CheckpointError(f"{path}: {e}") from e
     return ckpt

@@ -5,6 +5,7 @@ output are observable without subprocess overhead; one smoke test uses a
 real subprocess to cover the module entry point.
 """
 
+import dataclasses
 import json
 import os
 import struct
@@ -175,6 +176,16 @@ class TestTrain:
         assert report["diverged"] and len(report["losses"]) == 1
         assert "non-finite" not in json.dumps(report)  # the message stays out of the file
 
+    def test_failed_first_validation_writes_nothing(self, ws, tmp_path, capsys):
+        # the diverged parameters are not known good and no validated ones exist
+        ckpt = tmp_path / "diverged.ckpt"
+        with np.errstate(all="ignore"):
+            code = run("train", "--graph", ws["graph"], "--split", ws["split"], "--k", 4, "--hidden", 8,
+                       "--epochs", 5, "--lr", "1e280", "--val-every", 1, "--out-ckpt", ckpt)
+        assert code == 3
+        assert "numeric failure: encoder head" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_lfrm_variant_trains(self, ws, tmp_path):
         ckpt = tmp_path / "lfrm.ckpt"
         code = run("train", "--graph", ws["graph"], "--split", ws["split"],
@@ -338,7 +349,7 @@ class TestEval:
         v1.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         code = run("eval", "--ckpt", v1, "--graph", ws["graph"], "--split", ws["split"])
         assert code == 2
-        assert "version 1, this build supports 3" in capsys.readouterr().err
+        assert "version 1, this build supports 4" in capsys.readouterr().err
 
     def test_version_2_checkpoint_is_data_error(self, ws, tmp_path, capsys):
         # a version 2 file stored all five encoder heads whatever the variant
@@ -347,14 +358,24 @@ class TestEval:
         for head in ("c", "d"):
             params[f"encoder.w_{head}"] = np.zeros_like(params["encoder.w_pi"])
         v2 = tmp_path / "v2.ckpt"
-        trainer.save_checkpoint(trainer.Checkpoint(ckpt.config, params, ckpt.step), v2)
+        trainer.save_checkpoint(dataclasses.replace(ckpt, params=params), v2)
         raw = bytearray(v2.read_bytes())
         raw[8:12] = struct.pack("<I", 2)
         body = bytes(raw[:-4])
         v2.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         code = run("eval", "--ckpt", v2, "--graph", ws["graph"], "--split", ws["split"])
         assert code == 2
-        assert f"{v2}: checkpoint version 2, this build supports 3" in capsys.readouterr().err
+        assert f"{v2}: checkpoint version 2, this build supports 4" in capsys.readouterr().err
+
+    def test_version_3_checkpoint_is_data_error(self, ws, tmp_path, capsys):
+        # a version 3 header had no node and feature counts after the step
+        raw = Path(ws["ckpt"]).read_bytes()
+        body = raw[:8] + struct.pack("<I", 3) + raw[12:20] + raw[28:-4]
+        v3 = tmp_path / "v3.ckpt"
+        v3.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code = run("eval", "--ckpt", v3, "--graph", ws["graph"], "--split", ws["split"])
+        assert code == 2
+        assert f"{v3}: checkpoint version 3, this build supports 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["TEST_POS", "TEST_NEG"])
     def test_empty_test_section_is_data_error(self, tmp_path, capsys, section):
@@ -376,8 +397,10 @@ class TestEval:
         # the CRC is valid: only the layout check can refuse the file
         ckpt = trainer.load_checkpoint(ws["ckpt"])
         params = dict(ckpt.params, **{name: np.zeros(shape)})
+        # the model has a feature decoder only if its graph had features: claim 100 columns
+        counts = {"d_features": 100} if name == "feature_decoder.w" else {}
         path = tmp_path / "bad.ckpt"
-        trainer.save_checkpoint(trainer.Checkpoint(ckpt.config, params, ckpt.step), path)
+        trainer.save_checkpoint(dataclasses.replace(ckpt, params=params, **counts), path)
         code = run("eval", "--ckpt", path, "--graph", ws["graph"], "--split", ws["split"])
         assert code == 2
         assert f"{path}: parameter {name!r} has shape {shape}" in capsys.readouterr().err
@@ -386,11 +409,11 @@ class TestEval:
     def _with_stored_config(ckpt, tmp_path, edit):
         """A copy of `ckpt` whose stored config JSON went through `edit`, CRC intact."""
         raw = Path(ckpt).read_bytes()
-        (cfg_len,) = struct.unpack("<I", raw[20:24])
-        config = json.loads(raw[24 : 24 + cfg_len])
+        (cfg_len,) = struct.unpack("<I", raw[28:32])
+        config = json.loads(raw[32 : 32 + cfg_len])
         edit(config)
         cfg = json.dumps(config).encode()
-        body = raw[:20] + struct.pack("<I", len(cfg)) + cfg + raw[24 + cfg_len : -4]
+        body = raw[:28] + struct.pack("<I", len(cfg)) + cfg + raw[32 + cfg_len : -4]
         out = tmp_path / "edited.ckpt"
         out.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         return out

@@ -120,7 +120,7 @@ def test_a_failing_block_propagates_and_leaves_no_trace():
     rng = np.random.default_rng(0)
     positives = random_positives(12, 0.3, rng)
     z, w = Parameter(rng.normal(size=(12, 2)), "z"), Parameter(rng.normal(size=(2, 2)), "w")
-    calls, sigmoid = itertools.count(1), tc._sigmoid_np
+    calls, sigmoid = itertools.count(1), tc.sigmoid_np
 
     def failing_sigmoid(*args, **kwargs):
         if next(calls) == 3:
@@ -130,7 +130,7 @@ def test_a_failing_block_propagates_and_leaves_no_trace():
     threads = threading.active_count()
     with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", 24), \
             mock.patch.object(tc, "BLOCK_WORKERS", 2), \
-            mock.patch.object(tc, "_sigmoid_np", failing_sigmoid), tc.Tape() as tape:
+            mock.patch.object(tc, "sigmoid_np", failing_sigmoid), tc.Tape() as tape:
         left = tc.matmul(z, w)
         recorded = len(tape)
         with pytest.raises(RuntimeError, match="block failed"):
@@ -144,7 +144,7 @@ def test_blocks_run_under_the_callers_errstate():
     """numpy 2 keeps np.errstate in a context variable; the worker threads must see it."""
     rng = np.random.default_rng(1)
     positives = random_positives(12, 0.3, rng)
-    seen, sigmoid = [], tc._sigmoid_np
+    seen, sigmoid = [], tc.sigmoid_np
 
     def recording_sigmoid(*args, **kwargs):
         seen.append(np.geterr())
@@ -152,7 +152,7 @@ def test_blocks_run_under_the_callers_errstate():
 
     with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", 24), \
             mock.patch.object(tc, "BLOCK_WORKERS", 2), \
-            mock.patch.object(tc, "_sigmoid_np", recording_sigmoid), \
+            mock.patch.object(tc, "sigmoid_np", recording_sigmoid), \
             np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as the trainer sets it
         tc.link_bce_sum(rng.normal(size=(12, 2)), rng.normal(size=(12, 2)), positives, 2.0)
         want = np.geterr()

@@ -215,17 +215,27 @@ class TestMetricsReport:
 # communities
 
 
+def node_columns(assign):
+    """{node: {source column: strength}} read off the communities."""
+    rows = {}
+    for j, members in enumerate(assign.communities):
+        for node, strength in members:
+            rows.setdefault(node, {})[assign.source_index[j]] = strength
+    return rows
+
+
 class TestCommunitiesFromMemberships:
     def test_threshold_rule(self):
         prob = np.array([[0.9, 0.1]])
         assign = mx.communities_from_memberships(prob, prob, 0.5)
-        assert assign.memberships[0] == {0: 0.9}
+        assert assign.communities == (((0, 0.9),), ())
+        assert node_columns(assign) == {0: {0: 0.9}}
         assert assign.n_unassigned == 0
 
     def test_all_below_threshold_is_unassigned(self):
         prob = np.array([[0.2, 0.3], [0.9, 0.1]])
         assign = mx.communities_from_memberships(prob, prob, 0.5)
-        assert assign.memberships[0] == {}
+        assert 0 not in node_columns(assign)
         assert assign.n_unassigned == 1
 
     def test_reindexed_by_member_count(self):
@@ -239,7 +249,7 @@ class TestCommunitiesFromMemberships:
             ]
         )
         assign = mx.communities_from_memberships(prob, prob, 0.5)
-        assert assign.sizes() == (4, 1, 1)
+        assert tuple(len(c) for c in assign.communities) == (4, 1, 1)
         assert assign.source_index[0] == 1
 
     def test_members_sorted_by_strength_desc(self):
@@ -253,19 +263,20 @@ class TestCommunitiesFromMemberships:
         prob = rng.random((30, 6))
         assign = mx.communities_from_memberships(prob, prob, 0.5)
         assert sorted(assign.source_index) == list(range(6))
-        total_from_rows = sum(len(m) for m in assign.memberships)
-        total_from_communities = sum(assign.sizes())
-        assert total_from_rows == total_from_communities == int((prob >= 0.5).sum())
+        mask = prob >= 0.5
+        rows = node_columns(assign)
+        assert [len(rows.get(node, {})) for node in range(30)] == list(mask.sum(axis=1))
+        assert [len(c) for c in assign.communities] == list(mask.sum(axis=0)[list(assign.source_index)])
+        assert sum(len(c) for c in assign.communities) == int(mask.sum())
 
     def test_raising_tau_never_adds_membership(self):
         rng = np.random.default_rng(1)
         prob = rng.random((25, 5))
         low = mx.communities_from_memberships(prob, prob, 0.3)
         high = mx.communities_from_memberships(prob, prob, 0.7)
+        low_rows, high_rows = node_columns(low), node_columns(high)
         for node in range(25):
-            low_cols = {low.source_index[k] for k in low.memberships[node]}
-            high_cols = {high.source_index[k] for k in high.memberships[node]}
-            assert high_cols <= low_cols
+            assert set(high_rows.get(node, {})) <= set(low_rows.get(node, {}))
 
     def test_tau_out_of_range(self):
         prob = np.ones((2, 2))
@@ -363,9 +374,8 @@ class TestExtractCommunities:
         )
         assign = self.extract(ckpt, g, 0.5)
         want = np.abs(latents.b_prob * latents.mu)
-        for node, row in enumerate(assign.memberships):
-            for new_k, strength in row.items():
-                old_k = assign.source_index[new_k]
+        for node, row in node_columns(assign).items():
+            for old_k, strength in row.items():
                 assert strength == pytest.approx(want[node, old_k], abs=0)
 
 

@@ -163,21 +163,21 @@ class TestDecodeLinks:
     def test_zero_z_mlp_gives_half(self):
         dec = mlp_decoder(4)
         probs = md.decode_links(Tensor(np.zeros((5, 4))), dec, pairs=all_pairs(5))
-        np.testing.assert_allclose(probs.data, 0.5)
+        np.testing.assert_allclose(probs, 0.5)
 
     def test_bilinear_identity_equals_inner(self):
         z = Tensor(np.random.default_rng(1).normal(size=(6, 4)))
         bil = bilinear_decoder(np.eye(4))
         inner = {}
-        a = md.decode_links(z, bil, pairs=all_pairs(6)).data
-        b = md.decode_links(z, inner, pairs=all_pairs(6)).data
+        a = md.decode_links(z, bil, pairs=all_pairs(6))
+        b = md.decode_links(z, inner, pairs=all_pairs(6))
         np.testing.assert_array_equal(a, b)
 
     def test_inner_pair_closed_form(self):
         z = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
         probs = md.decode_links(z, {}, pairs=[(0, 1)])
-        np.testing.assert_allclose(probs.data, [1.0 / (1.0 + np.exp(-1.0))], atol=1e-12)
-        assert abs(probs.data[0] - 0.7311) < 1e-4
+        np.testing.assert_allclose(probs, [1.0 / (1.0 + np.exp(-1.0))], atol=1e-12)
+        assert abs(probs[0] - 0.7311) < 1e-4
 
     @pytest.mark.parametrize("form", ["mlp", "bilinear", "inner"])
     def test_grid_symmetry(self, form):
@@ -191,17 +191,17 @@ class TestDecodeLinks:
         z = Tensor(np.random.default_rng(2).normal(size=(7, 3)))
         dec = random_decoder(form, 3, seed=5)
         pairs = np.array(all_pairs(7))
-        forward = md.decode_links(z, dec, pairs=pairs).data
-        flipped = md.decode_links(z, dec, pairs=pairs[:, ::-1]).data
+        forward = md.decode_links(z, dec, pairs=pairs)
+        flipped = md.decode_links(z, dec, pairs=pairs[:, ::-1])
         np.testing.assert_allclose(forward, flipped, atol=1e-12)
 
     def test_pairs_match_grid(self):
         z = Tensor(np.random.default_rng(4).normal(size=(5, 3)))
         dec = mlp_decoder(3, seed=6)
-        grid = logit_grid(z, dec)
+        probs = 1.0 / (1.0 + np.exp(-logit_grid(z, dec)))
         pairs = [(0, 1), (2, 4), (3, 0)]
-        vec = md.decode_link_logits(z, dec, pairs=pairs).data
-        np.testing.assert_allclose(vec, [grid[u, v] for u, v in pairs], atol=1e-12)
+        vec = md.decode_links(z, dec, pairs=pairs)
+        np.testing.assert_allclose(vec, [probs[u, v] for u, v in pairs], atol=1e-12)
 
     def test_shape_mismatch(self):
         dec = bilinear_decoder(np.eye(4))

@@ -127,19 +127,38 @@ class TestTrainConfig:
         cfg = TrainConfig(decoder_hidden=[8, 4])
         assert cfg.decoder_hidden == (8, 4)
 
-    def test_effective_hidden_defaults(self):
-        with_x = small_graph(with_features=True)
-        without_x = small_graph(with_features=False)
-        assert TrainConfig().effective_hidden(TrainConfig().features_used(with_x)) == 32
-        assert TrainConfig().effective_hidden(TrainConfig().features_used(without_x)) == 128
-        no_x = TrainConfig(use_features=False)
-        assert no_x.effective_hidden(no_x.features_used(with_x)) == 128
-        assert TrainConfig(hidden=7).effective_hidden(True) == 7
-
     def test_feature_term_requires_features(self):
         g = small_graph(with_features=False)
-        with pytest.raises(ConfigError):
-            TrainConfig(feature_term=True).feature_term_enabled(g)
+        with pytest.raises(ConfigError, match="feature_term requires node features"):
+            trainer.train(g, trivial_split(g), tiny_config(feature_term=True, epochs=0))
+
+
+class TestModelShapes:
+    @pytest.mark.parametrize("d_features", [3, 0], ids=["features", "no-features"])
+    @pytest.mark.parametrize("feature_term", [None, True, False])
+    @pytest.mark.parametrize("use_features", [True, False])
+    def test_widths(self, use_features, feature_term, d_features):
+        cfg = tiny_config(hidden=None, use_features=use_features, feature_term=feature_term)
+        if feature_term and not d_features:
+            with pytest.raises(ConfigError, match="feature_term requires node features"):
+                trainer.model_shapes(cfg, 6, d_features)
+            return
+        shapes = trainer.model_shapes(cfg, 6, d_features)
+        reads = use_features and d_features > 0
+        hidden = 32 if reads else 128
+        assert shapes["encoder.w1"] == ((d_features, hidden) if reads else (6, hidden))
+        assert shapes["encoder.w_pi"] == (hidden, 4)
+        term = reads if feature_term is None else feature_term
+        assert shapes.get("feature_decoder.w") == ((4, d_features) if term else None)
+        explicit = trainer.model_shapes(dataclasses.replace(cfg, hidden=7), 6, d_features)
+        assert explicit["encoder.w1"][1] == 7
+
+    def test_init_params_follow_the_table(self):
+        for g in (small_graph(), small_graph(with_features=False)):
+            cfg = tiny_config(hidden=None)
+            params = trainer.init_params(g, cfg, np.random.default_rng(0))
+            shapes = trainer.model_shapes(cfg, g.n_nodes, g.d_features)
+            assert {name: p.shape for name, p in params.items()} == shapes
 
 
 class TestDrawNoise:
@@ -438,6 +457,40 @@ class TestTrain:
         assert report.divergence == "adam_step: non-finite gradient for 'decoder.mlp0.w'"
         self.assert_stopped_after_two_epochs(ckpt, report, clean, clean_report)
 
+    @staticmethod
+    def poison_mu_on_validation(monkeypatch, which):
+        """Make the encoder's mu head non-finite on validation number `which`."""
+        encode, calls = md.encode, []
+
+        def poisoned(g, a_hat, params, *train_args):
+            out = encode(g, a_hat, params, *train_args)
+            if not train_args:  # validation scores without dropout arguments
+                calls.append(g)
+                if len(calls) == which:
+                    out["mu"].data[0, 0] = np.inf
+            return out
+
+        monkeypatch.setattr(md, "encode", poisoned)
+
+    def test_failed_validation_keeps_the_best_snapshot(self, synth, monkeypatch):
+        g, split = synth
+        cfg = tiny_config(epochs=6, val_every=1)
+        clean, clean_report = trainer.train(g, split, dataclasses.replace(cfg, epochs=2))
+        self.poison_mu_on_validation(monkeypatch, 3)
+        ckpt, report = trainer.train(g, split, cfg)
+        assert report.diverged and report.divergence == "encoder head mu: non-finite output"
+        assert len(report.losses) == 3 and report.val_trace == clean_report.val_trace
+        assert ckpt.step == clean.step and report.best_epoch == clean_report.best_epoch
+        assert sorted(ckpt.params) == sorted(clean.params)
+        for name, arr in clean.params.items():
+            assert ckpt.params[name].tobytes() == arr.tobytes(), name
+
+    def test_failed_first_validation_raises(self, synth, monkeypatch):
+        g, split = synth
+        self.poison_mu_on_validation(monkeypatch, 1)
+        with pytest.raises(NumericDomainError, match="encoder head mu"):
+            trainer.train(g, split, tiny_config(epochs=6, val_every=1))
+
     def test_best_checkpoint_tracks_validation_auc(self, synth):
         g, split = synth
         cfg = tiny_config(epochs=20, val_every=4, dropout=0.5)
@@ -493,7 +546,7 @@ def zero_checkpoint(n_nodes=8, with_features=False, **over):
     g = small_graph(n=n_nodes, with_features=with_features)
     params = trainer.init_params(g, cfg, np.random.default_rng(0))
     arrays = {name: np.zeros_like(p.data) for name, p in params.items()}
-    return Checkpoint(config=cfg, params=arrays, step=0), g
+    return Checkpoint(cfg, arrays, 0, g.n_nodes, g.d_features), g
 
 
 class TestScorePairs:
@@ -603,17 +656,32 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="checksum"):
             trainer.load_checkpoint(path)
 
-    def test_wrong_version_names_both(self, synth, tmp_path):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_wrong_version_names_both(self, synth, tmp_path, version):
         g, split = synth
         ckpt, _ = trainer.train(g, split, tiny_config(epochs=1))
         path = tmp_path / "model.ckpt"
         trainer.save_checkpoint(ckpt, path)
         raw = bytearray(path.read_bytes())
-        raw[8:12] = struct.pack("<I", 2)
+        raw[8:12] = struct.pack("<I", version)
         body = bytes(raw[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(CheckpointError, match=r"version 2.*supports 3"):
+        with pytest.raises(CheckpointError, match=rf"version {version}.*supports 4"):
             trainer.load_checkpoint(path)
+
+    @pytest.mark.parametrize("with_features", [True, False])
+    def test_graph_counts_survive_roundtrip(self, tmp_path, with_features):
+        g = small_graph(n=7, extra=(), with_features=with_features)
+        ckpt, _ = trainer.train(g, trivial_split(g), tiny_config(epochs=0))
+        assert (ckpt.n_nodes, ckpt.d_features) == (7, 3 if with_features else 0)
+        path = tmp_path / "m.ckpt"
+        trainer.save_checkpoint(ckpt, path)
+        loaded = trainer.load_checkpoint(path)
+        assert (loaded.n_nodes, loaded.d_features) == (ckpt.n_nodes, ckpt.d_features)
+        # the stored counts fix the encoder's input width
+        counts = {"d_features": 4} if with_features else {"n_nodes": 8}
+        with pytest.raises(CheckpointError, match=r"'encoder.w1' has shape \(\d, 5\)"):
+            trainer.rebuild_params(dataclasses.replace(loaded, **counts))
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "noise.bin"
@@ -627,12 +695,8 @@ class TestCheckpointIO:
 
     def test_mismatched_k_is_rejected(self):
         ckpt, _ = zero_checkpoint()
-        doctored = Checkpoint(
-            config=dataclasses.replace(ckpt.config, k=7),
-            params=ckpt.params,
-            step=0,
-        )
-        with pytest.raises(CheckpointError, match=r"'encoder.w_pi' has shape \(5, 4\).* implies \(5, 7\)"):
+        doctored = dataclasses.replace(ckpt, config=dataclasses.replace(ckpt.config, k=7))
+        with pytest.raises(CheckpointError, match=r"'encoder.w_pi' has shape \(5, 4\).* imply \(5, 7\)"):
             trainer.rebuild_params(doctored)
 
     def test_unexpected_parameter_is_rejected(self):
@@ -640,14 +704,14 @@ class TestCheckpointIO:
         params = dict(ckpt.params)
         params["decoder.bilinear"] = np.zeros((4, 4))
         with pytest.raises(CheckpointError, match="unexpected"):
-            trainer.rebuild_params(Checkpoint(config=ckpt.config, params=params, step=0))
+            trainer.rebuild_params(dataclasses.replace(ckpt, params=params))
 
     def test_missing_parameter_is_rejected(self):
         ckpt, _ = zero_checkpoint()
         params = dict(ckpt.params)
         del params["encoder.w_pi"]
         with pytest.raises(CheckpointError, match="encoder.w_pi"):
-            trainer.rebuild_params(Checkpoint(config=ckpt.config, params=params, step=0))
+            trainer.rebuild_params(dataclasses.replace(ckpt, params=params))
 
     @pytest.mark.parametrize(
         "name,shape",
@@ -659,7 +723,7 @@ class TestCheckpointIO:
         ckpt, _ = trainer.train(g, trivial_split(g), tiny_config(epochs=0))
         params = dict(ckpt.params, **{name: np.zeros(shape)})
         path = tmp_path / "bad.ckpt"
-        trainer.save_checkpoint(Checkpoint(ckpt.config, params, 0), path)
+        trainer.save_checkpoint(dataclasses.replace(ckpt, params=params), path)
         with pytest.raises(CheckpointError) as e:
             trainer.load_checkpoint(path)
         assert str(e.value).startswith(f"{path}: parameter {name!r} has shape {shape}")
@@ -668,7 +732,7 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("feature_term", [None, True, False])
     def test_default_hidden_width_is_recovered(self, tmp_path, use_features, feature_term):
         # without --hidden the width is 32 with features and 128 without; the
-        # stored config does not say whether the graph had features
+        # stored feature count says whether the graph had features
         path = tmp_path / "m.ckpt"
         for g in (small_graph(), small_graph(with_features=False)):
             if feature_term and g.features is None:
@@ -680,7 +744,7 @@ class TestCheckpointIO:
             w1 = ckpt.params["encoder.w1"]
             wider = dict(ckpt.params, **{"encoder.w1": np.zeros((w1.shape[0], w1.shape[1] + 1))})
             with pytest.raises(CheckpointError, match="'encoder.w1' has shape"):
-                trainer.rebuild_params(Checkpoint(cfg, wider, 0))
+                trainer.rebuild_params(dataclasses.replace(ckpt, params=wider))
 
     def test_feature_decoder_follows_the_feature_term(self):
         g = small_graph()
@@ -688,10 +752,19 @@ class TestCheckpointIO:
         off, _ = trainer.train(g, trivial_split(g), tiny_config(feature_term=False, epochs=0))
         missing = {k: v for k, v in on.params.items() if k != "feature_decoder.w"}
         with pytest.raises(CheckpointError, match="missing parameter 'feature_decoder.w'"):
-            trainer.rebuild_params(Checkpoint(on.config, missing, 0))
+            trainer.rebuild_params(dataclasses.replace(on, params=missing))
         extra = dict(off.params, **{"feature_decoder.w": on.params["feature_decoder.w"]})
         with pytest.raises(CheckpointError, match="unexpected parameters: \\['feature_decoder.w'\\]"):
-            trainer.rebuild_params(Checkpoint(off.config, extra, 0))
+            trainer.rebuild_params(dataclasses.replace(off, params=extra))
+
+    def test_stored_feature_term_without_features_is_refused(self, tmp_path):
+        g = small_graph()
+        ckpt, _ = trainer.train(g, trivial_split(g), tiny_config(feature_term=True, epochs=0))
+        path = tmp_path / "m.ckpt"
+        trainer.save_checkpoint(dataclasses.replace(ckpt, d_features=0), path)
+        with pytest.raises(CheckpointError) as e:
+            trainer.load_checkpoint(path)
+        assert str(e.value) == f"{path}: feature_term requires node features"
 
     def test_graph_compatibility_check(self):
         ckpt, _ = zero_checkpoint(n_nodes=8)
@@ -732,7 +805,7 @@ class TestCheckpointIO:
 
     def test_step_survives_roundtrip(self, tmp_path):
         ckpt, _ = zero_checkpoint()
-        big = Checkpoint(config=ckpt.config, params=ckpt.params, step=123456789)
+        big = dataclasses.replace(ckpt, step=123456789)
         path = tmp_path / "step.ckpt"
         trainer.save_checkpoint(big, path)
         assert trainer.load_checkpoint(path).step == 123456789
