@@ -21,6 +21,10 @@ The 300-node graph fits in one row block of the fused likelihoods, so one
 more run trains on an 800-node graph with 1000 feature columns: 5 blocks of
 the link likelihood and 7 of the feature likelihood at the default block
 size, summed from the worker threads in block order.
+
+Last, a near-complete 70-node graph is split: its split needs all 24 of the
+graph's non-edges, so the negative sampler runs out of attempts and the
+rest come from the enumeration fallback.
 """
 
 from __future__ import annotations
@@ -64,6 +68,13 @@ def write_features(path: Path, n_nodes: int = 300, width: int = 40) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_near_complete(path: Path, n_nodes: int = 70, missing: int = 24) -> None:
+    """Every pair of n_nodes nodes but `missing` of them, as an edge list."""
+    pairs = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)]
+    kept = sorted(set(range(len(pairs))) - set(random.Random(13).sample(range(len(pairs)), missing)))
+    path.write_text(f"# nodes {n_nodes}\n" + "".join(f"{pairs[i][0]} {pairs[i][1]}\n" for i in kept))
+
+
 def drop_validation(split: Path, out: Path) -> None:
     """Copy a split file without the pairs under VAL_POS and VAL_NEG."""
     kept, section = [], None
@@ -99,6 +110,10 @@ def main(argv: list[str]) -> int:
     dglfrm("synth", "--nodes", "800", "--communities", "16", "--seed", "5", "--out-prefix", "big")
     dglfrm("split", "--graph", "big.edges.txt", "--seed", "5", "--out", "big.split")
     write_features(out / "big.features.txt", n_nodes=800, width=1000)
+    write_near_complete(out / "near.edges.txt")
+    # 2391 edges: 12 test and 12 val positives, so 24 negatives
+    dglfrm("split", "--graph", "near.edges.txt", "--test-frac", "0.005", "--val-frac", "0.005",
+           "--seed", "5", "--out", "near.split")
     for name, graph, split, options in RUNS:
         ckpt = f"{name}.ckpt"
         dglfrm("train", *graph, "--split", split, *TRAIN, *options, "--out-ckpt", ckpt)

@@ -2,7 +2,9 @@
 
 Every command writes a RunManifest (input digests, resolved options, seed)
 next to its primary output so any result can be reproduced bit-exactly.
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure;
+each error class carries its code. Only train, eval and communities import
+the model stack and its compiled sparse kernel, so synth and split start faster.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 # One BLAS thread unless the caller set a count, before numpy loads: row blocks already use every CPU.
@@ -25,11 +27,7 @@ import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
 from . import graphdata as gd  # noqa: E402
-from . import metrics as mx  # noqa: E402
-from . import trainer  # noqa: E402
 from .graphdata import Graph, LoadError, SplitError  # noqa: E402
-from .tensor import NumericDomainError, ShapeError, UsageError  # noqa: E402
-from .trainer import CheckpointError, ConfigError, TrainConfig  # noqa: E402
 
 logger = logging.getLogger(__name__)
 
@@ -50,29 +48,14 @@ class RunManifest:
 
     def write(self, primary_output) -> Path:
         path = Path(str(primary_output) + ".manifest.json")
-        payload = {
-            "tool": self.tool,
-            "version": self.version,
-            "command": self.command,
-            "seed": self.seed,
-            "options": self.options,
-            "inputs": self.inputs,
-            "outputs": [str(p) for p in self.outputs],
-        }
+        payload = {**asdict(self), "outputs": [str(p) for p in self.outputs]}
         gd.write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return path
 
 
 def _resolved_options(args: argparse.Namespace) -> dict:
-    skip = {"func", "command"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        out[key] = value
-    return out
+    options = sorted(vars(args).items())
+    return {k: str(v) if isinstance(v, Path) else v for k, v in options if k not in ("func", "command")}
 
 
 def _load_graph(graph_path, features_path) -> Graph:
@@ -106,10 +89,7 @@ def _load_split(path, g: Graph, held_out: str) -> gd.SplitSpec:
 
 
 def cmd_synth(args) -> None:
-    spec = gd.SyntheticSpec(
-        n_nodes=args.nodes, n_communities=args.communities, seed=args.seed
-    )
-    g, memberships = gd.generate_synthetic(spec)
+    g, memberships = gd.generate_synthetic(gd.SyntheticSpec(args.nodes, args.communities, args.seed))
     prefix = str(args.out_prefix)
     edges_path = prefix + ".edges.txt"
     members_path = prefix + ".memberships.txt"
@@ -143,6 +123,8 @@ def cmd_split(args) -> None:
 
 
 def _decoder_hidden(text: str) -> tuple[int, ...]:
+    from .trainer import ConfigError
+
     text = text.strip()
     if not text:
         return ()
@@ -157,8 +139,10 @@ def _feature_term(choice: str) -> bool | None:
 
 
 def cmd_train(args) -> None:
+    from . import trainer
+
     # config is validated before any input file is read
-    config = TrainConfig(
+    config = trainer.TrainConfig(
         variant=args.variant,
         k=args.k,
         alpha=args.alpha,
@@ -208,6 +192,8 @@ def cmd_train(args) -> None:
 
 
 def cmd_eval(args) -> None:
+    from . import trainer
+
     ckpt = trainer.load_checkpoint(args.ckpt)
     g = _load_graph(args.graph, args.features)
     split = _load_split(args.split, g, "TEST")
@@ -228,6 +214,10 @@ def cmd_eval(args) -> None:
 
 
 def cmd_communities(args) -> None:
+    from . import metrics as mx
+    from . import trainer
+    from .tensor import UsageError
+
     if not 0.0 < args.tau <= 1.0:
         raise UsageError(f"--tau must be in (0, 1], got {args.tau}")
     if args.min_members < 1:
@@ -353,15 +343,12 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         args.func(args)
-    except (UsageError, ConfigError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (LoadError, SplitError, CheckpointError, mx.MetricError, ShapeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericDomainError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 3
+    except Exception as e:
+        code = 2 if isinstance(e, OSError) else getattr(e, "exit_code", None)
+        if code is None:
+            raise
+        print(f"{'numeric failure' if code == 3 else 'error'}: {e}", file=sys.stderr)
+        return code
     return 0
 
 

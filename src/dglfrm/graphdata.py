@@ -1,4 +1,9 @@
-"""Graph loading, adjacency normalization, link splits, synthetic benchmark."""
+"""Graph loading, adjacency normalization, link splits, synthetic benchmark.
+
+numpy only. The CSR matrix, the sigmoid and the row-block size defined
+here are shared with the autodiff layer (`tensor`), which adds the
+compiled sparse product.
+"""
 
 from __future__ import annotations
 
@@ -9,25 +14,127 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as _sp
-
-from .tensor import LINK_BLOCK_ELEMENTS, SparseMatrix, sigmoid_np
 
 logger = logging.getLogger("dglfrm.graphdata")
 
 OVERLAP_PROB = 0.3  # chance a synthetic node joins one extra community
 # Loaders reject node ids, node counts and feature columns at or above this:
-# scipy's int32 CSR index range. It also keeps the dedup keys u * n + v and
-# row * width + col below 2**62.
+# SparseMatrix stores int32 column indices. It also keeps the dedup keys
+# u * n + v and row * width + col below 2**62.
 ID_LIMIT = 2**31
+# Elements per row block of the blocked ops: link_bce_sum, feature_bce_sum,
+# sparse_dropout and the synthetic edge draw (1 MB of float64 per temporary).
+# For link_bce_sum, sizes 2**16 to 2**18 timed within 10% of each other at
+# N = 2000 to 5000, 2**20 up to 16% slower. The fused likelihoods keep up to
+# BLOCK_WORKERS blocks in flight: at 2**17 two hold what one 2**18 block held.
+LINK_BLOCK_ELEMENTS = 2**17
 
 
 class LoadError(Exception):
     """Input file is malformed or inconsistent."""
+    exit_code = 2  # the CLI's exit code, as for every error class
 
 
 class SplitError(Exception):
     """A link split cannot be produced as requested."""
+    exit_code = 2
+
+
+class ShapeError(ValueError):
+    """Operand shapes do not fit the operation."""
+    exit_code = 2
+
+
+def sigmoid_np(x: np.ndarray, out=None) -> np.ndarray:
+    """1 / (1 + exp(-x)) into `out` if given, on numpy's vectorized exp."""
+    out = np.empty(np.shape(x)) if out is None else out
+    with np.errstate(over="ignore"):  # x < -709: exp(-x) is inf and the result 0
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+class SparseMatrix:
+    """Immutable CSR float64 matrix: each row's int32 column indices sorted and unique.
+
+    `SparseMatrix(dense)` stores the nonzero entries of a 2-D array.
+    """
+
+    __slots__ = ("shape", "indptr", "indices", "values", "_transpose", "_spmm_view")
+
+    def __init__(self, dense) -> None:
+        dense = np.asarray(dense, dtype=np.float64)
+        rows, cols = np.nonzero(dense)  # row-major: already in CSR order
+        self._set(dense.shape, rows, cols, dense[rows, cols])
+
+    def _set(self, shape, rows, cols, values) -> "SparseMatrix":
+        """Fill from entries in CSR order (rows ascending)."""
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.indptr = np.searchsorted(rows, np.arange(self.shape[0] + 1))
+        self.indices, self.values = cols.astype(np.int32, copy=False), values
+        self._transpose = self._spmm_view = None  # _spmm_view: tensor.spmm's kernel matrix over the arrays
+        return self
+
+    @classmethod
+    def from_coo(cls, rows, cols, vals, shape: tuple[int, int]) -> "SparseMatrix":
+        """vals[i] at (rows[i], cols[i]); duplicates are summed and explicit zeros kept."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        n_rows, n_cols = shape
+        if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= n_rows or cols.max() >= n_cols):
+            raise ShapeError(f"index out of range for a {n_rows} x {n_cols} sparse matrix")
+        key = rows * n_cols + cols
+        order = np.argsort(key)
+        key, vals = key[order], vals[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        if not first.all():
+            starts = np.flatnonzero(first)
+            key, vals = key[starts], np.add.reduceat(vals, starts)
+        return cls.__new__(cls)._set(shape, *np.divmod(key, n_cols), vals)
+
+    def with_values(self, values: np.ndarray) -> "SparseMatrix":
+        """The same pattern holding `values`, one per stored entry."""
+        return SparseMatrix.__new__(SparseMatrix)._set(self.shape, self.entry_rows(), self.indices, values)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.values.size)
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.entry_rows(), self.indices] = self.values
+        return out
+
+    def transpose(self) -> "SparseMatrix":
+        """The transpose, built once and cached."""
+        if self._transpose is None:
+            self._transpose = SparseMatrix.from_coo(self.indices, self.entry_rows(), self.values, self.shape[::-1])
+        return self._transpose
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        arrays = ("indptr", "indices", "values")
+        return self.shape == other.shape and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.nnz))
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of `keys` appear in the ascending array `sorted_keys`."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < sorted_keys.size
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return found
 
 
 @dataclass(frozen=True)
@@ -39,12 +146,12 @@ class Graph:
     features: SparseMatrix | None = None
 
     def __post_init__(self) -> None:
-        a = self.adjacency.scipy()
+        a = self.adjacency
         if a.shape != (self.n_nodes, self.n_nodes):
             raise LoadError(f"adjacency shape {a.shape} vs n_nodes {self.n_nodes}")
-        if (a != a.T).nnz != 0:
+        if a != SparseMatrix.from_coo(a.indices, a.entry_rows(), a.values, a.shape):  # uncached transpose
             raise LoadError("adjacency must be symmetric")
-        if a.diagonal().any():
+        if np.any(a.values[a.entry_rows() == a.indices]):
             raise LoadError("adjacency must have a zero diagonal")
         if self.features is not None and self.features.shape[0] != self.n_nodes:
             raise LoadError(
@@ -92,7 +199,7 @@ def _adjacency_from_pairs(pairs, n: int) -> SparseMatrix:
 
 def _upper_pairs(adjacency: SparseMatrix) -> np.ndarray:
     """Stored entries (u, v) with u < v as an (m, 2) array, in row-major order."""
-    rows = np.repeat(np.arange(adjacency.shape[0]), np.diff(adjacency.indptr))
+    rows = adjacency.entry_rows()
     keep = rows < adjacency.indices
     return np.column_stack((rows[keep], adjacency.indices[keep]))
 
@@ -266,8 +373,9 @@ def _floats(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _first_of_each(key: np.ndarray) -> np.ndarray:
     """Indices that sort `key`, keeping only the first occurrence of each value."""
     order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    return order[np.r_[True, ordered[1:] != ordered[:-1]]]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    return order[first]
 
 
 def load_edge_list(path) -> Graph:
@@ -381,11 +489,14 @@ def _csv_table(f: _TextFile, data: np.ndarray, n_nodes: int) -> np.ndarray:
 
 def normalize_adjacency(g: Graph) -> SparseMatrix:
     """Symmetric GCN normalization of A+I by the degree of A+I."""
-    a_tilde = g.adjacency.scipy() + _sp.identity(g.n_nodes, format="csr")
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    normalized = a_tilde.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
-    return SparseMatrix(normalized)
+    a, n = g.adjacency, g.n_nodes
+    diagonal = np.arange(n)
+    a_tilde = SparseMatrix.from_coo(
+        np.r_[a.entry_rows(), diagonal], np.r_[a.indices, diagonal], np.r_[a.values, np.ones(n)], (n, n)
+    )
+    # each degree summed along its row in column order; no row of A+I is empty
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_tilde.values, a_tilde.indptr[:-1]))
+    return a_tilde.with_values(a_tilde.values * inv_sqrt[a_tilde.entry_rows()] * inv_sqrt[a_tilde.indices])
 
 
 def _holdout_size(frac: float, n_edges: int) -> int:
@@ -419,38 +530,32 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
     val_pos = tuple(map(tuple, edges[order[n_test : n_test + n_val]].tolist()))
     train_edges = edges[order[n_test + n_val :]]
 
-    # pairs (u, v) with u < v are looked up by the key u * n + v
-    edge_keys = set((edges[:, 0] * n + edges[:, 1]).tolist())
-    negatives: list[tuple[int, int]] = []
-    chosen: set[int] = set()
-    attempts = 0
-    max_attempts = 100 * n_neg + 1000
+    # Rejection sampling in batches of pairs (u, v), u drawn before v by
+    # rng.integers(n): the same stream as one draw per id. In draw order a pair
+    # is kept unless u == v, it is an edge or it was kept before, until n_neg
+    # are kept or max_attempts pairs are drawn. A pair's key is u * n + v, u < v.
+    edge_keys = edges[:, 0] * n + edges[:, 1]  # ascending
+    negatives, kept_keys = np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
+    attempts, max_attempts = 0, 100 * n_neg + 1000
     while len(negatives) < n_neg and attempts < max_attempts:
-        attempts += 1
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        pair = (min(u, v), max(u, v))
-        key = pair[0] * n + pair[1]
-        if key in edge_keys or key in chosen:
-            continue
-        chosen.add(key)
-        negatives.append(pair)
+        batch = min(max_attempts - attempts, 2 * (n_neg - len(negatives)) + 64)
+        attempts += batch
+        pairs = np.sort(rng.integers(n, size=(batch, 2)), axis=1)
+        keys = pairs[:, 0] * n + pairs[:, 1]
+        fresh = (pairs[:, 0] != pairs[:, 1]) & ~_contains(edge_keys, keys) & ~_contains(kept_keys, keys)
+        fresh = np.flatnonzero(fresh)
+        kept = np.sort(fresh[_first_of_each(keys[fresh])])[: n_neg - len(negatives)]
+        negatives = np.concatenate([negatives, pairs[kept]])
+        kept_keys = np.sort(np.concatenate([kept_keys, keys[kept]]))
     if len(negatives) < n_neg:
         # dense graph: enumerate the remaining non-edges outright
-        dense = g.adjacency.to_dense() != 0.0
         iu, iv = np.triu_indices(n, k=1)
-        mask = ~dense[iu, iv]
-        pool = [
-            (int(a), int(b))
-            for a, b in zip(iu[mask], iv[mask])
-            if int(a) * n + int(b) not in chosen
-        ]
+        free = (g.adjacency.to_dense()[iu, iv] == 0.0) & ~_contains(kept_keys, iu * n + iv)
+        pool = np.column_stack((iu[free], iv[free]))
         extra = rng.permutation(len(pool))[: n_neg - len(negatives)]
-        negatives.extend(pool[i] for i in extra)
-    test_neg = tuple(negatives[:n_test])
-    val_neg = tuple(negatives[n_test:])
+        negatives = np.concatenate([negatives, pool[extra]])
+    test_neg = tuple(map(tuple, negatives[:n_test].tolist()))
+    val_neg = tuple(map(tuple, negatives[n_test:].tolist()))
 
     return SplitSpec(
         n_nodes=n,
@@ -568,11 +673,10 @@ def load_split(path) -> SplitSpec:
         repeat = np.ones(len(arr), dtype=bool)
         repeat[_first_of_each(arr.min(axis=1) * n_nodes + arr.max(axis=1))] = False
         _raise_at(f.path, linenos["TRAIN"], "TRAIN", arr, repeat, "repeats an earlier TRAIN pair")
+    train_keys = train.entry_rows() * n_nodes + train.indices  # ascending
     for name in _SPLIT_SECTIONS[1:]:
         arr = arrays[name]
-        if len(arr) == 0:  # scipy indexes a CSR matrix with empty arrays as a matrix
-            continue
-        leaked = np.asarray(train.scipy()[arr[:, 0], arr[:, 1]]).ravel() != 0
+        leaked = _contains(train_keys, arr[:, 0] * n_nodes + arr[:, 1])
         _raise_at(f.path, linenos[name], name, arr, leaked, "is also a TRAIN edge")
     held_out = {name: tuple(map(tuple, arrays[name].tolist())) for name in _SPLIT_SECTIONS[1:]}
     return SplitSpec(

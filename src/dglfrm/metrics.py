@@ -13,6 +13,7 @@ from .tensor import UsageError
 
 class MetricError(ValueError):
     """Metric inputs are degenerate or malformed."""
+    exit_code = 2
 
 
 def _validate_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:

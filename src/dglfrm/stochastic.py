@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from . import tensor as tc
 from .tensor import Tensor
@@ -138,12 +137,13 @@ def kl_kumaraswamy_beta(q: KumaraswamyParams, prior_alpha: float) -> Tensor:
     The IBP stick prior is Beta(alpha, 1), for which the KL is exact
     (Nalisnick & Smyth 2017):
       ((a-alpha)/a)(-gamma - digamma(b) - 1/b) + log(ab) + logB(alpha,1) - (b-1)/b
+    with logB(alpha, 1) = -log(alpha).
     """
     a, b = q.c, q.d
     alpha = float(prior_alpha)
     gamma = float(np.euler_gamma)
     inv_b = tc.reciprocal(b)
-    log_beta_const = float(_special.betaln(alpha, 1.0))
+    log_beta_const = -float(np.log(alpha))
 
     kl = ((a - alpha) / a) * (tc.negate(tc.digamma(b)) - gamma - inv_b)
     kl = kl + tc.log(a) + tc.log(b) + log_beta_const

@@ -1,4 +1,4 @@
-"""Float64 tensors with reverse-mode autodiff, CSR sparse matrices, and Adam.
+"""Float64 tensors with reverse-mode autodiff, the sparse product, and Adam.
 
 Ops record onto the innermost active :class:`Tape`; with no tape active they
 just compute values, which is what evaluation paths use. Gradients accumulate
@@ -17,20 +17,19 @@ import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as _sp
-from scipy import special as _special
+import scipy.sparse as _sp  # the program's only scipy import: the kernel of spmm
 
-
-class ShapeError(ValueError):
-    """Operand shapes do not fit the operation."""
+from .graphdata import LINK_BLOCK_ELEMENTS, ShapeError, SparseMatrix, sigmoid_np
 
 
 class NumericDomainError(ArithmeticError):
     """A non-finite loss, gradient or scored encoder output."""
+    exit_code = 3
 
 
 class UsageError(RuntimeError):
     """The tape/op contract was violated by the caller."""
+    exit_code = 1
 
 
 # ---------------------------------------------------------------------------
@@ -194,76 +193,6 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sparse matrices
-
-
-class SparseMatrix:
-    """Immutable CSR float64 matrix (sorted, duplicate-free column indices)."""
-
-    __slots__ = ("_csr", "_transpose")
-
-    def __init__(self, matrix) -> None:
-        csr = _sp.csr_matrix(matrix, dtype=np.float64, copy=True)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        if csr.indices.size and (csr.indices.min() < 0 or csr.indices.max() >= csr.shape[1]):
-            raise ShapeError("column index out of range for CSR matrix")
-        self._csr = csr
-        self._transpose: SparseMatrix | None = None
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape: tuple[int, int]) -> "SparseMatrix":
-        return cls(_sp.coo_matrix((vals, (rows, cols)), shape=shape))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._csr.shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self._csr.nnz)
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._csr.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._csr.data
-
-    def to_dense(self) -> np.ndarray:
-        return np.asarray(self._csr.todense(), dtype=np.float64)
-
-    def transpose(self) -> "SparseMatrix":
-        if self._transpose is None:
-            self._transpose = SparseMatrix(self._csr.T)
-        return self._transpose
-
-    def scipy(self) -> _sp.csr_matrix:
-        return self._csr
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.nnz))
-
-    def __repr__(self) -> str:
-        return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
-
-
-# ---------------------------------------------------------------------------
 # Broadcasting helpers
 
 
@@ -379,15 +308,6 @@ def logaddexp(a, b) -> Tensor:
 # Unary elementwise ops
 
 
-def sigmoid_np(x: np.ndarray, out=None) -> np.ndarray:
-    """1 / (1 + exp(-x)) into `out` if given: scipy.special's formula on numpy's vectorized exp."""
-    out = np.empty(np.shape(x)) if out is None else out
-    with np.errstate(over="ignore"):  # x < -709: exp(-x) is inf and the result 0, as in scipy
-        np.exp(np.negative(x, out=out), out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
-
-
 def _softplus_np(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow.
 
@@ -449,9 +369,33 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     return _unary(x, fwd, dfdx, "leaky_relu")
 
 
+# Bernoulli numbers B_2, B_4, ..., B_16 of the asymptotic series below
+_BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510])
+
+
+def _polygamma_np(x: np.ndarray, order: int) -> np.ndarray:
+    """Digamma psi (order 0) or trigamma psi' (order 1) of x > 0.
+
+    psi(x) = psi(x + 10) - sum_k 1/(x + k) and psi'(x) = psi'(x + 10) + sum_k
+    1/(x + k)**2 over k = 0..9, summed smallest term first. At y = x + 10 the
+    asymptotic series in w = 1/y**2 is psi(y) = log y - 1/(2y) - sum_n
+    B_2n/(2n) w**n and psi'(y) = (1 + 1/(2y) + sum_n B_2n w**n) / y.
+    """
+    shift = sum(1.0 / (x + float(k)) ** (order + 1) for k in range(9, -1, -1))
+    y = x + 10.0
+    w = 1.0 / (y * y)
+    series = np.zeros_like(shift)
+    for c in (_BERNOULLI / np.arange(2, 17, 2) if order == 0 else _BERNOULLI)[::-1]:
+        series += c
+        series *= w
+    if order == 0:
+        return np.log(y) - (0.5 / y + series) - shift
+    return (1.0 + 0.5 / y + series) / y + shift
+
+
 def digamma(x) -> Tensor:
-    """Digamma for strictly positive inputs. d/dx = polygamma(1, x)."""
-    return _unary(x, _special.digamma, lambda d, _: _special.polygamma(1, d), "digamma")
+    """Digamma for strictly positive inputs; d/dx is trigamma."""
+    return _unary(x, lambda d: _polygamma_np(d, 0), lambda d, _: _polygamma_np(d, 1), "digamma")
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +416,13 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), bwd, "matmul")
 
 
+def _csr_view(s: SparseMatrix) -> _sp.csr_matrix:
+    """The compiled kernel's CSR matrix over s's arrays, made once per matrix."""
+    if s._spmm_view is None:
+        s._spmm_view = _sp.csr_matrix((s.values, s.indices, s.indptr), shape=s.shape)
+    return s._spmm_view
+
+
 def spmm(s: SparseMatrix, b) -> Tensor:
     """Sparse @ dense. Gradient flows to the dense operand only.
 
@@ -486,9 +437,9 @@ def spmm(s: SparseMatrix, b) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         if b.requires_grad:
-            b._accum(s.transpose().scipy() @ g)
+            b._accum(_csr_view(s.transpose()) @ g)
 
-    return _make(np.asarray(s.scipy() @ b.data), (b,), bwd, "spmm")
+    return _make(np.asarray(_csr_view(s) @ b.data), (b,), bwd, "spmm")
 
 
 def transpose(x) -> Tensor:
@@ -560,13 +511,6 @@ def dropout(x, rate: float, rng: np.random.Generator, train: bool = True) -> Ten
     return _make(x.data * mask, (x,), bwd, "dropout")
 
 
-# Elements per row block of the blocked ops: link_bce_sum, feature_bce_sum,
-# sparse_dropout and the synthetic edge draw (1 MB of float64 per temporary).
-# For link_bce_sum, sizes 2**16 to 2**18 timed within 10% of each other at
-# N = 2000 to 5000, 2**20 up to 16% slower. The fused likelihoods keep up to
-# BLOCK_WORKERS blocks in flight: at 2**17 two hold what one 2**18 block held.
-LINK_BLOCK_ELEMENTS = 2**17
-
 # Threads that run the fused likelihoods' row blocks: every CPU this process may use.
 BLOCK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -622,9 +566,7 @@ def sparse_dropout(x: SparseMatrix, rate: float, rng: np.random.Generator) -> Sp
         r = np.repeat(np.arange(b - a), np.diff(indptr[a : b + 1]))
         c = indices[indptr[a] : indptr[b]]
         keep[indptr[a] : indptr[b]] = rng.random((b - a, d))[r, c] >= rate
-    dropped = x.scipy().copy()
-    dropped.data = x.values * (keep / (1.0 - rate))
-    return SparseMatrix(dropped)
+    return x.with_values(x.values * (keep / (1.0 - rate)))
 
 
 def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Tensor:

@@ -32,10 +32,12 @@ from .tensor import NumericDomainError, Parameter, SparseMatrix, Tensor, UsageEr
 
 class ConfigError(ValueError):
     """Invalid training configuration."""
+    exit_code = 1
 
 
 class CheckpointError(Exception):
     """Checkpoint file is corrupt, truncated, or incompatible."""
+    exit_code = 2
 
 
 @dataclass(frozen=True)
@@ -415,9 +417,9 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
                     tc.backward(loss)
                 tape.clear()
                 tc.adam_step(params.values(), lr=config.lr)
-            report.losses.append(parts.as_dict())
-            if epoch % config.val_every == 0 or epoch == config.epochs:
-                validate(epoch)
+                report.losses.append(parts.as_dict())
+                if epoch % config.val_every == 0 or epoch == config.epochs:
+                    validate(epoch)
         except NumericDomainError as e:
             # The loss and adam_step raise before any parameter changes, so
             # params still hold the last good values. A failed validation

@@ -1,8 +1,10 @@
-"""Test-only helpers: the dense BCE oracle, gradient checking and the op registries.
+"""Test-only helpers: the dense BCE oracle, the scalar split sampler, gradient
+checking and the op registries.
 
 `weighted_bce_with_logits_sum` is the dense reference for the fused
 likelihoods `tensor.link_bce_sum` and `tensor.feature_bce_sum`, which sum
-the same loss without forming the logit matrix.
+the same loss without forming the logit matrix. `oracle_make_splits` is the
+reference for `graphdata.make_splits`, which draws its negatives in batches.
 """
 
 from typing import Callable, Iterable, Sequence
@@ -11,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import special
 
+from dglfrm import graphdata as gd
 from dglfrm import tensor as tc
 from dglfrm.tensor import Parameter, SparseMatrix, Tensor
 
@@ -44,7 +47,48 @@ def assert_close(actual, expected, rtol: float = 1e-12):
 
 
 def sparse_identity(n: int) -> SparseMatrix:
-    return SparseMatrix(sp.identity(n, format="csr"))
+    return SparseMatrix(np.eye(n))
+
+
+def as_scipy(m: SparseMatrix) -> sp.csr_matrix:
+    """scipy's CSR matrix over the same arrays: the oracle for the numpy CSR code."""
+    return sp.csr_matrix((m.values, m.indices, m.indptr), shape=m.shape)
+
+
+def oracle_make_splits(g: gd.Graph, test_frac: float, val_frac: float, seed: int) -> gd.SplitSpec:
+    """make_splits over edge tuples, drawing one node id per rng.integers call."""
+    edges = sorted(map(tuple, gd._upper_pairs(g.adjacency).tolist()))
+    is_edge = set(edges)
+    n_test = gd._holdout_size(test_frac, len(edges))
+    n_val = gd._holdout_size(val_frac, len(edges))
+    n = g.n_nodes
+    n_neg = n_test + n_val
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(edges))
+    test_pos = tuple(edges[i] for i in order[:n_test])
+    val_pos = tuple(edges[i] for i in order[n_test : n_test + n_val])
+    train_edges = [edges[i] for i in order[n_test + n_val :]]
+    negatives, chosen, attempts = [], set(), 0
+    while len(negatives) < n_neg and attempts < 100 * n_neg + 1000:
+        attempts += 1
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        pair = (min(u, v), max(u, v))
+        if u != v and pair not in is_edge and pair not in chosen:
+            chosen.add(pair)
+            negatives.append(pair)
+    if len(negatives) < n_neg:
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)
+                if (u, v) not in is_edge and (u, v) not in chosen]
+        negatives.extend(pool[i] for i in rng.permutation(len(pool))[: n_neg - len(negatives)])
+    return gd.SplitSpec(
+        n_nodes=n,
+        train_adjacency=gd._adjacency_from_pairs(sorted(train_edges), n),
+        val_pos=val_pos,
+        val_neg=tuple(negatives[n_test:]),
+        test_pos=test_pos,
+        test_neg=tuple(negatives[:n_test]),
+        seed=seed,
+    )
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:

@@ -11,6 +11,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
@@ -185,6 +186,21 @@ class TestTrain:
         assert code == 3
         assert "numeric failure: encoder head" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_validation_prints_no_numpy_warning(self, tmp_path, capsys):
+        # validation runs under the training step's errstate: the overflow that
+        # the scoring check reports raises no numpy warning, which would be an error here
+        prefix = tmp_path / "g"
+        assert run("synth", "--nodes", 60, "--communities", 6, "--out-prefix", prefix) == 0
+        graph, split = f"{prefix}.edges.txt", tmp_path / "g.split"
+        assert run("split", "--graph", graph, "--out", split) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("train", "--graph", graph, "--split", split, "--k", 4, "--hidden", 8, "--epochs", 5,
+                       "--lr", "1e280", "--val-every", 1, "--out-ckpt", tmp_path / "m.ckpt")
+        assert code == 3
+        assert capsys.readouterr().err == "numeric failure: encoder head pi: non-finite output\n"
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_lfrm_variant_trains(self, ws, tmp_path):
         ckpt = tmp_path / "lfrm.ckpt"
@@ -560,6 +576,43 @@ class TestArgHandling:
             env={**os.environ, "PYTHONPATH": src}, check=True,
         )
         assert result.stdout.strip() == "[]"
+
+    @staticmethod
+    def scipy_modules_after(tmp_path, *commands) -> list[list[str]]:
+        """Run the commands with cli.main in one new process; the scipy modules loaded after each."""
+        code = (
+            "import json, sys\n"
+            "from dglfrm import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert result.returncode == 0, result.stderr
+        return [json.loads(line) for line in result.stdout.splitlines() if line.startswith("[")]
+
+    def test_synth_and_split_never_load_scipy(self, tmp_path):
+        # importing scipy.sparse costs about 0.2 s of each command's start
+        synth = ["synth", "--nodes", "40", "--communities", "4", "--out-prefix", "g"]
+        split = ["split", "--graph", "g.edges.txt", "--out", "g.split"]
+        assert self.scipy_modules_after(tmp_path, synth) == [[]]
+        assert self.scipy_modules_after(tmp_path, split) == [[]]
+
+    def test_no_command_loads_scipy_special(self, tmp_path):
+        commands = [
+            ["synth", "--nodes", "40", "--communities", "4", "--out-prefix", "g"],
+            ["split", "--graph", "g.edges.txt", "--out", "g.split"],
+            ["train", "--graph", "g.edges.txt", "--split", "g.split", "--k", "4", "--hidden", "8",
+             "--epochs", "2", "--mean-field", "--out-ckpt", "m.ckpt"],
+            ["eval", "--ckpt", "m.ckpt", "--graph", "g.edges.txt", "--split", "g.split"],
+            ["communities", "--ckpt", "m.ckpt", "--graph", "g.edges.txt", "--out", "c.txt"],
+        ]
+        loaded = self.scipy_modules_after(tmp_path, *commands)
+        assert "scipy.sparse" in loaded[2]  # the model stack's sparse product
+        assert not any(m.startswith("scipy.special") for m in loaded[-1])
 
     @pytest.mark.parametrize(
         "preset, want",

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dglfrm import graphdata as gd
+from dglfrm import tensor as tc
 from dglfrm.tensor import SparseMatrix
+from oracles import as_scipy, assert_close, oracle_make_splits
 
 
 def write(tmp_path, name, text):
@@ -284,41 +287,6 @@ def test_splits_dense_graph_fallback_finds_negatives():
         assert dense[u, v] == 0.0
 
 
-def oracle_make_splits(g, test_frac, val_frac, seed):
-    """make_splits over lists of edge tuples: the reference for the array version."""
-    edges = sorted(edge_set(g.adjacency))
-    n_test = gd._holdout_size(test_frac, len(edges))
-    n_val = gd._holdout_size(val_frac, len(edges))
-    n = g.n_nodes
-    n_neg = n_test + n_val
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(edges))
-    test_pos = tuple(edges[i] for i in order[:n_test])
-    val_pos = tuple(edges[i] for i in order[n_test : n_test + n_val])
-    train_edges = [edges[i] for i in order[n_test + n_val :]]
-    negatives, chosen, attempts = [], set(), 0
-    while len(negatives) < n_neg and attempts < 100 * n_neg + 1000:
-        attempts += 1
-        u, v = int(rng.integers(n)), int(rng.integers(n))
-        pair = (min(u, v), max(u, v))
-        if u != v and pair not in edges and pair not in chosen:
-            chosen.add(pair)
-            negatives.append(pair)
-    if len(negatives) < n_neg:
-        pool = [(u, v) for u in range(n) for v in range(u + 1, n)
-                if (u, v) not in edges and (u, v) not in chosen]
-        negatives.extend(pool[i] for i in rng.permutation(len(pool))[: n_neg - len(negatives)])
-    return gd.SplitSpec(
-        n_nodes=n,
-        train_adjacency=gd._adjacency_from_pairs(sorted(train_edges), n),
-        val_pos=val_pos,
-        val_neg=tuple(negatives[n_test:]),
-        test_pos=test_pos,
-        test_neg=tuple(negatives[:n_test]),
-        seed=seed,
-    )
-
-
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("dense", [False, True])
 def test_splits_match_the_tuple_reference(seed, dense, tmp_path, monkeypatch):
@@ -338,6 +306,28 @@ def test_splits_match_the_tuple_reference(seed, dense, tmp_path, monkeypatch):
     assert bool(dense_calls) == dense  # the dense graphs reach the enumeration fallback
     gd.save_split(oracle_make_splits(g, test_frac, val_frac, seed), tmp_path / "old")
     assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n, density", [(300, 0.02), (120, 0.3), (90, 0.8)], ids=["sparse", "medium", "dense"])
+def test_batched_sampler_matches_the_scalar_loop(seed, n, density, tmp_path):
+    # near-complete graphs, which reach the fallback, are test_splits_match_the_tuple_reference's
+    rng = np.random.default_rng(100 + seed)
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < density
+    g = graph_from_pairs(np.column_stack((iu[keep], iv[keep])), n)
+    gd.save_split(gd.make_splits(g, 0.1, 0.05, seed=seed), tmp_path / "new")
+    gd.save_split(oracle_make_splits(g, 0.1, 0.05, seed), tmp_path / "old")
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+@pytest.mark.parametrize("n", [2, 70, 2000, 2**31 - 1, 2**33])
+def test_batched_integers_are_the_scalar_stream(n):
+    """One rng.integers(n) call per id and one call for a batch of ids draw the same ids."""
+    scalar, batched = np.random.default_rng(5), np.random.default_rng(5)
+    want = [int(scalar.integers(n)) for _ in range(200)]
+    np.testing.assert_array_equal(batched.integers(n, size=(100, 2)).ravel(), want)
+    assert scalar.random() == batched.random()
 
 
 def test_cora_split_sizes(cora_dir):
@@ -580,6 +570,75 @@ def test_blocked_synthetic_matches_dense_construction(tmp_path, n, k, seed):
 def test_synthetic_rejects_more_communities_than_nodes():
     with pytest.raises(gd.SplitError):
         gd.generate_synthetic(gd.SyntheticSpec(5, 10, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# SparseMatrix and the GCN normalization, against scipy
+
+
+def assert_same_csr(m: SparseMatrix, want: sp.csr_matrix, exact: bool = True) -> None:
+    want = want.tocsr()
+    want.sort_indices()
+    assert m.shape == want.shape
+    np.testing.assert_array_equal(m.indptr, want.indptr)
+    np.testing.assert_array_equal(m.indices, want.indices)
+    assert m.indices.dtype == np.int32 and m.values.dtype == np.float64
+    if exact:
+        np.testing.assert_array_equal(m.values, want.data)
+    else:  # duplicates may be summed in another order
+        assert_close(m.values, want.data, rtol=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(0, 9), st.integers(0, 9), st.integers(0, 60),
+    st.floats(0.0, 1.0),
+)
+def test_sparse_matrix_matches_scipy(seed, n_rows, n_cols, n_entries, zero_share):
+    rng = np.random.default_rng(seed)
+    n_entries *= n_rows * n_cols > 0
+    rows, cols = rng.integers(max(n_rows, 1), size=n_entries), rng.integers(max(n_cols, 1), size=n_entries)
+    vals = rng.normal(size=n_entries) * (rng.random(n_entries) >= zero_share)  # explicit zeros
+    m = SparseMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))
+    want = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
+    want.sum_duplicates()
+    assert_same_csr(m, want, exact=len(set(zip(rows, cols))) == n_entries)
+    assert_same_csr(m.transpose(), as_scipy(m).T)
+    np.testing.assert_array_equal(m.to_dense(), as_scipy(m).toarray())
+    assert m.transpose() is m.transpose()
+
+    dense = m.to_dense()
+    assert_same_csr(SparseMatrix(dense), sp.csr_matrix(dense))  # stores only the nonzeros
+
+    if n_entries and n_rows * n_cols <= 81:  # dropout zeroes stored values but keeps them
+        dropped = tc.sparse_dropout(m, 0.5, np.random.default_rng(seed))
+        np.testing.assert_array_equal(dropped.indptr, m.indptr)
+        np.testing.assert_array_equal(dropped.indices, m.indices)
+        assert_same_csr(dropped.transpose(), as_scipy(dropped).T)
+        np.testing.assert_array_equal(dropped.to_dense(), as_scipy(dropped).toarray())
+
+
+def test_sparse_matrix_rejects_out_of_range_entries():
+    for rows, cols in (([2], [0]), ([0], [3]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(tc.ShapeError, match="out of range"):
+            SparseMatrix.from_coo(rows, cols, [1.0], (2, 3))
+
+
+def scipy_normalize(adjacency: SparseMatrix) -> sp.csr_matrix:
+    """The scipy formula normalize_adjacency replaces: (A + I) scaled by deg^-1/2 on both sides."""
+    a_tilde = as_scipy(adjacency) + sp.identity(adjacency.shape[0], format="csr")
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
+    return a_tilde.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("weighted", [False, True])
+def test_normalize_adjacency_is_bit_equal_to_scipy(seed, weighted):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    upper = np.triu(rng.random((n, n)) < rng.random(), 1) * (rng.uniform(0.1, 3.0, (n, n)) if weighted else 1.0)
+    g = gd.Graph(n_nodes=n, adjacency=SparseMatrix(upper + upper.T))
+    assert_same_csr(gd.normalize_adjacency(g), scipy_normalize(g.adjacency))
 
 
 # ---------------------------------------------------------------------------

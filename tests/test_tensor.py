@@ -113,6 +113,37 @@ def test_sigmoid_np_writes_into_out():
     np.testing.assert_array_equal(x, out)
 
 
+# 1e-4 to 1e6, and densely around psi's root near 1.46
+PSI_GRID = np.concatenate([np.logspace(-4.0, 6.0, 200_001), np.linspace(0.5, 3.0, 50_001)])
+
+
+def test_digamma_within_bound_of_scipy():
+    want = special.digamma(PSI_GRID)
+    got = tc.digamma(PSI_GRID).data
+    assert (np.abs(got - want) / np.maximum(1.0, np.abs(want))).max() <= 1.8e-15
+
+
+def test_digamma_gradient_is_trigamma_within_bound_of_scipy():
+    # scipy's polygamma(1, x) is itself up to 9e-16 relative off 120-bit
+    # values, so the two may differ by more than ours does from those
+    x = tc.Parameter(PSI_GRID, "x")
+    with tc.Tape():
+        tc.backward(tc.digamma(x).sum())
+    want = special.polygamma(1, PSI_GRID)
+    assert (np.abs(x.grad - want) / want).max() <= 1.5e-15
+
+
+def test_digamma_and_trigamma_against_high_precision_values():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.exp(rng.uniform(np.log(1e-4), np.log(1e6), 400)), np.linspace(1.2, 1.8, 201)])
+    with mpmath.workprec(120):
+        psi = np.array([float(mpmath.digamma(v)) for v in x])
+        trigamma = np.array([float(mpmath.polygamma(1, v)) for v in x])
+    assert (np.abs(tc._polygamma_np(x, 0) - psi) / np.maximum(1.0, np.abs(psi))).max() <= 1.1e-15
+    assert (np.abs(tc._polygamma_np(x, 1) - trigamma) / trigamma).max() <= 5e-16
+
+
 def test_softplus_at_zero():
     assert tc.softplus(tc.Tensor([0.0])).data[0] == pytest.approx(
         np.log(2.0), abs=1e-12

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from dglfrm import graphdata as gd
 from dglfrm.graphdata import LoadError, SplitSpec, _adjacency_from_pairs
+from oracles import as_scipy
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -197,7 +198,7 @@ def oracle_load_split(path) -> SplitSpec:
         arr = arrays[name]
         if len(arr) == 0:  # the empty-section fix; indexing gave a matrix, not an array
             continue
-        leaked = np.asarray(train.scipy()[arr[:, 0], arr[:, 1]]).ravel() != 0
+        leaked = np.asarray(as_scipy(train)[arr[:, 0], arr[:, 1]]).ravel() != 0
         _raise_at(path, linenos[name], name, arr, leaked, "is also a TRAIN edge")
     return SplitSpec(
         n_nodes=n_nodes,
@@ -211,7 +212,7 @@ def oracle_load_split(path) -> SplitSpec:
 
 
 def oracle_edge_list_text(g: gd.Graph) -> str:
-    coo = g.adjacency.scipy().tocoo()
+    coo = as_scipy(g.adjacency).tocoo()
     lines = [f"# nodes {g.n_nodes}"]
     lines.extend(f"{u} {v}" for u, v in zip(coo.row, coo.col) if u < v)
     return "\n".join(lines) + "\n"
@@ -219,7 +220,7 @@ def oracle_edge_list_text(g: gd.Graph) -> str:
 
 def oracle_split_text(split: SplitSpec) -> str:
     lines = [f"# nodes {split.n_nodes}", f"# seed {split.seed}"]
-    coo = split.train_adjacency.scipy().tocoo()
+    coo = as_scipy(split.train_adjacency).tocoo()
     sections = {
         "TRAIN": [(int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v],
         "VAL_POS": split.val_pos,
