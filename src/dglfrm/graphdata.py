@@ -550,7 +550,8 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
     if len(negatives) < n_neg:
         # dense graph: enumerate the remaining non-edges outright
         iu, iv = np.triu_indices(n, k=1)
-        free = (g.adjacency.to_dense()[iu, iv] == 0.0) & ~_contains(kept_keys, iu * n + iv)
+        keys = iu * n + iv
+        free = ~_contains(edge_keys, keys) & ~_contains(kept_keys, keys)
         pool = np.column_stack((iu[free], iv[free]))
         extra = rng.permutation(len(pool))[: n_neg - len(negatives)]
         negatives = np.concatenate([negatives, pool[extra]])
@@ -577,8 +578,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, np.ndarray]:
     disjoint pairs w.p. ~0.018.
     """
     n, k = spec.n_nodes, spec.n_communities
-    if k > n:
-        raise SplitError(f"n_communities {k} exceeds n_nodes {n}")
+    if not 1 <= k <= n:
+        raise SplitError(f"n_communities {k} must lie in [1, n_nodes {n}]")
     rng = np.random.default_rng(spec.seed)
     memberships = np.zeros((n, k))
     for node in range(n):

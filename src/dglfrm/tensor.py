@@ -1,8 +1,13 @@
 """Float64 tensors with reverse-mode autodiff, the sparse product, and Adam.
 
-Ops record onto the innermost active :class:`Tape`; with no tape active they
-just compute values, which is what evaluation paths use. Gradients accumulate
-(sum) across fan-out within a single backward pass.
+Every op records through `_make`: it computes its forward value and passes
+one edge (parent, vjp) per operand, where vjp maps the output's gradient to
+that parent's share. `_make` keeps the edges whose parent needs a gradient
+and records the output on the innermost active :class:`Tape` if any are
+left; with no tape active ops just compute values, which is what evaluation
+paths use. In backward, `_make`'s closure sums each share over the axes
+numpy broadcast and adds it to the parent's gradient, so gradients
+accumulate (sum) across fan-out within a single backward pass.
 
 Ops do not scan their inputs: a stated domain (a positive base, a nonzero
 denominator) is the caller's contract. Non-finite values are caught at three
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as _sp  # the program's only scipy import: the kernel of spmm
@@ -156,15 +161,32 @@ def as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _make(
-    out_data: np.ndarray,
-    parents: Sequence[Tensor],
-    backward_fn: Callable[[np.ndarray], None],
-    op: str,
-) -> Tensor:
+def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary elementwise op as tensors whose shapes broadcast."""
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    return a, b
+
+
+def _make(op: str, out_data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """The op's output; on an active tape, recorded with the edges whose parent needs a gradient.
+
+    An edge is (parent, vjp): vjp maps the output's gradient to the parent's
+    share, which backward sums over the broadcast axes and adds to the
+    parent's gradient, edge by edge. `op` names the op.
+    """
     out = Tensor(out_data)
     tape = _active_tape()
-    if tape is not None and any(p.requires_grad for p in parents):
+    live = [(p, vjp) for p, vjp in edges if p.requires_grad] if tape is not None else []
+    if live:
+
+        def backward_fn(g: np.ndarray) -> None:
+            for parent, vjp in live:
+                parent._accum(_unbroadcast(vjp(g), parent.shape))
+
         out.requires_grad = True
         out._backward_fn = backward_fn
         out._tape = tape
@@ -192,10 +214,6 @@ def backward(loss: Tensor) -> None:
         node._backward_fn = None
 
 
-# ---------------------------------------------------------------------------
-# Broadcasting helpers
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that numpy broadcast during the forward pass."""
     if g.shape == shape:
@@ -209,99 +227,51 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
 # ---------------------------------------------------------------------------
 # Binary elementwise ops
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "add")
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
-
-    return _make(a.data + b.data, (a, b), bwd, "add")
+    a, b = _operands(a, b, "add")
+    return _make("add", a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "sub")
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.shape))
-
-    return _make(a.data - b.data, (a, b), bwd, "sub")
+    a, b = _operands(a, b, "sub")
+    return _make("sub", a.data - b.data, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "mul")
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.shape))
-
-    return _make(a.data * b.data, (a, b), bwd, "mul")
+    a, b = _operands(a, b, "mul")
+    return _make("mul", a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def div(a, b) -> Tensor:
     """Elementwise a / b. The denominator must be nonzero."""
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "div")
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(a.data / b.data, (a, b), bwd, "div")
+    a, b = _operands(a, b, "div")
+    return _make(
+        "div", a.data / b.data, (a, lambda g: g / b.data), (b, lambda g: -g * a.data / (b.data * b.data))
+    )
 
 
 def pow_(a, b) -> Tensor:
     """Elementwise a**b. Base must be strictly positive (log is taken)."""
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "pow")
+    a, b = _operands(a, b, "pow")
     out = np.power(a.data, b.data)
-    log_a = np.log(a.data)
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data * out / a.data, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * out * log_a, b.shape))
-
-    return _make(out, (a, b), bwd, "pow")
+    return _make(
+        "pow", out, (a, lambda g: g * b.data * out / a.data), (b, lambda g: g * out * np.log(a.data))
+    )
 
 
 def logaddexp(a, b) -> Tensor:
-    """Stable log(exp(a) + exp(b))."""
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "logaddexp")
-
-    def bwd(g: np.ndarray) -> None:
-        # d/da = sigmoid(a - b), d/db = sigmoid(b - a)
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * sigmoid_np(a.data - b.data), a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * sigmoid_np(b.data - a.data), b.shape))
-
-    return _make(np.logaddexp(a.data, b.data), (a, b), bwd, "logaddexp")
+    """Stable log(exp(a) + exp(b)): d/da = sigmoid(a - b), d/db = sigmoid(b - a)."""
+    a, b = _operands(a, b, "logaddexp")
+    return _make(
+        "logaddexp",
+        np.logaddexp(a.data, b.data),
+        (a, lambda g: g * sigmoid_np(a.data - b.data)),
+        (b, lambda g: g * sigmoid_np(b.data - a.data)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +295,7 @@ def _softplus_np(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
 def _unary(x, fwd, dfdx, op: str) -> Tensor:
     x = as_tensor(x)
     out_data = fwd(x.data)
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accum(g * dfdx(x.data, out_data))
-
-    return _make(out_data, (x,), bwd, op)
+    return _make(op, out_data, (x, lambda g: g * dfdx(x.data, out_data)))
 
 
 def sigmoid(x) -> Tensor:
@@ -406,14 +371,7 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum(g @ b.data.T)
-        if b.requires_grad:
-            b._accum(a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), bwd, "matmul")
+    return _make("matmul", a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def _csr_view(s: SparseMatrix) -> _sp.csr_matrix:
@@ -434,34 +392,21 @@ def spmm(s: SparseMatrix, b) -> Tensor:
     b = as_tensor(b)
     if b.data.ndim != 2 or s.shape[1] != b.shape[0]:
         raise ShapeError(f"spmm: {s.shape} @ {b.shape}")
-
-    def bwd(g: np.ndarray) -> None:
-        if b.requires_grad:
-            b._accum(_csr_view(s.transpose()) @ g)
-
-    return _make(np.asarray(_csr_view(s) @ b.data), (b,), bwd, "spmm")
+    return _make("spmm", np.asarray(_csr_view(s) @ b.data), (b, lambda g: _csr_view(s.transpose()) @ g))
 
 
 def transpose(x) -> Tensor:
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"transpose: expected matrix, got shape {x.shape}")
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accum(g.T)
-
-    return _make(np.ascontiguousarray(x.data.T), (x,), bwd, "transpose")
+    return _make("transpose", np.ascontiguousarray(x.data.T), (x, lambda g: g.T))
 
 
 def sum_all(x) -> Tensor:
     x = as_tensor(x)
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accum(np.broadcast_to(g, x.shape).astype(np.float64))
-
-    return _make(np.asarray(x.data.sum()), (x,), bwd, "sum_all")
+    return _make(
+        "sum_all", np.asarray(x.data.sum()), (x, lambda g: np.broadcast_to(g, x.shape).astype(np.float64))
+    )
 
 
 def row_cumprod(x) -> Tensor:
@@ -471,14 +416,10 @@ def row_cumprod(x) -> Tensor:
         raise ShapeError(f"row_cumprod: expected matrix, got shape {x.shape}")
     out = np.cumprod(x.data, axis=1)
 
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            # dL/dx_j = sum_{k >= j} g_k y_k / x_j
-            t = g * out
-            rev = np.flip(np.cumsum(np.flip(t, axis=1), axis=1), axis=1)
-            x._accum(rev / x.data)
+    def vjp(g: np.ndarray) -> np.ndarray:  # dL/dx_j = sum_{k >= j} g_k y_k / x_j
+        return np.flip(np.cumsum(np.flip(g * out, axis=1), axis=1), axis=1) / x.data
 
-    return _make(out, (x,), bwd, "row_cumprod")
+    return _make("row_cumprod", out, (x, vjp))
 
 
 def clip(x, lo: float, hi: float) -> Tensor:
@@ -487,12 +428,7 @@ def clip(x, lo: float, hi: float) -> Tensor:
     if not lo < hi:
         raise UsageError(f"clip: lo {lo} must be < hi {hi}")
     mask = (x.data > lo) & (x.data < hi)
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accum(g * mask)
-
-    return _make(np.clip(x.data, lo, hi), (x,), bwd, "clip")
+    return _make("clip", np.clip(x.data, lo, hi), (x, lambda g: g * mask))
 
 
 def dropout(x, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
@@ -503,12 +439,7 @@ def dropout(x, rate: float, rng: np.random.Generator, train: bool = True) -> Ten
     if not train or rate == 0.0:
         return x
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accum(g * mask)
-
-    return _make(x.data * mask, (x,), bwd, "dropout")
+    return _make("dropout", x.data * mask, (x, lambda g: g * mask))
 
 
 # Threads that run the fused likelihoods' row blocks: every CPU this process may use.
@@ -626,14 +557,9 @@ def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Ten
         return block_total, np.matmul(d.T, left.data[a:b], out=partial[a:]), grad_right[a:]
 
     total = _sum_blocks(n, max(1, min(n, LINK_BLOCK_ELEMENTS // n)), n, left.shape, block)
-
-    def bwd(g: np.ndarray) -> None:
-        if left.requires_grad:
-            left._accum(g * grad_left)
-        if right.requires_grad:
-            right._accum(g * grad_right)
-
-    return _make(np.asarray(total), (left, right), bwd, "link_bce_sum")
+    return _make(
+        "link_bce_sum", np.asarray(total), (left, lambda g: g * grad_left), (right, lambda g: g * grad_right)
+    )
 
 
 def feature_bce_sum(z, w, targets: SparseMatrix) -> Tensor:
@@ -669,14 +595,7 @@ def feature_bce_sum(z, w, targets: SparseMatrix) -> Tensor:
         return block_total, np.matmul(z.data[a:b].T, g, out=partial), grad_w
 
     total = _sum_blocks(n, max(1, min(n, LINK_BLOCK_ELEMENTS // d)), d, w.shape, block)
-
-    def bwd(g: np.ndarray) -> None:
-        if z.requires_grad:
-            z._accum(g * grad_z)
-        if w.requires_grad:
-            w._accum(g * grad_w)
-
-    return _make(np.asarray(total), (z, w), bwd, "feature_bce_sum")
+    return _make("feature_bce_sum", np.asarray(total), (z, lambda g: g * grad_z), (w, lambda g: g * grad_w))
 
 
 # ---------------------------------------------------------------------------

@@ -612,7 +612,12 @@ def load_checkpoint(path) -> Checkpoint:
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
         (name_len,) = struct.unpack("<H", read(2))
-        name = read(name_len).decode("utf-8")
+        try:
+            name = read(name_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: parameter name is not UTF-8: {e}") from e
+        if name in params:
+            raise CheckpointError(f"{path}: parameter {name!r} listed twice")
         (ndim,) = struct.unpack("<B", read(1))
         shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
         count = int(np.prod(shape)) if shape else 1

@@ -29,14 +29,11 @@ def weighted_bce_with_logits_sum(logits, targets, pos_weight: float = 1.0) -> Te
     sp_neg = sp_pos - x          # -log sigmoid     = softplus(-x)
     val = float((pos_weight * targets * sp_neg + (1.0 - targets) * sp_pos).sum())
 
-    def bwd(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            s = special.expit(x)
-            logits._accum(
-                g * (pos_weight * targets * (s - 1.0) + (1.0 - targets) * s)
-            )
+    def vjp(g: np.ndarray) -> np.ndarray:
+        s = special.expit(x)
+        return g * (pos_weight * targets * (s - 1.0) + (1.0 - targets) * s)
 
-    return tc._make(np.asarray(val), (logits,), bwd, "weighted_bce_with_logits_sum")
+    return tc._make("weighted_bce_with_logits_sum", np.asarray(val), (logits, vjp))
 
 
 def assert_close(actual, expected, rtol: float = 1e-12):

@@ -92,6 +92,13 @@ class TestSynth:
         assert (Path(str(a) + ".edges.txt").read_bytes()
                 != Path(str(b) + ".edges.txt").read_bytes())
 
+    @pytest.mark.parametrize("nodes,communities", [(5, 0), (-5, -10), (4, 5)])
+    def test_community_count_outside_range_is_data_error(self, tmp_path, capsys, nodes, communities):
+        code = run("synth", "--nodes", nodes, "--communities", communities, "--out-prefix", tmp_path / "g")
+        assert code == 2
+        assert f"n_communities {communities} must lie in [1, n_nodes {nodes}]" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestSplit:
     def test_split_file_loads(self, ws):
@@ -392,6 +399,33 @@ class TestEval:
         code = run("eval", "--ckpt", v3, "--graph", ws["graph"], "--split", ws["split"])
         assert code == 2
         assert f"{v3}: checkpoint version 3, this build supports 4" in capsys.readouterr().err
+
+    def test_non_utf8_parameter_name_is_data_error(self, ws, tmp_path, capsys):
+        raw = Path(ws["ckpt"]).read_bytes()
+        (cfg_len,) = struct.unpack("<I", raw[28:32])
+        name = 32 + cfg_len + 4 + 2  # past the parameter count and the first name's length
+        body = raw[:name] + b"\xff" + raw[name + 1 : -4]
+        path = tmp_path / "latin.ckpt"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code = run("eval", "--ckpt", path, "--graph", ws["graph"], "--split", ws["split"])
+        assert code == 2
+        assert f"{path}: parameter name is not UTF-8" in capsys.readouterr().err
+
+    def test_parameter_listed_twice_is_data_error(self, ws, tmp_path, capsys):
+        # a second, zeroed encoder.w1 after the table, the count raised to match, CRC intact
+        raw = Path(ws["ckpt"]).read_bytes()
+        (cfg_len,) = struct.unpack("<I", raw[28:32])
+        count = 32 + cfg_len
+        (n_params,) = struct.unpack("<I", raw[count : count + 4])
+        shape = trainer.load_checkpoint(ws["ckpt"]).params["encoder.w1"].shape
+        again = struct.pack("<H", 10) + b"encoder.w1" + struct.pack("<B2I", 2, *shape)
+        again += np.zeros(shape, dtype="<f8").tobytes()
+        body = raw[:count] + struct.pack("<I", n_params + 1) + raw[count + 4 : -4] + again
+        path = tmp_path / "twice.ckpt"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code = run("eval", "--ckpt", path, "--graph", ws["graph"], "--split", ws["split"])
+        assert code == 2
+        assert f"{path}: parameter 'encoder.w1' listed twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["TEST_POS", "TEST_NEG"])
     def test_empty_test_section_is_data_error(self, tmp_path, capsys, section):

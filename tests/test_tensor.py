@@ -270,9 +270,16 @@ def test_registry_binary_gradients(name):
 def test_registry_binary_broadcast_row_gradients(name):
     fn, dom_a, dom_b = BINARY_REGISTRY[name]
     rng = np.random.default_rng(hash(name) % 2**31)
+    # b's row broadcast, a's row broadcast, b of lower rank
+    for shape_a, shape_b in [((4, 3), (1, 3)), ((1, 3), (4, 3)), ((4, 3), (3,))]:
+        a = tc.Parameter(_sample(rng, dom_a, shape_a), "a")
+        b = tc.Parameter(_sample(rng, dom_b, shape_b), "b")
+        assert gradient_check(lambda: fn(a, b).sum(), [a, b]) < 1e-5
+    # a constant operand gets no gradient; the parameter's is still checked
     a = tc.Parameter(_sample(rng, dom_a, (4, 3)), "a")
-    b = tc.Parameter(_sample(rng, dom_b, (1, 3)), "b")
-    assert gradient_check(lambda: fn(a, b).sum(), [a, b]) < 1e-5
+    const = tc.Tensor(_sample(rng, dom_b, (1, 3)))
+    assert gradient_check(lambda: fn(a, const).sum(), [a]) < 1e-5
+    assert const.grad is None and not const.requires_grad
 
 
 def test_structural_op_gradients():
@@ -282,6 +289,8 @@ def test_structural_op_gradients():
         lambda: tc.row_cumprod(w).sum(),
         lambda: tc.matmul(w, tc.transpose(w)).sum(),
         lambda: tc.clip(w * 2.0, 0.9, 5.0).sum(),
+        lambda: tc.dropout(w, 0.5, np.random.default_rng(5)).sum(),
+        lambda: tc.sum_all(w) * tc.sum_all(w * w),
     ]
     for f in cases:
         assert gradient_check(f, [w]) < 1e-5
@@ -369,6 +378,16 @@ def test_eval_mode_records_nothing():
     w = tc.Parameter([1.0], "w")
     y = tc.sigmoid(w)
     assert y._tape is None and not y.requires_grad
+
+
+def test_op_on_constants_records_no_node():
+    w = tc.Parameter([1.0, 2.0], "w")
+    with tc.Tape() as t:
+        y = tc.exp(tc.Tensor([0.5, 1.5])) + 1.0
+        loss = (w * y).sum()
+    assert y._tape is None and not y.requires_grad
+    assert len(t) == 2  # only the mul and the sum, which have w upstream
+    assert loss._tape is t
 
 
 def test_tape_clear_resets():
