@@ -15,7 +15,9 @@ The pipeline: a synthetic graph, its split, a copy of the split without
 validation pairs, and deterministic triplet features. Then train, eval and,
 for the variants with memberships, communities with the latent CSV, for
 each run below. BLAS is pinned to one thread, since threaded sums may
-round differently.
+round differently. The identity-input run with a feature term is also
+evaluated and its communities extracted on the graph without
+`--features`: its encoder does not read them, so it accepts that graph.
 
 The 300-node graph fits in one row block of the fused likelihoods, so one
 more run trains on an 800-node graph with 1000 feature columns: 5 blocks of
@@ -122,6 +124,10 @@ def main(argv: list[str]) -> int:
         if variant in WITH_MEMBERSHIPS:
             dglfrm("communities", "--ckpt", ckpt, *graph, "--out", f"{name}.communities.txt",
                    "--export-latent", f"{name}.latent.csv")
+    bare = "x-identity-term-bare"
+    dglfrm("eval", "--ckpt", "x-identity-term.ckpt", *GRAPH, "--split", "graph.split", "--out", bare)
+    dglfrm("communities", "--ckpt", "x-identity-term.ckpt", *GRAPH, "--out", f"{bare}.communities.txt",
+           "--export-latent", f"{bare}.latent.csv")
 
     for path in sorted(out.iterdir()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")

@@ -1,6 +1,6 @@
 """Command-line surface: synth, split, train, eval, communities.
 
-Every command writes a RunManifest (input digests, resolved options, seed)
+Every command writes a manifest (input digests, resolved options, seed)
 next to its primary output so any result can be reproduced bit-exactly.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure;
 each error class carries its code. Only train, eval and communities import
@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 # One BLAS thread unless the caller set a count, before numpy loads: row blocks already use every CPU.
@@ -32,30 +31,33 @@ from .graphdata import Graph, LoadError, SplitError  # noqa: E402
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class RunManifest:
-    command: str
-    seed: int | None
-    options: dict
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
-    tool: str = "dglfrm"
-    version: str = __version__
+def _write_manifest(args: argparse.Namespace, prefix, outputs: list) -> None:
+    """Write `<prefix>.manifest.json` for the command that `args` ran.
 
-    def add_input(self, path) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.inputs[str(path)] = f"sha256:{digest}"
-
-    def write(self, primary_output) -> Path:
-        path = Path(str(primary_output) + ".manifest.json")
-        payload = {**asdict(self), "outputs": [str(p) for p in self.outputs]}
-        gd.write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return path
-
-
-def _resolved_options(args: argparse.Namespace) -> dict:
-    options = sorted(vars(args).items())
-    return {k: str(v) if isinstance(v, Path) else v for k, v in options if k not in ("func", "command")}
+    It records the resolved options, the seed (None for a command without
+    one), the outputs, and a digest of each input the command has among
+    --ckpt, --graph, --features and --split; an empty --features is skipped.
+    """
+    inputs = {}
+    for name in ("ckpt", "graph", "features", "split"):
+        path = getattr(args, name, None)
+        if path:
+            inputs[str(path)] = "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    options = {
+        k: str(v) if isinstance(v, Path) else v
+        for k, v in sorted(vars(args).items())
+        if k not in ("func", "command")
+    }
+    payload = {
+        "command": args.command,
+        "seed": getattr(args, "seed", None),
+        "options": options,
+        "inputs": inputs,
+        "outputs": [str(p) for p in outputs],
+        "tool": "dglfrm",
+        "version": __version__,
+    }
+    gd.write_atomic(str(prefix) + ".manifest.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_graph(graph_path, features_path) -> Graph:
@@ -95,10 +97,7 @@ def cmd_synth(args) -> None:
     members_path = prefix + ".memberships.txt"
     gd.save_edge_list(g, edges_path)
     gd.save_memberships(memberships, members_path)
-
-    manifest = RunManifest("synth", args.seed, _resolved_options(args))
-    manifest.outputs = [edges_path, members_path]
-    manifest.write(edges_path)
+    _write_manifest(args, edges_path, [edges_path, members_path])
     print(f"wrote {edges_path} ({g.n_edges} edges), {members_path}")
 
 
@@ -110,13 +109,7 @@ def cmd_split(args) -> None:
     g = _load_graph(args.graph, args.features)
     split = gd.make_splits(g, test_frac=args.test_frac, val_frac=args.val_frac, seed=args.seed)
     gd.save_split(split, args.out)
-
-    manifest = RunManifest("split", args.seed, _resolved_options(args))
-    manifest.add_input(args.graph)
-    if args.features:
-        manifest.add_input(args.features)
-    manifest.outputs = [str(args.out)]
-    manifest.write(args.out)
+    _write_manifest(args, args.out, [args.out])
     print(
         f"wrote {args.out}: {len(split.test_pos)} test, {len(split.val_pos)} val positives"
     )
@@ -170,14 +163,7 @@ def cmd_train(args) -> None:
     # wall-clock stays out of the file so replays are bit-exact; it is logged
     gd.write_atomic(report_path, json.dumps(report.core(), sort_keys=True, indent=2) + "\n")
     logger.info("training wall time: %.2fs", report.wall_seconds)
-
-    manifest = RunManifest("train", args.seed, _resolved_options(args))
-    manifest.add_input(args.graph)
-    if args.features:
-        manifest.add_input(args.features)
-    manifest.add_input(args.split)
-    manifest.outputs = [str(args.out_ckpt), report_path]
-    manifest.write(args.out_ckpt)
+    _write_manifest(args, args.out_ckpt, [args.out_ckpt, report_path])
     last = report.losses[-1]["total"] if report.losses else float("nan")
     best = report.best_val_auc
     print(
@@ -202,14 +188,7 @@ def cmd_eval(args) -> None:
     text_path, json_path = out + ".txt", out + ".json"
     gd.write_atomic(text_path, report.to_text())
     gd.write_atomic(json_path, report.to_json() + "\n")
-
-    manifest = RunManifest("eval", None, _resolved_options(args))
-    for p in (args.ckpt, args.graph, args.split):
-        manifest.add_input(p)
-    if args.features:
-        manifest.add_input(args.features)
-    manifest.outputs = [text_path, json_path]
-    manifest.write(out)
+    _write_manifest(args, out, [text_path, json_path])
     print(report.to_text(), end="")
 
 
@@ -236,14 +215,7 @@ def cmd_communities(args) -> None:
         np.savetxt(text, latents.z.data, delimiter=",", fmt="%.17g")
         gd.write_atomic(args.export_latent, text.getvalue())
         outputs.append(str(args.export_latent))
-
-    manifest = RunManifest("communities", None, _resolved_options(args))
-    manifest.add_input(args.ckpt)
-    manifest.add_input(args.graph)
-    if args.features:
-        manifest.add_input(args.features)
-    manifest.outputs = outputs
-    manifest.write(out)
+    _write_manifest(args, out, outputs)
     active = mx.active_communities(assignment, args.min_members)
     print(
         f"wrote {out}: {active} active communities, "

@@ -1,11 +1,13 @@
 """ELBO assembly, full-batch SGVB training, checkpointing, and scoring.
 
-Held-out validation edges are never folded back into the train adjacency;
-the train graph is fixed per split. The link likelihood is summed over all
-N x N node pairs by `tensor.link_bce_sum`, which walks symmetric row blocks,
-and the feature likelihood over all N x D entries by `tensor.feature_bce_sum`,
-so neither grid is formed during training. Scoring uses deterministic
-posterior means (flagged in the report) rather than Monte Carlo draws.
+The train graph (the split's train adjacency with the graph's features,
+never the held-out edges) is the one source of what training reads: the
+encoder encodes its `effective_graph`, and the loss scores its edges and
+features. The link likelihood is summed over all N x N node pairs by
+`tensor.link_bce_sum`, which walks symmetric row blocks, and the feature
+likelihood over all N x D entries by `tensor.feature_bce_sum`, so neither
+grid is formed during training. Scoring uses deterministic posterior means
+(flagged in the report) rather than Monte Carlo draws.
 
 Numeric faults are caught here, at the loss of each step and at the encoder
 outputs of each scoring pass, and by `tensor.adam_step` at the gradients.
@@ -14,6 +16,7 @@ outputs of each scoring pass, and by `tensor.adam_step` at the gradients.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 import zlib
@@ -204,9 +207,20 @@ def draw_noise(
 # Parameter assembly
 
 
+def _encoder_input(config: TrainConfig, n_nodes: int, d_features: int) -> tuple[bool, int]:
+    """Whether the encoder reads features, and its input width, on a graph of these counts.
+
+    It reads them when the config uses features and the graph has them; its
+    input is then the D feature columns, else N identity columns.
+    """
+    reads = config.use_features and d_features > 0
+    return reads, d_features if reads else n_nodes
+
+
 def effective_graph(g: Graph, config: TrainConfig) -> Graph:
-    """The graph as the encoder sees it (features stripped when unused)."""
-    if config.use_features or g.features is None:
+    """The graph as the encoder sees it (features stripped when it does not read them)."""
+    reads, _ = _encoder_input(config, g.n_nodes, g.d_features)
+    if reads or g.features is None:
         return g
     return Graph(n_nodes=g.n_nodes, adjacency=g.adjacency)
 
@@ -220,18 +234,18 @@ def _train_graph(g: Graph, split: SplitSpec) -> tuple[Graph, SparseMatrix]:
 def model_shapes(config: TrainConfig, n_nodes: int, d_features: int) -> dict[str, tuple[int, int]]:
     """Every parameter's name and shape for a graph of n_nodes and d_features (0 for none).
 
-    The encoder reads features when the config uses them and the graph has
-    them. Its hidden width defaults to 32 on features and 128 on identity
-    input, and the feature term is on by default exactly when it reads them.
+    The encoder's input follows `_encoder_input`. Its hidden width defaults
+    to 32 on features and 128 on identity input, and the feature term is on
+    by default exactly when it reads features.
     """
-    reads = config.use_features and d_features > 0
+    reads, d_in = _encoder_input(config, n_nodes, d_features)
     term = reads if config.feature_term is None else config.feature_term
     if term and not d_features:
         raise ConfigError("feature_term requires node features")
     return md.param_shapes(
         config.model_variant,
         config.structured,
-        d_in=d_features if reads else n_nodes,
+        d_in=d_in,
         hidden=config.hidden or (32 if reads else 128),
         k=config.k,
         decoder_hidden=config.decoder_hidden,
@@ -269,7 +283,6 @@ def init_params(g: Graph, config: TrainConfig, rng: np.random.Generator) -> dict
 def elbo_loss(
     g: Graph,
     a_hat: SparseMatrix,
-    split: SplitSpec,
     params: dict[str, Parameter],
     config: TrainConfig,
     noise: StepNoise,
@@ -277,18 +290,19 @@ def elbo_loss(
     kl_weight: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, LossParts]:
-    """Negative ELBO for one step; returns the scalar node plus components.
+    """Negative ELBO for one step on the train graph `g`; returns the scalar node plus components.
 
-    The encoder drops units at the config's rate, drawing masks from `rng`.
-    The link term is the weighted BCE of every node pair against the train
-    adjacency plus the diagonal. Unless the config sets it, the positive
-    weight balances the two classes: negatives / positives.
+    The encoder reads `effective_graph(g, config)` and `a_hat`, dropping units
+    at the config's rate with masks from `rng`. The link term is the weighted
+    BCE of every node pair against `g`'s adjacency plus the diagonal, the
+    feature term against `g`'s features. Unless the config sets it, the
+    positive weight balances the two link classes: negatives / positives.
     """
     variant = config.model_variant
     pos_weight = config.pos_weight
     if pos_weight is None:
-        n = split.train_adjacency.shape[0]
-        positives = split.train_adjacency.nnz + n
+        n = g.n_nodes
+        positives = g.adjacency.nnz + n
         pos_weight = (n * n - positives) / positives
 
     out = md.encode(effective_graph(g, config), a_hat, params, config.dropout, rng)
@@ -322,7 +336,7 @@ def elbo_loss(
 
     z = md.compose_z(variant, b, r)
     left, right = md.link_factors(z, params)
-    link_nll = tc.link_bce_sum(left, right, split.train_adjacency, pos_weight)
+    link_nll = tc.link_bce_sum(left, right, g.adjacency, pos_weight)
 
     feat_nll = None
     if "feature_decoder.w" in params:
@@ -360,6 +374,11 @@ def _snapshot(params: dict[str, Parameter]) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in params.items()}
 
 
+def _held_out(pos, neg) -> tuple[list, np.ndarray]:
+    """The positive then the negative pairs, with labels 1 then 0."""
+    return list(pos) + list(neg), np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+
+
 def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, TrainReport]:
     """Full-batch SGVB; keeps the checkpoint with the best validation AUC.
 
@@ -372,10 +391,8 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
     train_graph, a_hat = _train_graph(g, split)
     params = init_params(train_graph, config, rng)
     variant = config.model_variant
-    val_pairs = list(split.val_pos) + list(split.val_neg)
-    val_labels = np.concatenate(
-        [np.ones(len(split.val_pos)), np.zeros(len(split.val_neg))]
-    )
+    encoder_graph = effective_graph(train_graph, config)
+    val_pairs, val_labels = _held_out(split.val_pos, split.val_neg)
 
     report = TrainReport()
     best: dict[str, np.ndarray] = {}
@@ -386,7 +403,7 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
         nonlocal best, best_epoch, best_auc
         if not val_pairs:
             return
-        scores = _score_with_params(params, config, train_graph, a_hat, val_pairs)
+        scores = _score_with_params(params, config, encoder_graph, a_hat, val_pairs)
         auc = mx.auc_roc(scores, val_labels)
         ap = mx.average_precision(scores, val_labels)
         report.val_trace.append({"epoch": float(epoch), "auc": auc, "ap": ap})
@@ -407,7 +424,6 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
                     loss, parts = elbo_loss(
                         train_graph,
                         a_hat,
-                        split,
                         params,
                         config,
                         noise,
@@ -493,30 +509,34 @@ def rebuild_params(ckpt: Checkpoint) -> dict[str, Parameter]:
     return {name: Parameter(store[name], name) for name in shapes}
 
 
-def check_compatible(ckpt: Checkpoint, g: Graph) -> None:
-    """Validate that a checkpoint can encode the given graph."""
-    rows = ckpt.params["encoder.w1"].shape[0]
-    eff = effective_graph(g, ckpt.config)
-    expected = eff.d_features or eff.n_nodes
-    if rows != expected:
-        raise CheckpointError(f"checkpoint encoder expects {rows} input columns, graph supplies {expected}")
+def _scoring_inputs(ckpt: Checkpoint, g: Graph) -> tuple[dict[str, Parameter], Graph]:
+    """The checkpoint's checked parameters and `g` as their encoder sees it.
+
+    `g` fits when it gives the encoder the input width that the checkpoint's
+    counts gave it; otherwise CheckpointError.
+    """
+    params = rebuild_params(ckpt)
+    _, expects = _encoder_input(ckpt.config, ckpt.n_nodes, ckpt.d_features)
+    _, supplies = _encoder_input(ckpt.config, g.n_nodes, g.d_features)
+    if supplies != expects:
+        raise CheckpointError(f"checkpoint encoder expects {expects} input columns, graph supplies {supplies}")
+    return params, effective_graph(g, ckpt.config)
 
 
 def posterior_latents(ckpt: Checkpoint, g: Graph, a_hat: SparseMatrix) -> EvalLatents:
-    params = rebuild_params(ckpt)
-    check_compatible(ckpt, g)
-    eff = effective_graph(g, ckpt.config)
-    return _latents_from_params(params, ckpt.config, eff, a_hat)
+    params, encoder_graph = _scoring_inputs(ckpt, g)
+    return _latents_from_params(params, ckpt.config, encoder_graph, a_hat)
 
 
 def _score_with_params(
     params: dict[str, Parameter],
     config: TrainConfig,
-    g: Graph,
+    encoder_graph: Graph,
     a_hat: SparseMatrix,
     pairs,
 ) -> np.ndarray:
-    latents = _latents_from_params(params, config, effective_graph(g, config), a_hat)
+    """Posterior-mean link probabilities of `pairs`; `encoder_graph` is the graph as the encoder sees it."""
+    latents = _latents_from_params(params, config, encoder_graph, a_hat)
     return md.decode_links(latents.z, params, pairs=pairs)
 
 
@@ -529,16 +549,14 @@ def score_pairs(ckpt: Checkpoint, g: Graph, a_hat: SparseMatrix, pairs) -> np.nd
         raise UsageError(f"pair node id out of range for {g.n_nodes} nodes")
     if np.any(arr[:, 0] == arr[:, 1]):
         raise UsageError("pairs must have u != v")
-    params = rebuild_params(ckpt)
-    check_compatible(ckpt, g)
-    return _score_with_params(params, ckpt.config, g, a_hat, arr)
+    params, encoder_graph = _scoring_inputs(ckpt, g)
+    return _score_with_params(params, ckpt.config, encoder_graph, a_hat, arr)
 
 
 def evaluate_split(ckpt: Checkpoint, g: Graph, split: SplitSpec) -> "mx.MetricsReport":
     """AUC/AP on the split's held-out test pairs."""
     _, a_hat = _train_graph(g, split)
-    pairs = list(split.test_pos) + list(split.test_neg)
-    labels = np.concatenate([np.ones(len(split.test_pos)), np.zeros(len(split.test_neg))])
+    pairs, labels = _held_out(split.test_pos, split.test_neg)
     scores = score_pairs(ckpt, g, a_hat, pairs)
     return mx.MetricsReport(
         auc=mx.auc_roc(scores, labels),
@@ -620,8 +638,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: parameter {name!r} listed twice")
         (ndim,) = struct.unpack("<B", read(1))
         shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(read(8 * count), dtype="<f8").reshape(shape)
+        data = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         params[name] = np.array(data, dtype=np.float64)
     if pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes in checkpoint")

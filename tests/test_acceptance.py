@@ -29,7 +29,7 @@ from dglfrm import metrics as mx
 from dglfrm import model as md
 from dglfrm import stochastic as st
 from dglfrm import trainer
-from dglfrm.graphdata import Graph, SplitSpec, normalize_adjacency
+from dglfrm.graphdata import Graph, normalize_adjacency
 from dglfrm.tensor import SparseMatrix, Tensor
 from dglfrm.trainer import TrainConfig
 from oracles import gradient_check
@@ -61,8 +61,6 @@ def test_a1_full_model_gradients():
     """Finite-difference check of the whole loss, every variant, K=4."""
     t0 = time.monotonic()
     g = _six_node_graph()
-    split = SplitSpec(n_nodes=g.n_nodes, train_adjacency=g.adjacency,
-                      val_pos=(), val_neg=(), test_pos=(), test_neg=(), seed=0)
     a_hat = normalize_adjacency(g)
     worst = 0.0
     for variant in ("dglfrm", "dglfrm-b", "lfrm", "lsm", "vgae"):
@@ -73,7 +71,7 @@ def test_a1_full_model_gradients():
                                    cfg.k, cfg.model_variant, cfg.structured)
 
         def f():
-            return trainer.elbo_loss(g, a_hat, split, params, cfg, noise)[0]
+            return trainer.elbo_loss(g, a_hat, params, cfg, noise)[0]
 
         err = gradient_check(f, params.values(), h=1e-5)
         worst = max(worst, err)
@@ -344,8 +342,6 @@ def test_a7_variant_reductions():
                           md.decode_links(z, inner, pairs))
 
     g = _six_node_graph()
-    split = SplitSpec(n_nodes=g.n_nodes, train_adjacency=g.adjacency,
-                      val_pos=(), val_neg=(), test_pos=(), test_neg=(), seed=0)
     a_hat = normalize_adjacency(g)
     zero_kls = True
     for variant in ("lsm", "vgae"):
@@ -354,7 +350,7 @@ def test_a7_variant_reductions():
         params = trainer.init_params(g, cfg, np.random.default_rng(2))
         noise = trainer.draw_noise(np.random.default_rng(3), g.n_nodes,
                                    cfg.k, cfg.model_variant, cfg.structured)
-        _, parts = trainer.elbo_loss(g, a_hat, split, params, cfg, noise)
+        _, parts = trainer.elbo_loss(g, a_hat, params, cfg, noise)
         zero_kls &= parts.kl_b == 0.0 and parts.kl_v == 0.0
 
     cfg = TrainConfig(variant="dglfrm-b", k=4, hidden=5, dropout=0.0,

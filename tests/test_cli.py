@@ -427,6 +427,19 @@ class TestEval:
         assert code == 2
         assert f"{path}: parameter 'encoder.w1' listed twice" in capsys.readouterr().err
 
+    def test_shape_whose_product_wraps_int64_is_data_error(self, ws, tmp_path, capsys):
+        # 65536**4 = 2**64 elements, 0 in int64 arithmetic; the data is dropped, CRC intact
+        raw = Path(ws["ckpt"]).read_bytes()
+        name = raw.index(b"decoder.mlp0.b") + len(b"decoder.mlp0.b")
+        (_, rows, cols) = struct.unpack("<B2I", raw[name : name + 9])
+        huge = struct.pack("<B4I", 4, *(65536,) * 4)
+        body = raw[:name] + huge + raw[name + 9 + 8 * rows * cols : -4]
+        path = tmp_path / "wrapped.ckpt"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code = run("eval", "--ckpt", path, "--graph", ws["graph"], "--split", ws["split"])
+        assert code == 2
+        assert f"{path}: truncated checkpoint" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section", ["TEST_POS", "TEST_NEG"])
     def test_empty_test_section_is_data_error(self, tmp_path, capsys, section):
         graph, split = four_node_files(tmp_path, {section: ""})

@@ -182,25 +182,23 @@ def _random_graph(n, rng, with_features=True):
 
 def _elbo_setup(variant="dglfrm", structured=True):
     g = _random_graph(13, np.random.default_rng(7))
-    split = SplitSpec(n_nodes=g.n_nodes, train_adjacency=g.adjacency,
-                      val_pos=(), val_neg=(), test_pos=(), test_neg=(), seed=0)
     cfg = TrainConfig(variant=variant, structured=structured, k=4, hidden=5,
                       decoder_hidden=(3,), dropout=0.0, epochs=1, seed=3)
     params = trainer.init_params(g, cfg, np.random.default_rng(cfg.seed))
     noise = trainer.draw_noise(np.random.default_rng(11), g.n_nodes, cfg.k,
                                cfg.model_variant, structured)
-    return g, normalize_adjacency(g), split, params, cfg, noise
+    return g, normalize_adjacency(g), params, cfg, noise
 
 
 @pytest.mark.parametrize("structured", [True, False], ids=["structured", "amortized"])
 @pytest.mark.parametrize("variant", ["dglfrm", "dglfrm-b", "lfrm", "lsm", "vgae"])
 def test_elbo_matches_dense_oracle(variant, structured):
-    g, a_hat, split, params, cfg, noise = _elbo_setup(variant, structured)
+    g, a_hat, params, cfg, noise = _elbo_setup(variant, structured)
 
     def run():
         zero_grads(params.values())
         with tc.Tape():
-            loss, parts = trainer.elbo_loss(g, a_hat, split, params, cfg, noise)
+            loss, parts = trainer.elbo_loss(g, a_hat, params, cfg, noise)
             tc.backward(loss)
         return parts, {p.name: p.grad.copy() for p in params.values()}
 
@@ -216,7 +214,7 @@ def test_elbo_matches_dense_oracle(variant, structured):
 
 
 def test_default_pos_weight_is_the_dense_class_ratio():
-    g, a_hat, split, params, cfg, noise = _elbo_setup()
+    g, a_hat, params, cfg, noise = _elbo_setup()
     seen = []
     fused = tc.link_bce_sum
 
@@ -225,7 +223,7 @@ def test_default_pos_weight_is_the_dense_class_ratio():
         return fused(left, right, positives, pos_weight)
 
     with mock.patch.object(tc, "link_bce_sum", spy):
-        trainer.elbo_loss(g, a_hat, split, params, cfg, noise)
+        trainer.elbo_loss(g, a_hat, params, cfg, noise)
     labels = labels_grid(g.adjacency)
     nnz = float(labels.sum())
     assert seen == [(float(labels.size) - nnz) / nnz]

@@ -6,7 +6,7 @@ import pytest
 from dglfrm import model as md
 from dglfrm import tensor as tc
 from dglfrm import trainer
-from dglfrm.graphdata import Graph, SplitSpec, normalize_adjacency
+from dglfrm.graphdata import Graph, normalize_adjacency
 from dglfrm.tensor import Parameter, ShapeError, SparseMatrix, Tensor, UsageError
 from oracles import zero_grads
 
@@ -279,15 +279,6 @@ class TestComposeZ:
 @pytest.mark.parametrize("variant,structured", VARIANT_MODES)
 def test_every_active_parameter_gets_gradient(variant, structured):
     g = ring_graph(6, extra=[(1, 4)], seed=8)
-    split = SplitSpec(
-        n_nodes=6,
-        train_adjacency=g.adjacency,
-        val_pos=(),
-        val_neg=(),
-        test_pos=(),
-        test_neg=(),
-        seed=0,
-    )
     cfg = trainer.TrainConfig(
         variant=variant,
         k=4,
@@ -303,7 +294,7 @@ def test_every_active_parameter_gets_gradient(variant, structured):
     )
     a_hat = normalize_adjacency(g)
     with tc.Tape() as tape:
-        loss, _ = trainer.elbo_loss(g, a_hat, split, params, cfg, noise)
+        loss, _ = trainer.elbo_loss(g, a_hat, params, cfg, noise)
         tc.backward(loss)
     tape.clear()
     for p in params.values():

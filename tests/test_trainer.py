@@ -198,33 +198,31 @@ class TestDrawNoise:
 def two_node_setup(variant="dglfrm"):
     adj = SparseMatrix.from_coo([0, 1], [1, 0], [1.0, 1.0], (2, 2))
     g = Graph(n_nodes=2, adjacency=adj)
-    split = trivial_split(g)
     cfg = tiny_config(variant=variant, hidden=2, k=2, decoder_hidden=(2,))
     params = trainer.init_params(g, cfg, np.random.default_rng(0))
     noise = trainer.draw_noise(
         np.random.default_rng(1), 2, 2, cfg.model_variant, cfg.structured
     )
-    return g, split, cfg, params, noise
+    return g, cfg, params, noise
 
 
 class TestElboLoss:
     def test_half_predictions_give_four_ln_two(self):
         # all-ones labels (edge plus diagonal), w_pos pinned to 1, KLs off:
         # the link term is plain cross entropy at probability 0.5 per cell
-        g, split, cfg, params, noise = two_node_setup()
+        g, cfg, params, noise = two_node_setup()
         cfg = dataclasses.replace(cfg, pos_weight=1.0)
         for name, p in params.items():
             if name.startswith("decoder."):
                 p.data[...] = 0.0
         a_hat = normalize_adjacency(g)
-        loss, parts = trainer.elbo_loss(g, a_hat, split, params, cfg, noise, kl_weight=0.0)
+        loss, parts = trainer.elbo_loss(g, a_hat, params, cfg, noise, kl_weight=0.0)
         assert abs(parts.link_nll - 4.0 * np.log(2.0)) < 1e-12
         assert abs(parts.total - 4.0 * np.log(2.0)) < 1e-12
 
     def test_saturated_fit_drives_loss_to_zero(self):
         adj = SparseMatrix.from_coo([0, 1], [1, 0], [1.0, 1.0], (2, 2))
         g = Graph(n_nodes=2, adjacency=adj)
-        split = trivial_split(g)
         cfg = tiny_config(variant="vgae", hidden=2, k=2, use_features=False, pos_weight=1.0)
         noise = StepNoise(eps_r=np.zeros((2, 2)))
         a_hat = normalize_adjacency(g)
@@ -234,42 +232,42 @@ class TestElboLoss:
             params = trainer.init_params(g, cfg, np.random.default_rng(0))
             params["encoder.w1"].data[...] = np.eye(2) * scale
             params["encoder.w_mu"].data[...] = scale
-            loss, parts = trainer.elbo_loss(g, a_hat, split, params, cfg, noise, kl_weight=0.0)
+            loss, parts = trainer.elbo_loss(g, a_hat, params, cfg, noise, kl_weight=0.0)
             losses.append(parts.total)
         assert losses[1] < losses[0]
         assert losses[1] < 1e-6
 
     @pytest.mark.parametrize("variant", ["lsm", "vgae"])
     def test_gaussian_variants_drop_binary_kls(self, variant):
-        g, split, cfg, params, noise = two_node_setup(variant)
-        _, parts = trainer.elbo_loss(g, normalize_adjacency(g), split, params, cfg, noise)
+        g, cfg, params, noise = two_node_setup(variant)
+        _, parts = trainer.elbo_loss(g, normalize_adjacency(g), params, cfg, noise)
         assert parts.kl_b == 0.0
         assert parts.kl_v == 0.0
         assert parts.kl_r > 0.0
 
     @pytest.mark.parametrize("variant", ["dglfrm-b", "lfrm"])
     def test_binary_variants_drop_gaussian_kl(self, variant):
-        g, split, cfg, params, noise = two_node_setup(variant)
-        _, parts = trainer.elbo_loss(g, normalize_adjacency(g), split, params, cfg, noise)
+        g, cfg, params, noise = two_node_setup(variant)
+        _, parts = trainer.elbo_loss(g, normalize_adjacency(g), params, cfg, noise)
         assert parts.kl_r == 0.0
 
     def test_structured_stick_kl_counted_once(self):
         import dglfrm.stochastic as sl
 
-        g, split, cfg, params, noise = two_node_setup()
-        _, parts = trainer.elbo_loss(g, normalize_adjacency(g), split, params, cfg, noise)
+        g, cfg, params, noise = two_node_setup()
+        _, parts = trainer.elbo_loss(g, normalize_adjacency(g), params, cfg, noise)
         c, d = (tc.softplus(params[f"sticks.raw_{x}"]) + md.PARAM_FLOOR for x in "cd")
         q = sl.KumaraswamyParams(c, d)
         direct = sl.kl_kumaraswamy_beta(q, cfg.alpha).item()
         assert abs(parts.kl_v - direct) < 1e-12
 
     def test_nonfinite_loss_reports_components(self):
-        g, split, cfg, params, noise = two_node_setup()
+        g, cfg, params, noise = two_node_setup()
         params["encoder.w_mu"].data[...] = 1e200
         params["encoder.w1"].data[...] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericDomainError):
-                trainer.elbo_loss(g, normalize_adjacency(g), split, params, cfg, noise)
+                trainer.elbo_loss(g, normalize_adjacency(g), params, cfg, noise)
 
     def test_component_recombination(self, synth):
         g, split = synth
@@ -320,7 +318,6 @@ VARIANT_MODES = [
 @pytest.mark.parametrize("variant,structured", VARIANT_MODES)
 def test_elbo_gradient_matches_finite_differences(variant, structured):
     g = small_graph()
-    split = trivial_split(g)
     cfg = tiny_config(variant=variant, structured=structured, seed=3)
     params = trainer.init_params(g, cfg, np.random.default_rng(cfg.seed))
     noise = trainer.draw_noise(
@@ -329,7 +326,7 @@ def test_elbo_gradient_matches_finite_differences(variant, structured):
     a_hat = normalize_adjacency(g)
 
     def f():
-        return trainer.elbo_loss(g, a_hat, split, params, cfg, noise)[0]
+        return trainer.elbo_loss(g, a_hat, params, cfg, noise)[0]
 
     err = gradient_check(f, params.values(), h=1e-5)
     assert err < 1e-4, f"{variant} structured={structured}: rel err {err:.2e}"
@@ -809,3 +806,36 @@ class TestCheckpointIO:
         path = tmp_path / "step.ckpt"
         trainer.save_checkpoint(big, path)
         assert trainer.load_checkpoint(path).step == 123456789
+
+
+class TestEncoderInputRule:
+    """The encoder reads features when the config uses them and the graph has them."""
+
+    PAIRS = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+
+    @staticmethod
+    def trained(**over):
+        g = small_graph()  # 6 nodes, 3 feature columns
+        ckpt, _ = trainer.train(g, trivial_split(g), tiny_config(epochs=2, **over))
+        return ckpt, g, Graph(n_nodes=g.n_nodes, adjacency=g.adjacency)
+
+    def test_feature_reading_checkpoint_refuses_a_featureless_graph(self):
+        ckpt, _, bare = self.trained()
+        a_hat = normalize_adjacency(bare)
+        with pytest.raises(CheckpointError, match="expects 3 input columns, graph supplies 6"):
+            trainer.score_pairs(ckpt, bare, a_hat, self.PAIRS)
+        with pytest.raises(CheckpointError, match="expects 3 input columns, graph supplies 6"):
+            trainer.posterior_latents(ckpt, bare, a_hat)
+
+    @pytest.mark.parametrize("feature_term", [None, True], ids=["no-term", "term"])
+    def test_identity_checkpoint_ignores_the_graph_features(self, feature_term):
+        ckpt, g, bare = self.trained(use_features=False, feature_term=feature_term)
+        assert ("feature_decoder.w" in ckpt.params) == bool(feature_term)
+        a_hat = normalize_adjacency(g)
+        with_x = trainer.score_pairs(ckpt, g, a_hat, self.PAIRS)
+        without = trainer.score_pairs(ckpt, bare, a_hat, self.PAIRS)
+        assert with_x.tobytes() == without.tobytes()
+        with_x, without = (trainer.posterior_latents(ckpt, h, a_hat) for h in (g, bare))
+        for name in ("b_prob", "mu"):
+            assert getattr(with_x, name).tobytes() == getattr(without, name).tobytes()
+        assert with_x.z.data.tobytes() == without.z.data.tobytes()
