@@ -22,8 +22,8 @@ OVERLAP_PROB = 0.3  # chance a synthetic node joins one extra community
 # SparseMatrix stores int32 column indices. It also keeps the dedup keys
 # u * n + v and row * width + col below 2**62.
 ID_LIMIT = 2**31
-# Elements per row block of the blocked ops: link_bce_sum, feature_bce_sum,
-# sparse_dropout and the synthetic edge draw (1 MB of float64 per temporary).
+# Elements per row block of the blocked ops: link_bce_sum, feature_bce_sum
+# and the synthetic edge draw (1 MB of float64 per temporary).
 # For link_bce_sum, sizes 2**16 to 2**18 timed within 10% of each other at
 # N = 2000 to 5000, 2**20 up to 16% slower. The fused likelihoods keep up to
 # BLOCK_WORKERS blocks in flight: at 2**17 two hold what one 2**18 block held.
@@ -60,7 +60,7 @@ class SparseMatrix:
     `SparseMatrix(dense)` stores the nonzero entries of a 2-D array.
     """
 
-    __slots__ = ("shape", "indptr", "indices", "values", "_transpose", "_spmm_view")
+    __slots__ = ("shape", "indptr", "indices", "values", "_spmm_view", "_spmm_view_t")
 
     def __init__(self, dense) -> None:
         dense = np.asarray(dense, dtype=np.float64)
@@ -72,7 +72,7 @@ class SparseMatrix:
         self.shape = (int(shape[0]), int(shape[1]))
         self.indptr = np.searchsorted(rows, np.arange(self.shape[0] + 1))
         self.indices, self.values = cols.astype(np.int32, copy=False), values
-        self._transpose = self._spmm_view = None  # _spmm_view: tensor.spmm's kernel matrix over the arrays
+        self._spmm_view = self._spmm_view_t = None  # tensor.spmm's kernel matrix over the arrays, and its transpose
         return self
 
     @classmethod
@@ -104,17 +104,6 @@ class SparseMatrix:
     def entry_rows(self) -> np.ndarray:
         """The row of each stored entry."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.entry_rows(), self.indices] = self.values
-        return out
-
-    def transpose(self) -> "SparseMatrix":
-        """The transpose, built once and cached."""
-        if self._transpose is None:
-            self._transpose = SparseMatrix.from_coo(self.indices, self.entry_rows(), self.values, self.shape[::-1])
-        return self._transpose
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -149,7 +138,8 @@ class Graph:
         a = self.adjacency
         if a.shape != (self.n_nodes, self.n_nodes):
             raise LoadError(f"adjacency shape {a.shape} vs n_nodes {self.n_nodes}")
-        if a != SparseMatrix.from_coo(a.indices, a.entry_rows(), a.values, a.shape):  # uncached transpose
+        # the transpose is built by from_coo, not by spmm's scipy kernel: graphdata stays numpy only
+        if a != SparseMatrix.from_coo(a.indices, a.entry_rows(), a.values, a.shape):
             raise LoadError("adjacency must be symmetric")
         if np.any(a.values[a.entry_rows() == a.indices]):
             raise LoadError("adjacency must have a zero diagonal")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as tc
 from .graphdata import Graph
-from .tensor import Parameter, SparseMatrix, Tensor, UsageError
+from .tensor import NumericDomainError, Parameter, SparseMatrix, Tensor, UsageError
 
 PARAM_FLOOR = 1e-4  # added after softplus so c, d stay strictly positive
 LEAKY_SLOPE = 0.2  # negative-side slope of the encoder and MLP-decoder activations
@@ -138,9 +138,7 @@ def encode(
     w1 = params["encoder.w1"]
     if g.features is not None:
         x = g.features
-        if drop:
-            # the keep mask is drawn over all N x D entries, as tc.dropout draws
-            # it, so the rng stream and every later draw are unchanged
+        if drop:  # one draw per stored entry, as the VGAE reference drops sparse inputs
             x = tc.sparse_dropout(x, dropout, rng)
         first = tc.spmm(x, w1)
     else:
@@ -187,10 +185,17 @@ def link_factors(z: Tensor, params: dict[str, Parameter]) -> tuple[Tensor, Tenso
 
 
 def decode_links(z: Tensor, params: dict[str, Parameter], pairs) -> np.ndarray:
-    """Link probabilities of the (u, v) pairs, off the tape: scoring needs no gradient."""
+    """Link probabilities of the (u, v) pairs, off the tape: scoring needs no gradient.
+
+    A non-finite link logit raises NumericDomainError: as a probability it
+    would be NaN or an exact 0 or 1, where such scores tie.
+    """
     left, right = link_factors(z, params)
     pairs = np.asarray(pairs, dtype=np.int64)
-    return tc.sigmoid_np((left.data[pairs[:, 0]] * right.data[pairs[:, 1]]).sum(axis=1))
+    logits = (left.data[pairs[:, 0]] * right.data[pairs[:, 1]]).sum(axis=1)
+    if not np.all(np.isfinite(logits)):
+        raise NumericDomainError("decoder: non-finite link logit")
+    return tc.sigmoid_np(logits)
 
 
 def compose_z(variant: ModelVariant, b: Tensor | None, r: Tensor | None) -> Tensor:

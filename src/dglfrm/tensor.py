@@ -12,7 +12,8 @@ accumulate (sum) across fan-out within a single backward pass.
 Ops do not scan their inputs: a stated domain (a positive base, a nonzero
 denominator) is the caller's contract. Non-finite values are caught at three
 boundaries instead: the loss (`trainer.elbo_loss`), every gradient before
-`adam_step` changes anything, and the encoder outputs on the scoring path.
+`adam_step` changes anything, and on the scoring path the encoder outputs
+and the decoded link logits.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .graphdata import LINK_BLOCK_ELEMENTS, ShapeError, SparseMatrix, sigmoid_np
 
 
 class NumericDomainError(ArithmeticError):
-    """A non-finite loss, gradient or scored encoder output."""
+    """A non-finite loss, gradient, or encoder output or link logit when scoring."""
     exit_code = 3
 
 
@@ -374,25 +375,28 @@ def matmul(a, b) -> Tensor:
     return _make("matmul", a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
-def _csr_view(s: SparseMatrix) -> _sp.csr_matrix:
-    """The compiled kernel's CSR matrix over s's arrays, made once per matrix."""
+def _csr_view(s: SparseMatrix, transposed: bool = False) -> _sp.csr_matrix:
+    """The compiled kernel's CSR matrix over s's arrays, or its transpose, each made once per matrix."""
     if s._spmm_view is None:
         s._spmm_view = _sp.csr_matrix((s.values, s.indices, s.indptr), shape=s.shape)
-    return s._spmm_view
+    if transposed and s._spmm_view_t is None:
+        s._spmm_view_t = s._spmm_view.T.tocsr()
+    return s._spmm_view_t if transposed else s._spmm_view
 
 
 def spmm(s: SparseMatrix, b) -> Tensor:
     """Sparse @ dense. Gradient flows to the dense operand only.
 
-    Backward multiplies by the sparse operand's transpose, built once per
-    matrix and cached: a feature matrix is not symmetric.
+    Backward multiplies by the sparse operand's transpose, scipy's O(nnz)
+    CSR transpose of the kernel's view, cached beside it: a feature matrix
+    is not symmetric.
     """
     if not isinstance(s, SparseMatrix):
         raise UsageError("spmm: first operand must be a SparseMatrix")
     b = as_tensor(b)
     if b.data.ndim != 2 or s.shape[1] != b.shape[0]:
         raise ShapeError(f"spmm: {s.shape} @ {b.shape}")
-    return _make("spmm", np.asarray(_csr_view(s) @ b.data), (b, lambda g: _csr_view(s.transpose()) @ g))
+    return _make("spmm", np.asarray(_csr_view(s) @ b.data), (b, lambda g: _csr_view(s, transposed=True) @ g))
 
 
 def transpose(x) -> Tensor:
@@ -479,25 +483,11 @@ def _sum_blocks(n: int, rows: int, width: int, partial_shape: tuple, block) -> f
 
 
 def sparse_dropout(x: SparseMatrix, rate: float, rng: np.random.Generator) -> SparseMatrix:
-    """`dropout` of a constant sparse matrix, rate in (0, 1): stored values are scaled or zeroed.
+    """Inverted dropout of a constant sparse matrix, rate in (0, 1), with one draw per stored entry.
 
-    The keep mask is drawn over all rows x cols entries in row-major order,
-    as `dropout` draws it over the dense matrix, so the kept entries, their
-    values and every later draw from `rng` are the same as on the dense
-    path. `Generator.random` gives the same stream in any chunking, so the
-    mask is drawn in row blocks of LINK_BLOCK_ELEMENTS // cols and only its
-    stored positions are read.
+    A dropped entry stays stored with value 0, so the pattern is unchanged.
     """
-    n, d = x.shape
-    indptr, indices = x.indptr, x.indices
-    keep = np.empty(x.nnz, dtype=bool)
-    rows = max(1, LINK_BLOCK_ELEMENTS // d)
-    for a in range(0, n, rows):
-        b = min(a + rows, n)
-        r = np.repeat(np.arange(b - a), np.diff(indptr[a : b + 1]))
-        c = indices[indptr[a] : indptr[b]]
-        keep[indptr[a] : indptr[b]] = rng.random((b - a, d))[r, c] >= rate
-    return x.with_values(x.values * (keep / (1.0 - rate)))
+    return x.with_values(x.values * ((rng.random(x.nnz) >= rate) / (1.0 - rate)))
 
 
 def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Tensor:

@@ -535,9 +535,13 @@ def _score_with_params(
     a_hat: SparseMatrix,
     pairs,
 ) -> np.ndarray:
-    """Posterior-mean link probabilities of `pairs`; `encoder_graph` is the graph as the encoder sees it."""
-    latents = _latents_from_params(params, config, encoder_graph, a_hat)
-    return md.decode_links(latents.z, params, pairs=pairs)
+    """Posterior-mean link probabilities of `pairs`; `encoder_graph` is the graph as the encoder sees it.
+
+    Overflow is not warned about: the encoder outputs and the link logits are checked.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        latents = _latents_from_params(params, config, encoder_graph, a_hat)
+        return md.decode_links(latents.z, params, pairs=pairs)
 
 
 def score_pairs(ckpt: Checkpoint, g: Graph, a_hat: SparseMatrix, pairs) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Test-only helpers: the dense BCE oracle, the scalar split sampler, gradient
-checking and the op registries.
+"""Test-only helpers: the dense BCE oracle, the scalar split sampler, dense
+and scipy views of a sparse matrix, gradient checking and the op registries.
 
 `weighted_bce_with_logits_sum` is the dense reference for the fused
 likelihoods `tensor.link_bce_sum` and `tensor.feature_bce_sum`, which sum
@@ -45,6 +45,13 @@ def assert_close(actual, expected, rtol: float = 1e-12):
 
 def sparse_identity(n: int) -> SparseMatrix:
     return SparseMatrix(np.eye(n))
+
+
+def to_dense(m: SparseMatrix) -> np.ndarray:
+    """The dense array of a sparse matrix: the tests' view of what it stores."""
+    out = np.zeros(m.shape)
+    out[m.entry_rows(), m.indices] = m.values
+    return out
 
 
 def as_scipy(m: SparseMatrix) -> sp.csr_matrix:

@@ -332,6 +332,51 @@ class TestNumericFailure:
         assert code == 3
         assert "numeric failure: encoder head mu: non-finite output" in capsys.readouterr().err
 
+    def test_overflowing_decoder_exits_three_from_eval(self, ws, tmp_path, capsys):
+        # finite weights whose link logits overflow: as probabilities they would all tie at 1
+        ckpt = trainer.load_checkpoint(ws["ckpt"])
+        ckpt.params["decoder.mlp0.w"] *= 1e160
+        path = tmp_path / "big.ckpt"
+        trainer.save_checkpoint(ckpt, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("eval", "--ckpt", path, "--graph", ws["graph"], "--split", ws["split"],
+                       "--out", tmp_path / "metrics")
+        assert code == 3
+        assert capsys.readouterr().err == "numeric failure: decoder: non-finite link logit\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.ckpt"]
+
+    def test_decoder_overflow_in_validation_is_recorded_as_divergence(self, ws, tmp_path, capsys, monkeypatch):
+        # the third validation's encoder outputs are finite but their link logits overflow
+        encode, calls = md.encode, []
+
+        def poisoned(g, a_hat, params, *train_args):
+            out = encode(g, a_hat, params, *train_args)
+            if not train_args:  # validation scores without dropout arguments
+                calls.append(g)
+                if len(calls) == 3:
+                    out["mu"].data *= 1e160
+            return out
+
+        def train(epochs, ckpt):
+            return run("train", "--graph", ws["graph"], "--split", ws["split"], "--k", 4, "--hidden", 8,
+                       "--epochs", epochs, "--val-every", 1, "--seed", 3, "--out-ckpt", ckpt)
+
+        monkeypatch.setattr(md, "encode", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert train(6, tmp_path / "m.ckpt") == 0
+        assert "warning: training diverged (decoder: non-finite link logit)" in capsys.readouterr().out
+        report = json.loads(Path(f"{tmp_path / 'm.ckpt'}.report.json").read_text())
+        assert report["diverged"] and len(report["losses"]) == 3 and len(report["val_trace"]) == 2
+        monkeypatch.setattr(md, "encode", encode)
+        assert train(report["best_epoch"], tmp_path / "clean.ckpt") == 0
+        clean = trainer.load_checkpoint(tmp_path / "clean.ckpt")
+        kept = trainer.load_checkpoint(tmp_path / "m.ckpt")
+        assert kept.step == clean.step == report["best_epoch"]
+        for name, arr in clean.params.items():
+            assert kept.params[name].tobytes() == arr.tobytes(), name
+
 
 class TestEval:
     def test_metrics_files_written(self, ws, tmp_path, capsys):

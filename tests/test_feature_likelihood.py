@@ -3,10 +3,9 @@
 `tensor.feature_bce_sum` walks row blocks of z @ w and never forms the
 N x D logit matrix; its oracle is the dense logits and
 `weighted_bce_with_logits_sum` with positive weight 1. `tensor.sparse_dropout`
-must keep exactly the entries `tensor.dropout` keeps on the dense matrix and
-leave the generator where the dense draw leaves it. The feature blocks run
-on a thread pool and are summed in block order, so the bits must not depend
-on the number of workers.
+keeps the stored pattern and draws one uniform per stored entry. The feature
+blocks run on a thread pool and are summed in block order, so the bits must
+not depend on the number of workers.
 """
 
 import tracemalloc
@@ -20,9 +19,9 @@ from hypothesis import strategies as st
 from dglfrm import tensor as tc
 from dglfrm import trainer
 from dglfrm.graphdata import Graph, SplitSpec
-from dglfrm.tensor import Parameter, SparseMatrix, Tensor
+from dglfrm.tensor import Parameter, SparseMatrix
 from dglfrm.trainer import TrainConfig
-from oracles import assert_close, weighted_bce_with_logits_sum
+from oracles import assert_close, to_dense, weighted_bce_with_logits_sum
 
 
 def random_targets(n, d, density, binary, rng) -> np.ndarray:
@@ -43,7 +42,7 @@ def loss_and_grads(loss_fn, z0, w0, targets):
 
 
 def dense_feature_bce_sum(z, w, targets: SparseMatrix):
-    return weighted_bce_with_logits_sum(tc.matmul(z, w), targets.to_dense(), 1.0)
+    return weighted_bce_with_logits_sum(tc.matmul(z, w), to_dense(targets), 1.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -110,22 +109,29 @@ def test_feature_bce_sum_rejects_mismatched_shapes(shapes):
 
 
 @pytest.mark.parametrize(
-    "shape,block",
-    [((50, 30), tc.LINK_BLOCK_ELEMENTS), ((50, 30), 64), ((7, 100), 16), ((1, 3), 2)],
-    ids=["one-block", "short-last-block", "wider-than-a-block", "one-row"],
+    "shape,density,rate",
+    [((50, 30), 0.2, 0.4), ((300, 40), 0.05, 0.9), ((7, 100), 0.5, 0.1), ((1, 3), 1.0, 0.5)],
+    ids=["a-fifth-stored", "mostly-dropped", "mostly-kept", "one-row"],
 )
-def test_sparse_dropout_matches_dense_dropout(shape, block):
+def test_sparse_dropout_draws_once_per_stored_entry(shape, density, rate):
     rng = np.random.default_rng(0)
-    dense = random_targets(*shape, 0.2, False, rng)
-    x = SparseMatrix(dense)
-    dense_rng, sparse_rng = np.random.default_rng(5), np.random.default_rng(5)
-    want = tc.dropout(Tensor(dense), 0.4, dense_rng).data
-    with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", block):
-        got = tc.sparse_dropout(x, 0.4, sparse_rng)
+    dense = random_targets(*shape, density, False, rng)
+    rows, cols = np.nonzero(dense)
+    values = dense[rows, cols]
+    values[::7] = 0.0  # explicit zeros, which stay stored
+    x = SparseMatrix.from_coo(rows, cols, values, shape)
+    drop_rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    got = tc.sparse_dropout(x, rate, drop_rng)
+    assert x.nnz > 0 and got.shape == x.shape
     np.testing.assert_array_equal(got.indptr, x.indptr)
     np.testing.assert_array_equal(got.indices, x.indices)
-    np.testing.assert_array_equal(got.to_dense(), want)
-    assert sparse_rng.bit_generator.state == dense_rng.bit_generator.state
+    kept = got.values != 0.0
+    np.testing.assert_allclose(got.values[kept], x.values[kept] / (1.0 - rate), rtol=1e-15, atol=0.0)
+    # one uniform per stored entry, in storage order, and no other draw
+    np.testing.assert_array_equal(kept, (reference.random(x.nnz) >= rate) & (x.values != 0.0))
+    assert drop_rng.bit_generator.state == reference.bit_generator.state
+    n = np.count_nonzero(x.values)
+    assert abs(np.count_nonzero(kept) - n * (1.0 - rate)) <= 5.0 * np.sqrt(n * rate * (1.0 - rate)) + 1.0
 
 
 def test_feature_training_epoch_allocates_no_n_by_d_array():

@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dglfrm import graphdata as gd
 from dglfrm import tensor as tc
 from dglfrm.tensor import SparseMatrix
-from oracles import as_scipy, assert_close, oracle_make_splits
+from oracles import as_scipy, assert_close, oracle_make_splits, to_dense
 
 
 def write(tmp_path, name, text):
@@ -84,25 +84,25 @@ def test_cora_counts(cora_dir):
 def test_features_triplets(tmp_path):
     p = write(tmp_path, "f.txt", "0 0 1\n1 2 1\n")
     feats = gd.load_features(p, n_nodes=2)
-    np.testing.assert_array_equal(feats.to_dense(), [[1, 0, 0], [0, 0, 1]])
+    np.testing.assert_array_equal(to_dense(feats), [[1, 0, 0], [0, 0, 1]])
 
 
 def test_features_csv(tmp_path):
     p = write(tmp_path, "f.csv", "1.0,0.5\n0.0,2.0\n")
     feats = gd.load_features(p, n_nodes=2)
-    np.testing.assert_array_equal(feats.to_dense(), [[1.0, 0.5], [0.0, 2.0]])
+    np.testing.assert_array_equal(to_dense(feats), [[1.0, 0.5], [0.0, 2.0]])
 
 
 def test_features_last_triplet_wins(tmp_path):
     p = write(tmp_path, "f.txt", "0 1 2\n1 0 5\n0 1 3\n")
     feats = gd.load_features(p, n_nodes=2)
-    np.testing.assert_array_equal(feats.to_dense(), [[0, 3], [5, 0]])
+    np.testing.assert_array_equal(to_dense(feats), [[0, 3], [5, 0]])
 
 
 def test_features_explicit_zero_overwrites(tmp_path):
     p = write(tmp_path, "f.txt", "0 1 2\n0 1 0\n1 2 0\n")
     feats = gd.load_features(p, n_nodes=2)
-    np.testing.assert_array_equal(feats.to_dense(), np.zeros((2, 3)))
+    np.testing.assert_array_equal(to_dense(feats), np.zeros((2, 3)))
 
 
 def test_features_row_out_of_range(tmp_path):
@@ -128,25 +128,25 @@ def test_cora_feature_width(cora_dir):
 
 def test_normalize_single_node():
     g = graph_from_pairs([], 1)
-    np.testing.assert_array_equal(gd.normalize_adjacency(g).to_dense(), [[1.0]])
+    np.testing.assert_array_equal(to_dense(gd.normalize_adjacency(g)), [[1.0]])
 
 
 def test_normalize_two_nodes_one_edge():
     g = graph_from_pairs([(0, 1)], 2)
     np.testing.assert_allclose(
-        gd.normalize_adjacency(g).to_dense(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15
+        to_dense(gd.normalize_adjacency(g)), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15
     )
 
 
 def test_normalize_path_graph_entry():
     g = graph_from_pairs([(0, 1), (1, 2)], 3)
-    a_hat = gd.normalize_adjacency(g).to_dense()
+    a_hat = to_dense(gd.normalize_adjacency(g))
     assert a_hat[0, 1] == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-12)
 
 
 def test_normalize_isolated_node_row():
     g = graph_from_pairs([(0, 1)], 3)
-    a_hat = gd.normalize_adjacency(g).to_dense()
+    a_hat = to_dense(gd.normalize_adjacency(g))
     np.testing.assert_allclose(a_hat[2], [0.0, 0.0, 1.0], atol=1e-15)
 
 
@@ -162,9 +162,9 @@ def test_normalize_symmetric_and_bounded(seed):
         }
     )
     g = graph_from_pairs(pairs, n)
-    a_hat = gd.normalize_adjacency(g).to_dense()
+    a_hat = to_dense(gd.normalize_adjacency(g))
     np.testing.assert_allclose(a_hat, a_hat.T, atol=1e-12)
-    deg = g.adjacency.to_dense().sum(axis=1)
+    deg = to_dense(g.adjacency).sum(axis=1)
     sums = a_hat.sum(axis=1)
     assert np.all(sums > 0.0)
     assert np.all(sums <= 1.0 + deg.max() + 1e-12)
@@ -195,7 +195,7 @@ def test_splits_partition_edges():
 def test_splits_negatives_are_non_edges_exhaustive():
     g = random_graph(3, n=120)
     split = gd.make_splits(g, 0.10, 0.05, seed=2)
-    dense = g.adjacency.to_dense()
+    dense = to_dense(g.adjacency)
     negs = list(split.val_neg) + list(split.test_neg)
     assert len(set(negs)) == len(negs)
     for u, v in negs:
@@ -245,7 +245,7 @@ def test_splits_seed_changes_result():
 def test_splits_train_adjacency_symmetric():
     g = random_graph(13)
     split = gd.make_splits(g, 0.2, 0.1, seed=4)
-    a = split.train_adjacency.to_dense()
+    a = to_dense(split.train_adjacency)
     np.testing.assert_array_equal(a, a.T)
     assert np.all(np.diag(a) == 0.0)
 
@@ -282,7 +282,7 @@ def test_splits_dense_graph_fallback_finds_negatives():
     n_non = n * (n - 1) // 2 - len(pairs)
     split = gd.make_splits(g, 0.02, 0.02, seed=0)
     assert len(split.val_neg) + len(split.test_neg) <= n_non
-    dense = g.adjacency.to_dense()
+    dense = to_dense(g.adjacency)
     for u, v in list(split.val_neg) + list(split.test_neg):
         assert dense[u, v] == 0.0
 
@@ -354,7 +354,7 @@ def test_split_save_load_roundtrip(tmp_path):
     assert loaded.test_pos == split.test_pos
     assert loaded.test_neg == split.test_neg
     np.testing.assert_array_equal(
-        loaded.train_adjacency.to_dense(), split.train_adjacency.to_dense()
+        to_dense(loaded.train_adjacency), to_dense(split.train_adjacency)
     )
 
 
@@ -501,7 +501,7 @@ def test_synthetic_invariants():
     assert np.all(memberships.sum(axis=0) >= 1)
     per_node = memberships.sum(axis=1)
     assert np.all(per_node <= 2)
-    a = g.adjacency.to_dense()
+    a = to_dense(g.adjacency)
     np.testing.assert_array_equal(a, a.T)
     assert np.all(np.diag(a) == 0.0)
 
@@ -509,13 +509,13 @@ def test_synthetic_invariants():
 def test_synthetic_deterministic():
     a1, m1 = gd.generate_synthetic(gd.SyntheticSpec(50, 5, seed=7))
     a2, m2 = gd.generate_synthetic(gd.SyntheticSpec(50, 5, seed=7))
-    np.testing.assert_array_equal(a1.adjacency.to_dense(), a2.adjacency.to_dense())
+    np.testing.assert_array_equal(to_dense(a1.adjacency), to_dense(a2.adjacency))
     np.testing.assert_array_equal(m1, m2)
 
 
 def test_synthetic_block_structure_frequencies():
     g, memberships = gd.generate_synthetic(gd.SyntheticSpec(200, 4, seed=1))
-    a = g.adjacency.to_dense()
+    a = to_dense(g.adjacency)
     overlap = memberships @ memberships.T
     iu, iv = np.triu_indices(200, k=1)
     shared = overlap[iu, iv] >= 1
@@ -603,19 +603,42 @@ def test_sparse_matrix_matches_scipy(seed, n_rows, n_cols, n_entries, zero_share
     want = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
     want.sum_duplicates()
     assert_same_csr(m, want, exact=len(set(zip(rows, cols))) == n_entries)
-    assert_same_csr(m.transpose(), as_scipy(m).T)
-    np.testing.assert_array_equal(m.to_dense(), as_scipy(m).toarray())
-    assert m.transpose() is m.transpose()
+    np.testing.assert_array_equal(to_dense(m), as_scipy(m).toarray())
 
-    dense = m.to_dense()
+    dense = to_dense(m)
     assert_same_csr(SparseMatrix(dense), sp.csr_matrix(dense))  # stores only the nonzeros
 
     if n_entries and n_rows * n_cols <= 81:  # dropout zeroes stored values but keeps them
         dropped = tc.sparse_dropout(m, 0.5, np.random.default_rng(seed))
         np.testing.assert_array_equal(dropped.indptr, m.indptr)
         np.testing.assert_array_equal(dropped.indices, m.indices)
-        assert_same_csr(dropped.transpose(), as_scipy(dropped).T)
-        np.testing.assert_array_equal(dropped.to_dense(), as_scipy(dropped).toarray())
+        np.testing.assert_array_equal(to_dense(dropped), as_scipy(dropped).toarray())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(0, 9), st.integers(0, 9), st.integers(0, 60),
+    st.floats(0.0, 1.0), st.booleans(),
+)
+@example(seed=0, n_rows=4, n_cols=3, n_entries=0, zero_share=0.0, drop=False)  # nnz = 0
+@example(seed=1, n_rows=9, n_cols=2, n_entries=3, zero_share=0.0, drop=False)  # empty rows
+@example(seed=2, n_rows=2, n_cols=9, n_entries=3, zero_share=1.0, drop=True)  # empty columns, explicit zeros
+def test_spmm_gradient_is_the_scipy_transpose_product(seed, n_rows, n_cols, n_entries, zero_share, drop):
+    # entries are drawn independently, so a square matrix is in general not symmetric
+    rng = np.random.default_rng(seed)
+    n_entries *= n_rows * n_cols > 0
+    rows, cols = rng.integers(max(n_rows, 1), size=n_entries), rng.integers(max(n_cols, 1), size=n_entries)
+    vals = rng.normal(size=n_entries) * (rng.random(n_entries) >= zero_share)  # explicit zeros
+    s = SparseMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))
+    if drop:
+        s = tc.sparse_dropout(s, 0.5, rng)
+    g = rng.normal(size=(n_rows, 3))
+    b = tc.Tensor(rng.normal(size=(n_cols, 3)))
+    b.requires_grad = True
+    with tc.Tape():
+        tc.backward(tc.mul(tc.spmm(s, b), g).sum())  # the product's gradient is g, exactly
+    want = as_scipy(s).T @ g
+    assert b.grad.shape == want.shape and b.grad.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_sparse_matrix_rejects_out_of_range_entries():
@@ -682,6 +705,6 @@ def test_splits_partition_property(seed, n_edges_scale):
     train = edge_set(split.train_adjacency)
     assert train | set(split.val_pos) | set(split.test_pos) == full
     assert len(train) + len(split.val_pos) + len(split.test_pos) == len(full)
-    dense = g.adjacency.to_dense()
+    dense = to_dense(g.adjacency)
     for u, v in list(split.val_neg) + list(split.test_neg):
         assert dense[u, v] == 0.0

@@ -23,11 +23,11 @@ from dglfrm import trainer
 from dglfrm.graphdata import Graph, SplitSpec, normalize_adjacency
 from dglfrm.tensor import Parameter, SparseMatrix
 from dglfrm.trainer import TrainConfig
-from oracles import assert_close, weighted_bce_with_logits_sum, zero_grads
+from oracles import assert_close, to_dense, weighted_bce_with_logits_sum, zero_grads
 
 def labels_grid(positives: SparseMatrix) -> np.ndarray:
     """Dense targets: the train adjacency with the diagonal set to 1."""
-    labels = positives.to_dense()
+    labels = to_dense(positives)
     np.fill_diagonal(labels, 1.0)
     return labels
 

@@ -10,6 +10,7 @@ from oracles import (
     UNARY_REGISTRY,
     gradient_check,
     sparse_identity,
+    to_dense,
     weighted_bce_with_logits_sum,
 )
 
@@ -62,7 +63,7 @@ def test_spmm_gradient_reaches_dense_operand_only():
     with tc.Tape():
         loss = tc.spmm(s, w).sum()
         tc.backward(loss)
-    np.testing.assert_allclose(w.grad, s.to_dense().T @ np.ones((4, 3)), atol=1e-12)
+    np.testing.assert_allclose(w.grad, to_dense(s).T @ np.ones((4, 3)), atol=1e-12)
 
 
 def test_sparse_matrix_indices_sorted_and_unique():

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from dglfrm import graphdata as gd
 from dglfrm.graphdata import LoadError, SplitSpec, _adjacency_from_pairs
-from oracles import as_scipy
+from oracles import as_scipy, to_dense
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -396,7 +396,7 @@ def test_triplet_features_match_oracle(tmp_path, data, n):
     if got[0] == "error":
         assert got[1] == expected[1]
     else:
-        np.testing.assert_array_equal(got[1].to_dense(), expected[1])
+        np.testing.assert_array_equal(to_dense(got[1]), expected[1])
 
 
 @pytest.mark.parametrize(
@@ -416,7 +416,7 @@ def test_feature_fixtures_match_oracle(tmp_path, name, text):
     expected = oracle_load_features(path, 2)
     got = gd.load_features(path, 2)
     assert got.shape == expected.shape
-    np.testing.assert_array_equal(got.to_dense(), expected)
+    np.testing.assert_array_equal(to_dense(got), expected)
 
 
 @SETTINGS
@@ -429,7 +429,7 @@ def test_csv_features_match_oracle(tmp_path, data, n, width):
     if got[0] == "error":
         assert got[1] == expected[1]
     else:
-        np.testing.assert_array_equal(got[1].to_dense(), expected[1])
+        np.testing.assert_array_equal(to_dense(got[1]), expected[1])
 
 
 def random_graph(seed: int, n: int, density: float = 0.5) -> gd.Graph:
