@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -73,27 +73,13 @@ class MetricsReport:
     split_seed: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "auc": self.auc,
-                "ap": self.ap,
-                "n_pos": self.n_pos,
-                "n_neg": self.n_neg,
-                "split_seed": self.split_seed,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
-        lines = [
-            f"auc {self.auc:.6f}",
-            f"ap {self.ap:.6f}",
-            f"n_pos {self.n_pos}",
-            f"n_neg {self.n_neg}",
-            f"split_seed {self.split_seed}",
-        ]
-        return "\n".join(lines) + "\n"
+        """One "name value" line per field, in field order: floats to 6 places."""
+        return "".join(
+            f"{f.name} {getattr(self, f.name):{'.6f' if f.type == 'float' else ''}}\n" for f in fields(self)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +139,7 @@ def extract_communities(
     variant: md.ModelVariant, latents, threshold: float = 0.5
 ) -> CommunityAssignment:
     """Overlapping communities from a checkpoint's `trainer.posterior_latents`."""
-    if not variant.supports_communities:
+    if not variant.uses_b:
         raise UsageError(
             f"variant {variant.value} has no membership posteriors to threshold"
         )

@@ -1,6 +1,6 @@
 """GCN encoder, link decoders, feature decoder, and the model-variant switch.
 
-A model's parameters are a dict of `Parameter`s keyed by name; `param_shapes`
+A model's parameters are a dict of tensors keyed by name; `param_shapes`
 states which names a variant has and their shapes. The encoder is one shared
 GCN hidden layer followed by a linear GCN head for each variational parameter
 the variant trains (`ModelVariant.encoder_heads`). Decoders: a small MLP
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as tc
 from .graphdata import Graph
-from .tensor import NumericDomainError, Parameter, SparseMatrix, Tensor, UsageError
+from .tensor import NumericDomainError, SparseMatrix, Tensor, UsageError
 
 PARAM_FLOOR = 1e-4  # added after softplus so c, d stay strictly positive
 LEAKY_SLOPE = 0.2  # negative-side slope of the encoder and MLP-decoder activations
@@ -58,10 +58,6 @@ class ModelVariant(Enum):
         if self in (ModelVariant.LFRM, ModelVariant.LSM):
             return "bilinear"
         return "inner"
-
-    @property
-    def supports_communities(self) -> bool:
-        return self.uses_b
 
     def encoder_heads(self, structured: bool) -> tuple[str, ...]:
         """The encoder heads this variant trains, in ENCODER_HEADS order.
@@ -121,7 +117,7 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 def encode(
     g: Graph,
     a_hat: SparseMatrix,
-    params: dict[str, Parameter],
+    params: dict[str, Tensor],
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> dict[str, Tensor]:
@@ -165,7 +161,7 @@ def encode(
     return out
 
 
-def link_factors(z: Tensor, params: dict[str, Parameter]) -> tuple[Tensor, Tensor]:
+def link_factors(z: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
     """Factors (left, right) whose product left @ right.T is the link-logit grid.
 
     The grid is symmetric for every form: MLP and inner product return the
@@ -184,7 +180,7 @@ def link_factors(z: Tensor, params: dict[str, Parameter]) -> tuple[Tensor, Tenso
     return z, z
 
 
-def decode_links(z: Tensor, params: dict[str, Parameter], pairs) -> np.ndarray:
+def decode_links(z: Tensor, params: dict[str, Tensor], pairs) -> np.ndarray:
     """Link probabilities of the (u, v) pairs, off the tape: scoring needs no gradient.
 
     A non-finite link logit raises NumericDomainError: as a probability it

@@ -97,9 +97,7 @@ class TrainConfig:
         return md.ModelVariant.parse(self.variant)
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["decoder_hidden"] = list(self.decoder_hidden)
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
@@ -161,14 +159,7 @@ class TrainReport:
 
     def core(self) -> dict:
         """Deterministic content (everything except wall-clock and the divergence message)."""
-        return {
-            "losses": self.losses,
-            "val_trace": self.val_trace,
-            "best_epoch": self.best_epoch,
-            "best_val_auc": self.best_val_auc,
-            "diverged": self.diverged,
-            "scoring": self.scoring,
-        }
+        return {k: v for k, v in asdict(self).items() if k not in ("wall_seconds", "divergence")}
 
 
 @dataclass(frozen=True)
@@ -396,20 +387,17 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
 
     report = TrainReport()
     best: dict[str, np.ndarray] = {}
-    best_epoch = 0
-    best_auc: float | None = None
 
     def validate(epoch: int) -> None:
-        nonlocal best, best_epoch, best_auc
+        nonlocal best
         if not val_pairs:
             return
         scores = _score_with_params(params, config, encoder_graph, a_hat, val_pairs)
         auc = mx.auc_roc(scores, val_labels)
         ap = mx.average_precision(scores, val_labels)
         report.val_trace.append({"epoch": float(epoch), "auc": auc, "ap": ap})
-        if best_auc is None or auc > best_auc:
-            best_auc = auc
-            best_epoch = epoch
+        if report.best_val_auc is None or auc > report.best_val_auc:
+            report.best_val_auc, report.best_epoch = auc, epoch
             best = _snapshot(params)
 
     for epoch in range(1, config.epochs + 1):
@@ -440,18 +428,16 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
             # The loss and adam_step raise before any parameter changes, so
             # params still hold the last good values. A failed validation
             # finds them already changed: only a validated snapshot is good.
-            if len(report.losses) == epoch and best_auc is None:
+            if len(report.losses) == epoch and report.best_val_auc is None:
                 raise
             report.diverged, report.divergence = True, str(e)
             break
 
-    if best_auc is None:  # nothing was validated: keep the last parameters
+    if report.best_val_auc is None:  # nothing was validated: keep the last parameters
         best = _snapshot(params)
-        best_epoch = len(report.losses)
-    report.best_epoch = best_epoch
-    report.best_val_auc = best_auc
+        report.best_epoch = len(report.losses)
     report.wall_seconds = time.perf_counter() - start
-    ckpt = Checkpoint(config, best, best_epoch, train_graph.n_nodes, train_graph.d_features)
+    ckpt = Checkpoint(config, best, report.best_epoch, train_graph.n_nodes, train_graph.d_features)
     return ckpt, report
 
 
@@ -472,9 +458,11 @@ class EvalLatents:
 
 
 def _latents_from_params(
-    params: dict[str, Parameter], config: TrainConfig, g: Graph, a_hat: SparseMatrix
+    params: dict[str, Tensor], config: TrainConfig, g: Graph, a_hat: SparseMatrix
 ) -> EvalLatents:
-    out = md.encode(g, a_hat, params)
+    """Posterior means on `g` as the encoder sees it; overflow is quiet, as each head's output is checked."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = md.encode(g, a_hat, params)
     for head, value in out.items():
         if not np.all(np.isfinite(value.data)):
             raise NumericDomainError(f"encoder head {head}: non-finite output")
@@ -487,8 +475,8 @@ def _latents_from_params(
     )
 
 
-def rebuild_params(ckpt: Checkpoint) -> dict[str, Parameter]:
-    """The checkpoint's arrays as parameters, checked against `model_shapes`.
+def rebuild_params(ckpt: Checkpoint) -> dict[str, Tensor]:
+    """The checkpoint's arrays, uncopied, as constant tensors checked against `model_shapes`.
 
     Any missing, extra or mis-shaped parameter raises CheckpointError.
     """
@@ -506,10 +494,10 @@ def rebuild_params(ckpt: Checkpoint) -> dict[str, Parameter]:
                 f"parameter {name!r} has shape {store[name].shape}, "
                 f"the stored config and counts imply {shape}"
             )
-    return {name: Parameter(store[name], name) for name in shapes}
+    return {name: Tensor(store[name]) for name in shapes}
 
 
-def _scoring_inputs(ckpt: Checkpoint, g: Graph) -> tuple[dict[str, Parameter], Graph]:
+def _scoring_inputs(ckpt: Checkpoint, g: Graph) -> tuple[dict[str, Tensor], Graph]:
     """The checkpoint's checked parameters and `g` as their encoder sees it.
 
     `g` fits when it gives the encoder the input width that the checkpoint's
@@ -529,7 +517,7 @@ def posterior_latents(ckpt: Checkpoint, g: Graph, a_hat: SparseMatrix) -> EvalLa
 
 
 def _score_with_params(
-    params: dict[str, Parameter],
+    params: dict[str, Tensor],
     config: TrainConfig,
     encoder_graph: Graph,
     a_hat: SparseMatrix,
@@ -537,10 +525,11 @@ def _score_with_params(
 ) -> np.ndarray:
     """Posterior-mean link probabilities of `pairs`; `encoder_graph` is the graph as the encoder sees it.
 
-    Overflow is not warned about: the encoder outputs and the link logits are checked.
+    `params` are live in validation, else `rebuild_params`'s constants. Overflow
+    is not warned about: the encoder outputs and the link logits are checked.
     """
+    latents = _latents_from_params(params, config, encoder_graph, a_hat)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        latents = _latents_from_params(params, config, encoder_graph, a_hat)
         return md.decode_links(latents.z, params, pairs=pairs)
 
 

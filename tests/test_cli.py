@@ -209,6 +209,22 @@ class TestTrain:
         assert capsys.readouterr().err == "numeric failure: encoder head pi: non-finite output\n"
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_defaults_equal_the_config_defaults(self, ws, tmp_path, monkeypatch):
+        # the parser states every training default a second time: the two copies must agree
+        class Captured(Exception):
+            pass
+
+        seen = []
+
+        def capture(g, split, config):
+            seen.append(config)
+            raise Captured
+
+        monkeypatch.setattr(trainer, "train", capture)
+        with pytest.raises(Captured):
+            run("train", "--graph", ws["graph"], "--split", ws["split"], "--out-ckpt", tmp_path / "m.ckpt")
+        assert seen == [trainer.TrainConfig()]
+
     def test_lfrm_variant_trains(self, ws, tmp_path):
         ckpt = tmp_path / "lfrm.ckpt"
         code = run("train", "--graph", ws["graph"], "--split", ws["split"],
@@ -331,6 +347,23 @@ class TestNumericFailure:
             code = run(command, "--ckpt", path, "--graph", ws["graph"], *where)
         assert code == 3
         assert "numeric failure: encoder head mu: non-finite output" in capsys.readouterr().err
+
+    def test_overflowing_encoder_exits_three_from_communities_without_warning(self, tmp_path, capsys):
+        prefix = tmp_path / "g"
+        assert run("synth", "--nodes", 200, "--communities", 8, "--out-prefix", prefix) == 0
+        graph, split, path = f"{prefix}.edges.txt", tmp_path / "g.split", tmp_path / "m.ckpt"
+        assert run("split", "--graph", graph, "--out", split) == 0
+        assert run("train", "--graph", graph, "--split", split, "--epochs", 3, "--out-ckpt", path) == 0
+        ckpt = trainer.load_checkpoint(path)
+        ckpt.params["encoder.w1"][...] = 1e308
+        trainer.save_checkpoint(ckpt, path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("communities", "--ckpt", path, "--graph", graph, "--out", tmp_path / "c.txt")
+        assert code == 3
+        assert capsys.readouterr().err == "numeric failure: encoder head pi: non-finite output\n"
+        assert not (tmp_path / "c.txt").exists()
 
     def test_overflowing_decoder_exits_three_from_eval(self, ws, tmp_path, capsys):
         # finite weights whose link logits overflow: as probabilities they would all tie at 1

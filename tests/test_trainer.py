@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import struct
+import warnings
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dglfrm import graphdata as gd
 from dglfrm import metrics as mx
@@ -574,6 +577,16 @@ class TestScorePairs:
             with np.errstate(invalid="ignore"):
                 trainer.score_pairs(ckpt, g, normalize_adjacency(g), [(0, 1)])
 
+    def test_overflowing_encoder_is_quiet_and_names_the_head(self, synth):
+        # the head check reports the overflow; numpy must not warn about it first
+        g, split = synth
+        ckpt, _ = trainer.train(g, split, tiny_config(epochs=3))
+        ckpt.params["encoder.w1"][...] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError, match="encoder head pi: non-finite output"):
+                trainer.posterior_latents(ckpt, g, normalize_adjacency(g))
+
     def test_rejects_self_pairs(self):
         ckpt, g = zero_checkpoint()
         with pytest.raises(UsageError):
@@ -806,6 +819,41 @@ class TestCheckpointIO:
         path = tmp_path / "step.ckpt"
         trainer.save_checkpoint(big, path)
         assert trainer.load_checkpoint(path).step == 123456789
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    g = small_graph()  # 6 nodes, 3 feature columns: about 1.4 kB on disk
+    ckpt, _ = trainer.train(g, trivial_split(g), tiny_config(epochs=1))
+    path = tmp_path_factory.mktemp("mutations") / "small.ckpt"
+    trainer.save_checkpoint(ckpt, path)
+    return path, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checksum_valid_mutations_score_or_fail_cleanly(small_checkpoint, data):
+    """XOR 1-3 bytes before the checksum, then re-seal it: the file scores, or fails with a checked error."""
+    path, g = small_checkpoint
+    body = bytearray(path.read_bytes()[:-4])
+    flips = data.draw(st.lists(
+        st.tuples(st.integers(0, len(body) - 1), st.integers(1, 255)),
+        min_size=1, max_size=3, unique_by=lambda flip: flip[0],
+    ))
+    for at, mask in flips:
+        body[at] ^= mask
+    mutated = path.with_name("mutated.ckpt")
+    mutated.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    a_hat, pairs = normalize_adjacency(g), [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ckpt = trainer.load_checkpoint(mutated)
+            scores = trainer.score_pairs(ckpt, g, a_hat, pairs)
+            trainer.posterior_latents(ckpt, g, a_hat)
+        except (CheckpointError, NumericDomainError):
+            return
+    assert np.all((scores >= 0) & (scores <= 1))
 
 
 class TestEncoderInputRule:
