@@ -160,7 +160,7 @@ class Graph:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train adjacency plus held-out positive/negative pairs (u < v)."""
+    """Train adjacency plus held-out pairs: u < v from make_splits, as the line gives them from load_split."""
 
     n_nodes: int
     train_adjacency: SparseMatrix
@@ -292,7 +292,7 @@ class _TextFile:
             self.int_value += np.where(n_digits > k, digit, 0) * 10**k
         self.int_value[lead == ord("-")] *= -1
 
-    def _token(self, col: int) -> tuple[np.ndarray, np.ndarray]:
+    def _token(self, col: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Index of token `col` of each row (0 where the row is shorter), and which rows have one."""
         has = self.width > col
         return np.where(has, self.first + col, 0), has
@@ -306,11 +306,19 @@ class _TextFile:
             match[match] = self.code[start[match] + k] == ord(char)
         return match
 
-    def ints(self, col: int) -> tuple[np.ndarray, np.ndarray]:
+    def ints(self, col: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Token `col` of each row as an integer (0 where it is none), and the rows where it is none."""
         tok, has = self._token(col)
         ok = has & self.int_ok[tok]
         return np.where(ok, self.int_value[tok], 0), ~ok
+
+    def directive(self, key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows that are "# key ..." or "#key ...", the integer after the key, and the rows among
+        them where that is not exactly one integer."""
+        spaced = self.is_word(0, "#") & self.is_word(1, key)
+        rows = spaced | self.is_word(0, "#" + key)
+        value, bad = self.ints(1 + spaced)
+        return rows, value, rows & (bad | (self.width != 2 + spaced))
 
     def words(self, col: int) -> np.ndarray:
         """Token `col` of each row as a str ("" where the row is shorter)."""
@@ -377,14 +385,11 @@ def load_edge_list(path) -> Graph:
     f = _TextFile(path)
     u, bad_u = f.ints(0)
     v, bad_v = f.ints(1)
-    count, bad_count = f.ints(2)
-    spaced = f.is_word(0, "#") & f.is_word(1, "nodes")  # "# nodes N"
-    joined = f.is_word(0, "#nodes")  # "#nodes N"
-    declared = np.where(spaced, count, v)
+    nodes, declared, bad_nodes = f.directive("nodes")
     data = ~f.comment
     f.check(
-        ((spaced & bad_count) | (joined & bad_v), lambda i: f"bad nodes directive {f.raw(i)}"),
-        ((spaced | joined) & (declared >= ID_LIMIT), lambda i: f"node count at or above 2**31 in {f.raw(i)}"),
+        (bad_nodes, lambda i: f"bad nodes directive {f.raw(i)}"),
+        (nodes & (declared >= ID_LIMIT), lambda i: f"node count at or above 2**31 in {f.raw(i)}"),
         (data & (f.width != 2), lambda i: f"expected 'u v', got {f.raw(i)}"),
         (data & (bad_u | bad_v), lambda i: f"non-integer node id in {f.raw(i)}"),
         (data & ((u < 0) | (v < 0)), lambda i: f"negative node id in {f.raw(i)}"),
@@ -398,8 +403,8 @@ def load_edge_list(path) -> Graph:
         logger.warning("%s: dropped %d self-loop(s)", f.path, int(loops.sum()))
     max_id = int(max(u.max(), v.max()))
     n = max_id + 1
-    if (spaced | joined).any():
-        declared_n = int(declared[spaced | joined][-1])  # the last directive wins
+    if nodes.any():
+        declared_n = int(declared[nodes][-1])  # the last directive wins
         if declared_n < n:
             raise LoadError(
                 f"{f.path}: nodes directive says {declared_n} but ids reach {max_id}"
@@ -609,67 +614,51 @@ def save_split(split: SplitSpec, path) -> None:
     write_atomic(path, b"".join(parts))
 
 
-def _raise_at(path, linenos: np.ndarray, name: str, arr: np.ndarray, bad: np.ndarray, problem: str):
-    """Raise LoadError naming the line of the first pair flagged in `bad`."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise LoadError(f"{path}:{linenos[i]}: {name} pair {arr[i, 0]} {arr[i, 1]} {problem}")
-
-
 def load_split(path) -> SplitSpec:
     """Read a split written by save_split; malformed content raises LoadError."""
     f = _TextFile(path)
     u, bad_u = f.ints(0)
     v, bad_v = f.ints(1)
-    count, bad_count = f.ints(2)
-    # "# nodes N" and "#nodes N" both leave two fields after the "#"
-    spaced = f.is_word(0, "#") & (f.width == 3)
-    joined = f.comment & (f.width == 2)
-    header = {
-        key: (spaced & f.is_word(1, key)) | (joined & f.is_word(0, "#" + key))
-        for key in ("nodes", "seed")
-    }
-    value = np.where(spaced, count, v)
-    bad_value = np.where(spaced, bad_count, bad_v) & (header["nodes"] | header["seed"])
+    nodes, n_value, bad_nodes = f.directive("nodes")
+    seeds, seed_value, bad_seed = f.directive("seed")
     section = np.full(len(f.lineno), -1)
     for k, name in enumerate(_SPLIT_SECTIONS):
         section[(f.width == 1) & f.is_word(0, name)] = k
     # the section of the last section line at or above each row; -1 above the first
-    rows = np.arange(len(section))
-    current = section[np.maximum.accumulate(np.where(section >= 0, rows, 0))]
+    current = section[np.maximum.accumulate(np.where(section >= 0, np.arange(len(section)), 0))]
     is_pair = ~f.comment & (section < 0)
     f.check(
-        (bad_value, lambda i: f"non-integer header {f.raw(i)}"),
-        (header["nodes"] & (value <= 0), lambda i: f"node count must be positive, got {f.raw(i)}"),
-        (header["nodes"] & (value >= ID_LIMIT), lambda i: f"node count at or above 2**31 in {f.raw(i)}"),
+        (bad_nodes, lambda i: f"bad nodes directive {f.raw(i)}"),
+        (bad_seed, lambda i: f"bad seed directive {f.raw(i)}"),
+        (nodes & (n_value <= 0), lambda i: f"node count must be positive, got {f.raw(i)}"),
+        (nodes & (n_value >= ID_LIMIT), lambda i: f"node count at or above 2**31 in {f.raw(i)}"),
         (is_pair & (current < 0), lambda i: "pair before any section header"),
         (is_pair & (f.width != 2), lambda i: f"expected 'u v', got {f.raw(i)}"),
-        (is_pair & (bad_u | bad_v), lambda i: f"non-integer pair {f.raw(i)}"),
+        (is_pair & (bad_u | bad_v), lambda i: f"non-integer node id in {f.raw(i)}"),
     )
-    if not header["nodes"].any():
+    if not nodes.any():
         raise LoadError(f"{f.path}: missing '# nodes N' header")
-    n_nodes = int(value[header["nodes"]][-1])  # the last header wins
-    arrays, linenos = {}, {}
-    for k, name in enumerate(_SPLIT_SECTIONS):
-        in_section = is_pair & (current == k)
-        arrays[name] = np.column_stack((u[in_section], v[in_section]))
-        linenos[name] = f.lineno[in_section] + 1
-    for name, arr in arrays.items():
-        bad = (arr < 0).any(axis=1) | (arr >= n_nodes).any(axis=1) | (arr[:, 0] == arr[:, 1])
-        problem = f"needs two distinct node ids in [0, {n_nodes})"
-        _raise_at(f.path, linenos[name], name, arr, bad, problem)
-    train = _adjacency_from_pairs(arrays["TRAIN"], n_nodes)
-    if train.nnz != 2 * len(arrays["TRAIN"]):  # the CSR build merged repeated pairs
-        arr = arrays["TRAIN"]
-        repeat = np.ones(len(arr), dtype=bool)
-        repeat[_first_of_each(arr.min(axis=1) * n_nodes + arr.max(axis=1))] = False
-        _raise_at(f.path, linenos["TRAIN"], "TRAIN", arr, repeat, "repeats an earlier TRAIN pair")
-    train_keys = train.entry_rows() * n_nodes + train.indices  # ascending
-    for name in _SPLIT_SECTIONS[1:]:
-        arr = arrays[name]
-        leaked = _contains(train_keys, arr[:, 0] * n_nodes + arr[:, 1])
-        _raise_at(f.path, linenos[name], name, arr, leaked, "is also a TRAIN edge")
-    held_out = {name: tuple(map(tuple, arrays[name].tolist())) for name in _SPLIT_SECTIONS[1:]}
+    n_nodes = int(n_value[nodes][-1])  # the last directive wins
+
+    def pair(i: int) -> str:
+        return f"{_SPLIT_SECTIONS[current[i]]} pair {u[i]} {v[i]}"
+
+    # ids in range first: the pair keys and the CSR build rely on them
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = is_pair & ((lo < 0) | (hi >= n_nodes) | (u == v))
+    f.check((bad, lambda i: f"{pair(i)} needs two distinct node ids in [0, {n_nodes})"))
+    is_train, *held_out_rows = [is_pair & (current == k) for k in range(len(_SPLIT_SECTIONS))]
+    train = _adjacency_from_pairs(np.column_stack((u[is_train], v[is_train])), n_nodes)
+    keys = lo * n_nodes + hi  # read on pair rows only
+    repeat = is_train.copy()
+    repeat[_first_of_each(np.where(is_train, keys, -1))] = False
+    leaked = is_pair & ~is_train & _contains(train.entry_rows() * n_nodes + train.indices, keys)
+    f.check(
+        (repeat, lambda i: f"{pair(i)} repeats an earlier TRAIN pair"),
+        (leaked, lambda i: f"{pair(i)} is also a TRAIN edge"),
+    )
+    held_out = {name: tuple(map(tuple, np.column_stack((u[rows], v[rows])).tolist()))
+                for name, rows in zip(_SPLIT_SECTIONS[1:], held_out_rows)}
     return SplitSpec(
         n_nodes=n_nodes,
         train_adjacency=train,
@@ -677,5 +666,5 @@ def load_split(path) -> SplitSpec:
         val_neg=held_out["VAL_NEG"],
         test_pos=held_out["TEST_POS"],
         test_neg=held_out["TEST_NEG"],
-        seed=int(value[header["seed"]][-1]) if header["seed"].any() else 0,
+        seed=int(seed_value[seeds][-1]) if seeds.any() else 0,
     )

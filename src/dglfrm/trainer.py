@@ -114,8 +114,6 @@ class TrainConfig:
         for key, value in payload.items():
             if not _json_value_fits(fields[key].type, value):
                 raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
-        if "decoder_hidden" in payload:
-            payload["decoder_hidden"] = tuple(payload["decoder_hidden"])
         return cls(**payload)
 
 

@@ -155,7 +155,7 @@ class TestSplit:
 def four_node_files(tmp_path, sections):
     """A 4-node graph and its split, with section contents replaced by `sections`."""
     graph = tmp_path / "g.txt"
-    graph.write_text("# nodes 4\n0 1\n1 2\n2 3\n0 2\n0 3\n")
+    graph.write_text("# nodes 4\n0 1\n1 2\n2 3\n0 2\n")
     pairs = {"TRAIN": "0 1\n1 2\n", "VAL_POS": "2 3\n", "VAL_NEG": "0 3\n",
              "TEST_POS": "0 2\n", "TEST_NEG": "1 3\n", **sections}
     split = tmp_path / "s.split"
@@ -323,7 +323,7 @@ class TestTrain:
     )
     def test_malformed_split_is_data_error(self, tmp_path, capsys, old, new, where):
         graph = tmp_path / "g.txt"
-        graph.write_text("# nodes 4\n0 1\n1 2\n2 3\n0 2\n0 3\n")
+        graph.write_text("# nodes 4\n0 1\n1 2\n2 3\n0 2\n")
         split = tmp_path / "s.split"
         split.write_text(
             "# nodes 4\n# seed 0\nTRAIN\n0 1\n1 2\nVAL_POS\n2 3\nVAL_NEG\n0 3\n"
@@ -333,6 +333,48 @@ class TestTrain:
                    "--epochs", 1, "--out-ckpt", tmp_path / "c")
         assert code == 2
         assert str(split) + where in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("name", ["g.txt", "s.split"])
+    def test_malformed_nodes_directive_is_data_error_in_both_formats(self, tmp_path, capsys, name):
+        graph, split = four_node_files(tmp_path, {})
+        path = tmp_path / name
+        path.write_text(path.read_text().replace("# nodes 4", "# nodes 6 extra"))
+        if name == "g.txt":
+            code = run("split", "--graph", graph, "--out", tmp_path / "out")
+        else:
+            code = run("train", "--graph", graph, "--split", split, "--k", 2,
+                       "--epochs", 1, "--out-ckpt", tmp_path / "out")
+        assert code == 2
+        assert f"{path}:1: bad nodes directive '# nodes 6 extra'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("1 2\n", "", "TRAIN pair 1 2 is not an edge"),
+            ("2 3\n", "", "VAL_POS pair 2 3 is not an edge"),
+            ("0 2\n", "", "TEST_POS pair 0 2 is not an edge"),
+            ("0 1\n", "0 1\n0 3\n", "VAL_NEG pair 0 3 is an edge"),
+            ("0 1\n", "0 1\n3 1\n", "TEST_NEG pair 1 3 is an edge"),
+        ],
+        ids=["train", "val-pos", "test-pos", "val-neg", "test-neg"],
+    )
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_split_of_another_graph_is_data_error(self, tmp_path, capsys, old, new, message, command):
+        graph, split = four_node_files(tmp_path, {})
+        ckpt = tmp_path / "c"
+        assert run("train", "--graph", graph, "--split", split, "--k", 2,
+                   "--epochs", 1, "--out-ckpt", ckpt) == 0
+        other = tmp_path / "other.txt"
+        other.write_text(graph.read_text().replace(old, new, 1))
+        if command == "train":
+            code = run("train", "--graph", other, "--split", split, "--k", 2,
+                       "--epochs", 1, "--out-ckpt", tmp_path / "c2")
+        else:
+            code = run("eval", "--ckpt", ckpt, "--graph", other, "--split", split)
+        assert code == 2
+        assert f"{split}: {message} of the graph" in capsys.readouterr().err
 
 
 class TestNumericFailure:

@@ -375,12 +375,14 @@ SPLIT_OK = (
     [
         ("# nodes 4", "# nodes abc", 1),
         ("# seed 0", "# seed x1", 2),
+        ("# nodes 4", "# nodes 4 extra", 1),
+        ("# seed 0", "# seed 0 x", 2),
     ],
-    ids=["nodes", "seed"],
+    ids=["nodes", "seed", "nodes-extra", "seed-extra"],
 )
 def test_split_load_rejects_non_integer_header(tmp_path, old, new, lineno):
     p = write(tmp_path, "s.txt", SPLIT_OK.replace(old, new))
-    with pytest.raises(gd.LoadError, match=rf"s\.txt:{lineno}: non-integer header"):
+    with pytest.raises(gd.LoadError, match=rf"s\.txt:{lineno}: bad (nodes|seed) directive"):
         gd.load_split(p)
 
 
@@ -419,6 +421,23 @@ def test_split_load_rejects_repeated_train_pair(tmp_path, repeat):
     # merged by the CSR build, a repeat would be a target of 2 in the link BCE
     p = write(tmp_path, "s.txt", SPLIT_OK.replace("1 2\n", f"1 2\n{repeat}\n"))
     with pytest.raises(gd.LoadError, match=rf"s\.txt:6: TRAIN pair {repeat} repeats"):
+        gd.load_split(p)
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ("# nodes 4\nVAL_POS\n0 9\nTRAIN\n0 7\n", ":3: VAL_POS pair 0 9 needs two distinct"),
+        ("# nodes 4\nVAL_POS\n0 1\nTRAIN\n0 1\n1 2\n2 1\n", ":3: VAL_POS pair 0 1 is also a TRAIN edge"),
+        ("# nodes 4\nTRAIN\n0 1\n1 0\nVAL_POS\n0 1\n", ":4: TRAIN pair 1 0 repeats"),
+        ("# nodes 4\nVAL_POS\n0 1\nTRAIN\n0 1\n0 4\n", ":6: TRAIN pair 0 4 needs two distinct"),
+    ],
+    ids=["range", "leak-before-repeat", "repeat-before-leak", "range-before-leak"],
+)
+def test_split_load_names_the_first_bad_pair_by_line(tmp_path, text, named):
+    # sections may come in any order; ids out of range are found before repeats and leaks
+    p = write(tmp_path, "s.txt", text)
+    with pytest.raises(gd.LoadError, match=rf"s\.txt{named}"):
         gd.load_split(p)
 
 

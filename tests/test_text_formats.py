@@ -2,10 +2,12 @@
 
 The `oracle_*` functions are the line-by-line parsers and writers that
 `graphdata` used before its readers were rewritten around whole-array
-numpy operations. Two rules were added to them since: non-finite feature
-values are rejected, and a split section may be empty. Generated files
-must give the same graph, split or features, or the same LoadError text,
-from both.
+numpy operations. Rules added or changed in them since: non-finite
+feature values are rejected; a split section may be empty; both formats
+read a `# key N` directive by one rule, exactly one integer after the key;
+split pair lines give the edge list's messages; and a split's pair errors
+name the first bad line. Generated files must give the same graph, split
+or features, or the same LoadError text, from both.
 
 Deliberate differences, tested one by one at the end: integer fields are
 an optional sign and 1 to 18 ASCII digits, so `1_000`, non-ASCII digits
@@ -45,8 +47,8 @@ def oracle_load_edge_list(path) -> gd.Graph:
             fields = line[1:].split()
             if fields[:1] == ["nodes"]:
                 try:
-                    declared_n = int(fields[1])
-                except (IndexError, ValueError) as e:
+                    (declared_n,) = map(int, fields[1:])
+                except ValueError as e:
                     raise LoadError(f"{path}:{lineno}: bad nodes directive {raw!r}") from e
             continue
         parts = line.split()
@@ -132,12 +134,6 @@ def oracle_load_features(path, n_nodes: int) -> np.ndarray:
 SECTIONS = ("TRAIN", "VAL_POS", "VAL_NEG", "TEST_POS", "TEST_NEG")
 
 
-def _raise_at(path, linenos, name, arr, bad, problem):
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise LoadError(f"{path}:{linenos[i]}: {name} pair {arr[i, 0]} {arr[i, 1]} {problem}")
-
-
 def oracle_load_split(path) -> SplitSpec:
     path = Path(path)
     try:
@@ -145,8 +141,7 @@ def oracle_load_split(path) -> SplitSpec:
     except OSError as e:
         raise LoadError(f"cannot read {path}: {e}") from e
     headers: dict[str, int] = {}
-    sections: dict[str, list[tuple[int, int]]] = {s: [] for s in SECTIONS}
-    linenos: dict[str, list[int]] = {s: [] for s in SECTIONS}
+    pairs: list[tuple[int, str, int, int]] = []  # (lineno, section, u, v)
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -154,11 +149,11 @@ def oracle_load_split(path) -> SplitSpec:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if len(parts) == 2 and parts[0] in ("nodes", "seed"):
+            if parts[:1] in (["nodes"], ["seed"]):
                 try:
-                    headers[parts[0]] = int(parts[1])
+                    (headers[parts[0]],) = map(int, parts[1:])
                 except ValueError as e:
-                    raise LoadError(f"{path}:{lineno}: non-integer header {raw!r}") from e
+                    raise LoadError(f"{path}:{lineno}: bad {parts[0]} directive {raw!r}") from e
                 if parts[0] == "nodes" and headers["nodes"] <= 0:
                     raise LoadError(f"{path}:{lineno}: node count must be positive, got {raw!r}")
             continue
@@ -173,36 +168,31 @@ def oracle_load_split(path) -> SplitSpec:
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as e:
-            raise LoadError(f"{path}:{lineno}: non-integer pair {raw!r}") from e
-        sections[current].append((u, v))
-        linenos[current].append(lineno)
+            raise LoadError(f"{path}:{lineno}: non-integer node id in {raw!r}") from e
+        pairs.append((lineno, current, u, v))
     if "nodes" not in headers:
         raise LoadError(f"{path}: missing '# nodes N' header")
     n_nodes = headers["nodes"]
-    arrays = {
-        name: np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        for name, pairs in sections.items()
-    }
-    for name, arr in arrays.items():
-        bad = (arr < 0).any(axis=1) | (arr >= n_nodes).any(axis=1) | (arr[:, 0] == arr[:, 1])
-        problem = f"needs two distinct node ids in [0, {n_nodes})"
-        _raise_at(path, linenos[name], name, arr, bad, problem)
-    train = _adjacency_from_pairs(arrays["TRAIN"], n_nodes)
-    if train.nnz != 2 * len(arrays["TRAIN"]):
-        arr = arrays["TRAIN"]
-        key = arr.min(axis=1) * n_nodes + arr.max(axis=1)
-        repeat = np.ones(len(arr), dtype=bool)
-        repeat[np.unique(key, return_index=True)[1]] = False
-        _raise_at(path, linenos["TRAIN"], "TRAIN", arr, repeat, "repeats an earlier TRAIN pair")
-    for name in SECTIONS[1:]:
-        arr = arrays[name]
-        if len(arr) == 0:  # the empty-section fix; indexing gave a matrix, not an array
-            continue
-        leaked = np.asarray(as_scipy(train)[arr[:, 0], arr[:, 1]]).ravel() != 0
-        _raise_at(path, linenos[name], name, arr, leaked, "is also a TRAIN edge")
+    # pair errors name the first bad line; ids in range are checked before the rest
+    for lineno, name, u, v in pairs:
+        if not (0 <= u < n_nodes and 0 <= v < n_nodes and u != v):
+            raise LoadError(
+                f"{path}:{lineno}: {name} pair {u} {v} needs two distinct node ids in [0, {n_nodes})"
+            )
+    sections = {s: [(u, v) for _, name, u, v in pairs if name == s] for s in SECTIONS}
+    train_edges = {(min(u, v), max(u, v)) for u, v in sections["TRAIN"]}
+    seen: set[tuple[int, int]] = set()
+    for lineno, name, u, v in pairs:
+        edge = (min(u, v), max(u, v))
+        if name == "TRAIN":
+            if edge in seen:
+                raise LoadError(f"{path}:{lineno}: TRAIN pair {u} {v} repeats an earlier TRAIN pair")
+            seen.add(edge)
+        elif edge in train_edges:
+            raise LoadError(f"{path}:{lineno}: {name} pair {u} {v} is also a TRAIN edge")
     return SplitSpec(
         n_nodes=n_nodes,
-        train_adjacency=train,
+        train_adjacency=_adjacency_from_pairs(sections["TRAIN"], n_nodes),
         val_pos=tuple(sections["VAL_POS"]),
         val_neg=tuple(sections["VAL_NEG"]),
         test_pos=tuple(sections["TEST_POS"]),
