@@ -12,12 +12,13 @@ replay each other bit-exactly when their digests match:
          <(python3 scripts/replay_digests.py new /tmp/b)
 
 The pipeline: a synthetic graph, its split, a copy of the split without
-validation pairs, and deterministic triplet features. Then train, eval and,
-for the variants with memberships, communities with the latent CSV, for
-each run below. BLAS is pinned to one thread, since threaded sums may
-round differently. The identity-input run with a feature term is also
-evaluated and its communities extracted on the graph without
-`--features`: its encoder does not read them, so it accepts that graph.
+validation pairs (its validation positives moved into TRAIN), and
+deterministic triplet features. Then train, eval and, for the variants
+with memberships, communities with the latent CSV, for each run below.
+BLAS is pinned to one thread, since threaded sums may round differently.
+The identity-input run with a feature term is also evaluated and its
+communities extracted on the graph without `--features`: its encoder
+does not read them, so it accepts that graph.
 
 The 300-node graph fits in one row block of the fused likelihoods, so one
 more run trains on an 800-node graph with 1000 feature columns: 5 blocks of
@@ -58,6 +59,7 @@ RUNS = [
 # a run trained without validation pairs is scored on the full split
 EVAL_SPLIT = {"noval.split": "graph.split"}
 WITH_MEMBERSHIPS = ("dglfrm", "dglfrm-b", "lfrm")
+SECTIONS = ("TRAIN", "VAL_POS", "VAL_NEG", "TEST_POS", "TEST_NEG")
 
 
 def write_features(path: Path, n_nodes: int = 300, width: int = 40) -> None:
@@ -78,15 +80,19 @@ def write_near_complete(path: Path, n_nodes: int = 70, missing: int = 24) -> Non
 
 
 def drop_validation(split: Path, out: Path) -> None:
-    """Copy a split file without the pairs under VAL_POS and VAL_NEG."""
-    kept, section = [], None
+    """Copy a split file with its VAL_POS pairs moved into TRAIN and its VAL_NEG pairs dropped.
+
+    Every edge of the graph stays in TRAIN or TEST_POS, as a split must list them all.
+    """
+    header, pairs, section = [], {name: [] for name in SECTIONS}, None
     for line in split.read_text().splitlines():
-        if line in ("TRAIN", "VAL_POS", "VAL_NEG", "TEST_POS", "TEST_NEG"):
+        if line in SECTIONS:
             section = line
-        elif section in ("VAL_POS", "VAL_NEG"):
-            continue
-        kept.append(line)
-    out.write_text("\n".join(kept) + "\n")
+        else:
+            (pairs[section] if section else header).append(line)
+    pairs["TRAIN"] += pairs["VAL_POS"]
+    pairs["VAL_POS"] = pairs["VAL_NEG"] = []
+    out.write_text("\n".join([*header, *(line for name in SECTIONS for line in (name, *pairs[name]))]) + "\n")
 
 
 def main(argv: list[str]) -> int:

@@ -69,28 +69,16 @@ def _load_graph(graph_path, features_path) -> Graph:
 
 
 def _load_split(path, g: Graph, held_out: str) -> gd.SplitSpec:
-    """The split at `path` for graph `g`, with usable `held_out` pairs.
+    """The split of `g` at `path`, with usable `held_out` pairs.
 
-    Every TRAIN and *_POS pair must be an edge of `g` and no *_NEG pair may be.
-    `held_out` is "VAL" for train, which runs without validation when both
-    VAL sections are empty, or "TEST" for eval, which needs both TEST sections.
+    `gd.load_split` decides whether the split fits `g`; this adds what each
+    command needs of its held-out pairs. `held_out` is "VAL" for train, which
+    runs without validation when both VAL sections are empty, or "TEST" for
+    eval, which needs both TEST sections.
     """
-    split = gd.load_split(path)
-    if split.n_nodes != g.n_nodes:
-        raise LoadError(f"{path}: split has {split.n_nodes} nodes, graph has {g.n_nodes}")
-    n = g.n_nodes
-    edge_keys = g.adjacency.entry_rows() * n + g.adjacency.indices  # ascending
-    sections = [("TRAIN", gd._upper_pairs(split.train_adjacency), True),
-                ("VAL_POS", split.val_pos, True), ("VAL_NEG", split.val_neg, False),
-                ("TEST_POS", split.test_pos, True), ("TEST_NEG", split.test_neg, False)]
-    for name, pairs, positive in sections:
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        wrong = gd._contains(edge_keys, pairs[:, 0] * n + pairs[:, 1]) != positive
-        if wrong.any():
-            u, v = pairs[np.argmax(wrong)]
-            raise LoadError(f"{path}: {name} pair {u} {v} is {'not ' if positive else ''}an edge of the graph")
+    split = gd.load_split(path, g)
     pos, neg = (split.val_pos, split.val_neg) if held_out == "VAL" else (split.test_pos, split.test_neg)
-    empty = [f"{held_out}_{name}" for name, pairs in (("POS", pos), ("NEG", neg)) if not pairs]
+    empty = [f"{held_out}_{name}" for name, pairs in (("POS", pos), ("NEG", neg)) if not len(pairs)]
     if held_out == "VAL" and len(empty) == 1:
         raise LoadError(f"{path}: {empty[0]} is empty; validation needs both VAL sections or neither")
     if held_out == "TEST" and empty:

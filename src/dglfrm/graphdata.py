@@ -158,16 +158,20 @@ class Graph:
         return self.adjacency.nnz // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitSpec:
-    """Train adjacency plus held-out pairs: u < v from make_splits, as the line gives them from load_split."""
+    """Train adjacency plus held-out pairs, each an (m, 2) int64 array.
+
+    make_splits gives u < v, load_split each pair as its line gives it.
+    Two splits compare field by field, with np.array_equal for the pairs.
+    """
 
     n_nodes: int
     train_adjacency: SparseMatrix
-    val_pos: tuple[tuple[int, int], ...]
-    val_neg: tuple[tuple[int, int], ...]
-    test_pos: tuple[tuple[int, int], ...]
-    test_neg: tuple[tuple[int, int], ...]
+    val_pos: np.ndarray
+    val_neg: np.ndarray
+    test_pos: np.ndarray
+    test_neg: np.ndarray
     seed: int
 
 
@@ -368,14 +372,6 @@ def _floats(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, bad
 
 
-def _first_of_each(key: np.ndarray) -> np.ndarray:
-    """Indices that sort `key`, keeping only the first occurrence of each value."""
-    order = np.argsort(key, kind="stable")
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[order[1:]] != key[order[:-1]]
-    return order[first]
-
-
 def load_edge_list(path) -> Graph:
     """Read "u v" pairs (0-based ids, '#' comments); dedup, drop self-loops.
 
@@ -410,8 +406,7 @@ def load_edge_list(path) -> Graph:
                 f"{f.path}: nodes directive says {declared_n} but ids reach {max_id}"
             )
         n = declared_n
-    keys = (np.minimum(u, v) * n + np.maximum(u, v))[~loops]
-    keys = keys[_first_of_each(keys)]
+    keys = np.unique((np.minimum(u, v) * n + np.maximum(u, v))[~loops])
     return Graph(n_nodes=n, adjacency=_adjacency_from_pairs(np.column_stack((keys // n, keys % n)), n))
 
 
@@ -455,7 +450,7 @@ def load_features(path, n_nodes: int) -> SparseMatrix:
     width = int(col.max()) + 1
     # a later triplet for the same entry overwrites an earlier one; keep only
     # the last, as SparseMatrix sums duplicates
-    last = row.size - 1 - _first_of_each((row * width + col)[::-1])
+    last = row.size - 1 - np.unique((row * width + col)[::-1], return_index=True)[1]
     return SparseMatrix.from_coo(row[last], col[last], value[last], (n_nodes, width))
 
 
@@ -521,8 +516,8 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n_edges)
-    test_pos = tuple(map(tuple, edges[order[:n_test]].tolist()))
-    val_pos = tuple(map(tuple, edges[order[n_test : n_test + n_val]].tolist()))
+    test_pos = edges[order[:n_test]]
+    val_pos = edges[order[n_test : n_test + n_val]]
     train_edges = edges[order[n_test + n_val :]]
 
     # Rejection sampling in batches of pairs (u, v), u drawn before v by
@@ -539,7 +534,7 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
         keys = pairs[:, 0] * n + pairs[:, 1]
         fresh = (pairs[:, 0] != pairs[:, 1]) & ~_contains(edge_keys, keys) & ~_contains(kept_keys, keys)
         fresh = np.flatnonzero(fresh)
-        kept = np.sort(fresh[_first_of_each(keys[fresh])])[: n_neg - len(negatives)]
+        kept = np.sort(fresh[np.unique(keys[fresh], return_index=True)[1]])[: n_neg - len(negatives)]
         negatives = np.concatenate([negatives, pairs[kept]])
         kept_keys = np.sort(np.concatenate([kept_keys, keys[kept]]))
     if len(negatives) < n_neg:
@@ -550,16 +545,13 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
         pool = np.column_stack((iu[free], iv[free]))
         extra = rng.permutation(len(pool))[: n_neg - len(negatives)]
         negatives = np.concatenate([negatives, pool[extra]])
-    test_neg = tuple(map(tuple, negatives[:n_test].tolist()))
-    val_neg = tuple(map(tuple, negatives[n_test:].tolist()))
-
     return SplitSpec(
         n_nodes=n,
         train_adjacency=_adjacency_from_pairs(train_edges, n),
         val_pos=val_pos,
-        val_neg=val_neg,
+        val_neg=negatives[n_test:],
         test_pos=test_pos,
-        test_neg=test_neg,
+        test_neg=negatives[:n_test],
         seed=seed,
     )
 
@@ -614,9 +606,20 @@ def save_split(split: SplitSpec, path) -> None:
     write_atomic(path, b"".join(parts))
 
 
-def load_split(path) -> SplitSpec:
-    """Read a split written by save_split; malformed content raises LoadError."""
+def load_split(path, g: Graph) -> SplitSpec:
+    """Read a split of `g` written by save_split; a split that does not fit `g` raises LoadError.
+
+    Besides the format, one pass over the lines checks three rules and names
+    the first line that breaks any of them:
+    1. every "# nodes N" directive gives g's node count;
+    2. TRAIN, VAL_POS and TEST_POS pairs are edges of g; VAL_NEG and TEST_NEG
+       pairs are not;
+    3. no unordered pair appears twice in the file.
+    Then 4. the TRAIN, VAL_POS and TEST_POS pairs are all of g's edges; the
+    error names the first edge that no section lists.
+    """
     f = _TextFile(path)
+    n = g.n_nodes
     u, bad_u = f.ints(0)
     v, bad_v = f.ints(1)
     nodes, n_value, bad_nodes = f.directive("nodes")
@@ -627,44 +630,45 @@ def load_split(path) -> SplitSpec:
     # the section of the last section line at or above each row; -1 above the first
     current = section[np.maximum.accumulate(np.where(section >= 0, np.arange(len(section)), 0))]
     is_pair = ~f.comment & (section < 0)
-    f.check(
-        (bad_nodes, lambda i: f"bad nodes directive {f.raw(i)}"),
-        (bad_seed, lambda i: f"bad seed directive {f.raw(i)}"),
-        (nodes & (n_value <= 0), lambda i: f"node count must be positive, got {f.raw(i)}"),
-        (nodes & (n_value >= ID_LIMIT), lambda i: f"node count at or above 2**31 in {f.raw(i)}"),
-        (is_pair & (current < 0), lambda i: "pair before any section header"),
-        (is_pair & (f.width != 2), lambda i: f"expected 'u v', got {f.raw(i)}"),
-        (is_pair & (bad_u | bad_v), lambda i: f"non-integer node id in {f.raw(i)}"),
-    )
-    if not nodes.any():
-        raise LoadError(f"{f.path}: missing '# nodes N' header")
-    n_nodes = int(n_value[nodes][-1])  # the last directive wins
+    positive = np.isin(current, (0, 1, 3))  # TRAIN, VAL_POS, TEST_POS
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    out_of_range = (lo < 0) | (hi >= n) | (u == v)
+    key = np.where(is_pair & ~out_of_range, lo * n + hi, -1)
+    edges = _upper_pairs(g.adjacency)
+    edge_keys = edges[:, 0] * n + edges[:, 1]  # ascending
+    is_edge = _contains(edge_keys, key)
+    keys, first, same = np.unique(key, return_index=True, return_inverse=True)
+    first_row = first[same]  # the first row holding each row's key
 
     def pair(i: int) -> str:
         return f"{_SPLIT_SECTIONS[current[i]]} pair {u[i]} {v[i]}"
 
-    # ids in range first: the pair keys and the CSR build rely on them
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    bad = is_pair & ((lo < 0) | (hi >= n_nodes) | (u == v))
-    f.check((bad, lambda i: f"{pair(i)} needs two distinct node ids in [0, {n_nodes})"))
-    is_train, *held_out_rows = [is_pair & (current == k) for k in range(len(_SPLIT_SECTIONS))]
-    train = _adjacency_from_pairs(np.column_stack((u[is_train], v[is_train])), n_nodes)
-    keys = lo * n_nodes + hi  # read on pair rows only
-    repeat = is_train.copy()
-    repeat[_first_of_each(np.where(is_train, keys, -1))] = False
-    leaked = is_pair & ~is_train & _contains(train.entry_rows() * n_nodes + train.indices, keys)
     f.check(
-        (repeat, lambda i: f"{pair(i)} repeats an earlier TRAIN pair"),
-        (leaked, lambda i: f"{pair(i)} is also a TRAIN edge"),
+        (bad_nodes, lambda i: f"bad nodes directive {f.raw(i)}"),
+        (bad_seed, lambda i: f"bad seed directive {f.raw(i)}"),
+        (nodes & (n_value != n), lambda i: f"split has {n_value[i]} nodes, graph has {n}"),
+        (is_pair & (current < 0), lambda i: "pair before any section header"),
+        (is_pair & (f.width != 2), lambda i: f"expected 'u v', got {f.raw(i)}"),
+        (is_pair & (bad_u | bad_v), lambda i: f"non-integer node id in {f.raw(i)}"),
+        (is_pair & out_of_range, lambda i: f"{pair(i)} needs two distinct node ids in [0, {n})"),
+        (is_pair & (is_edge != positive),
+         lambda i: f"{pair(i)} is {'not ' if positive[i] else ''}an edge of the graph"),
+        (is_pair & (first_row != np.arange(len(key))),
+         lambda i: f"{pair(i)} repeats line {f.lineno[first_row[i]] + 1}"),
     )
-    held_out = {name: tuple(map(tuple, np.column_stack((u[rows], v[rows])).tolist()))
-                for name, rows in zip(_SPLIT_SECTIONS[1:], held_out_rows)}
+    if not nodes.any():
+        raise LoadError(f"{f.path}: missing '# nodes N' header")
+    if np.count_nonzero(is_pair & positive) < len(edges):  # by rules 2 and 3 they are distinct edges
+        a, b = edges[~_contains(keys, edge_keys)][0]
+        raise LoadError(f"{f.path}: graph edge {a} {b} is in none of TRAIN, VAL_POS and TEST_POS")
+    pairs, current = np.column_stack((u, v))[is_pair], current[is_pair]
+    train, val_pos, val_neg, test_pos, test_neg = (pairs[current == k] for k in range(len(_SPLIT_SECTIONS)))
     return SplitSpec(
-        n_nodes=n_nodes,
-        train_adjacency=train,
-        val_pos=held_out["VAL_POS"],
-        val_neg=held_out["VAL_NEG"],
-        test_pos=held_out["TEST_POS"],
-        test_neg=held_out["TEST_NEG"],
+        n_nodes=n,
+        train_adjacency=_adjacency_from_pairs(train, n),
+        val_pos=val_pos,
+        val_neg=val_neg,
+        test_pos=test_pos,
+        test_neg=test_neg,
         seed=int(seed_value[seeds][-1]) if seeds.any() else 0,
     )

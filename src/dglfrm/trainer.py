@@ -3,7 +3,10 @@
 The train graph (the split's train adjacency with the graph's features,
 never the held-out edges) is the one source of what training reads: the
 encoder encodes its `effective_graph`, and the loss scores its edges and
-features. The link likelihood is summed over all N x N node pairs by
+features. A split that `graphdata.load_split` accepted lists every edge of
+the graph once, in TRAIN or among the held-out positives, so the train graph
+is the graph without them. Held-out pairs are (m, 2) int64 arrays, scored
+positives first. The link likelihood is summed over all N x N node pairs by
 `tensor.link_bce_sum`, which walks symmetric row blocks, and the feature
 likelihood over all N x D entries by `tensor.feature_bce_sum`, so neither
 grid is formed during training. Scoring uses deterministic posterior means
@@ -363,9 +366,9 @@ def _snapshot(params: dict[str, Parameter]) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in params.items()}
 
 
-def _held_out(pos, neg) -> tuple[list, np.ndarray]:
-    """The positive then the negative pairs, with labels 1 then 0."""
-    return list(pos) + list(neg), np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+def _held_out(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive then the negative pairs as one (m, 2) array, with labels 1 then 0."""
+    return np.concatenate([pos, neg]), np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
 
 
 def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, TrainReport]:
@@ -388,7 +391,7 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
 
     def validate(epoch: int) -> None:
         nonlocal best
-        if not val_pairs:
+        if not len(val_pairs):
             return
         scores = _score_with_params(params, config, encoder_graph, a_hat, val_pairs)
         auc = mx.auc_roc(scores, val_labels)

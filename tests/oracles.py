@@ -1,5 +1,6 @@
-"""Test-only helpers: the dense BCE oracle, the scalar split sampler, dense
-and scipy views of a sparse matrix, gradient checking and the op registries.
+"""Test-only helpers: the dense BCE oracle, the scalar split sampler and
+split comparisons, dense and scipy views of a sparse matrix, gradient
+checking and the op registries.
 
 `weighted_bce_with_logits_sum` is the dense reference for the fused
 likelihoods `tensor.link_bce_sum` and `tensor.feature_bce_sum`, which sum
@@ -87,12 +88,31 @@ def oracle_make_splits(g: gd.Graph, test_frac: float, val_frac: float, seed: int
     return gd.SplitSpec(
         n_nodes=n,
         train_adjacency=gd._adjacency_from_pairs(sorted(train_edges), n),
-        val_pos=val_pos,
-        val_neg=tuple(negatives[n_test:]),
-        test_pos=test_pos,
-        test_neg=tuple(negatives[:n_test]),
+        val_pos=pair_array(val_pos),
+        val_neg=pair_array(negatives[n_test:]),
+        test_pos=pair_array(test_pos),
+        test_neg=pair_array(negatives[:n_test]),
         seed=seed,
     )
+
+
+NO_PAIRS = np.empty((0, 2), dtype=np.int64)  # an empty SplitSpec section
+
+
+def pair_array(pairs) -> np.ndarray:
+    """Pairs as the (m, 2) int64 array a SplitSpec holds; () gives (0, 2)."""
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def pair_set(pairs) -> set[tuple[int, int]]:
+    return set(map(tuple, np.asarray(pairs).tolist()))
+
+
+def assert_splits_equal(a: gd.SplitSpec, b: gd.SplitSpec) -> None:
+    assert (a.n_nodes, a.seed, a.train_adjacency) == (b.n_nodes, b.seed, b.train_adjacency)
+    for name in ("val_pos", "val_neg", "test_pos", "test_neg"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), name
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:

@@ -102,7 +102,7 @@ class TestSynth:
 
 class TestSplit:
     def test_split_file_loads(self, ws):
-        split = gd.load_split(ws["split"])
+        split = gd.load_split(ws["split"], gd.load_edge_list(ws["graph"]))
         assert split.n_nodes == 100
         assert len(split.test_pos) > 0
         assert len(split.val_pos) > 0
@@ -125,8 +125,8 @@ class TestSplit:
     def test_cora_sized_positive_count(self, cora_dir, tmp_path):
         out = tmp_path / "cora.split"
         assert run("split", "--graph", cora_dir / "edges.txt", "--out", out) == 0
-        split = gd.load_split(out)
         g = gd.load_edge_list(cora_dir / "edges.txt")
+        split = gd.load_split(out, g)
         assert len(split.test_pos) == round(0.10 * g.n_edges)
         assert len(split.test_pos) == 528
 
@@ -153,7 +153,11 @@ class TestSplit:
 
 
 def four_node_files(tmp_path, sections):
-    """A 4-node graph and its split, with section contents replaced by `sections`."""
+    """A 4-node graph and its split, with section contents replaced by `sections`.
+
+    A split lists every edge in TRAIN, VAL_POS or TEST_POS, so a caller that
+    empties VAL_POS or TEST_POS lists that section's edge under TRAIN.
+    """
     graph = tmp_path / "g.txt"
     graph.write_text("# nodes 4\n0 1\n1 2\n2 3\n0 2\n")
     pairs = {"TRAIN": "0 1\n1 2\n", "VAL_POS": "2 3\n", "VAL_NEG": "0 3\n",
@@ -277,7 +281,7 @@ class TestTrain:
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
     def test_without_validation_pairs_saves_last_epoch(self, tmp_path, capsys):
-        graph, split = four_node_files(tmp_path, {"VAL_POS": "", "VAL_NEG": ""})
+        graph, split = four_node_files(tmp_path, {"TRAIN": "0 1\n1 2\n2 3\n", "VAL_POS": "", "VAL_NEG": ""})
         for epochs in (0, 3):
             assert run("train", "--graph", graph, "--split", split, "--k", 2,
                        "--epochs", epochs, "--out-ckpt", tmp_path / f"e{epochs}") == 0
@@ -290,7 +294,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("section", ["VAL_POS", "VAL_NEG"])
     def test_one_empty_validation_section_is_data_error(self, tmp_path, capsys, section):
-        graph, split = four_node_files(tmp_path, {section: ""})
+        train = {"TRAIN": "0 1\n1 2\n2 3\n"} if section == "VAL_POS" else {}
+        graph, split = four_node_files(tmp_path, {section: "", **train})
         code = run("train", "--graph", graph, "--split", split, "--k", 2,
                    "--epochs", 1, "--out-ckpt", tmp_path / "c")
         assert code == 2
@@ -352,11 +357,11 @@ class TestTrain:
     @pytest.mark.parametrize(
         "old,new,message",
         [
-            ("1 2\n", "", "TRAIN pair 1 2 is not an edge"),
-            ("2 3\n", "", "VAL_POS pair 2 3 is not an edge"),
-            ("0 2\n", "", "TEST_POS pair 0 2 is not an edge"),
-            ("0 1\n", "0 1\n0 3\n", "VAL_NEG pair 0 3 is an edge"),
-            ("0 1\n", "0 1\n3 1\n", "TEST_NEG pair 1 3 is an edge"),
+            ("1 2\n", "", ":5: TRAIN pair 1 2 is not an edge"),
+            ("2 3\n", "", ":7: VAL_POS pair 2 3 is not an edge"),
+            ("0 2\n", "", ":11: TEST_POS pair 0 2 is not an edge"),
+            ("0 1\n", "0 1\n0 3\n", ":9: VAL_NEG pair 0 3 is an edge"),
+            ("0 1\n", "0 1\n3 1\n", ":13: TEST_NEG pair 1 3 is an edge"),
         ],
         ids=["train", "val-pos", "test-pos", "val-neg", "test-neg"],
     )
@@ -374,7 +379,36 @@ class TestTrain:
         else:
             code = run("eval", "--ckpt", ckpt, "--graph", other, "--split", split)
         assert code == 2
-        assert f"{split}: {message} of the graph" in capsys.readouterr().err
+        assert f"{split}{message} of the graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sections,message",
+        [
+            ({"TRAIN": "0 1\n"}, ": graph edge 1 2 is in none of TRAIN, VAL_POS and TEST_POS"),
+            ({"TEST_POS": "0 2\n2 3\n"}, ":12: TEST_POS pair 2 3 repeats line 7"),
+            ({"VAL_NEG": "0 3\n3 0\n"}, ":10: VAL_NEG pair 3 0 repeats line 9"),
+        ],
+        ids=["edge-in-no-section", "held-out-twice", "repeated-val-neg"],
+    )
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_split_that_does_not_partition_the_graph_is_data_error(
+        self, tmp_path, capsys, sections, message, command
+    ):
+        # an edge left out would train as a non-edge; a pair listed twice is scored twice
+        graph, good = four_node_files(tmp_path, {})
+        ckpt = tmp_path / "c"
+        assert run("train", "--graph", graph, "--split", good, "--k", 2,
+                   "--epochs", 1, "--out-ckpt", ckpt) == 0
+        (tmp_path / "bad").mkdir()
+        _, split = four_node_files(tmp_path / "bad", sections)
+        if command == "train":
+            code = run("train", "--graph", graph, "--split", split, "--k", 2,
+                       "--epochs", 1, "--out-ckpt", tmp_path / "out")
+        else:
+            code = run("eval", "--ckpt", ckpt, "--graph", graph, "--split", split, "--out", tmp_path / "out")
+        assert code == 2
+        assert f"{split}{message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
 
 
 class TestNumericFailure:
@@ -562,7 +596,8 @@ class TestEval:
 
     @pytest.mark.parametrize("section", ["TEST_POS", "TEST_NEG"])
     def test_empty_test_section_is_data_error(self, tmp_path, capsys, section):
-        graph, split = four_node_files(tmp_path, {section: ""})
+        train = {"TRAIN": "0 1\n1 2\n0 2\n"} if section == "TEST_POS" else {}
+        graph, split = four_node_files(tmp_path, {section: "", **train})
         ckpt = tmp_path / "c"
         assert run("train", "--graph", graph, "--split", split, "--k", 2,
                    "--epochs", 1, "--out-ckpt", ckpt) == 0

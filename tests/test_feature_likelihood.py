@@ -21,7 +21,7 @@ from dglfrm import trainer
 from dglfrm.graphdata import Graph, SplitSpec
 from dglfrm.tensor import Parameter, SparseMatrix
 from dglfrm.trainer import TrainConfig
-from oracles import assert_close, to_dense, weighted_bce_with_logits_sum
+from oracles import NO_PAIRS, assert_close, to_dense, weighted_bce_with_logits_sum
 
 
 def random_targets(n, d, density, binary, rng) -> np.ndarray:
@@ -146,7 +146,7 @@ def test_feature_training_epoch_allocates_no_n_by_d_array():
     features = SparseMatrix.from_coo(cells // d, cells % d, np.ones(cells.size), (n, d))
     g = Graph(n_nodes=n, adjacency=adjacency, features=features)
     split = SplitSpec(n_nodes=n, train_adjacency=adjacency,
-                      val_pos=(), val_neg=(), test_pos=(), test_neg=(), seed=0)
+                      val_pos=NO_PAIRS, val_neg=NO_PAIRS, test_pos=NO_PAIRS, test_neg=NO_PAIRS, seed=0)
     cfg = TrainConfig(variant="vgae", feature_term=True, k=8, hidden=16, epochs=1, seed=0)
     tracemalloc.start()
     try:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dglfrm import graphdata as gd
 from dglfrm import tensor as tc
 from dglfrm.tensor import SparseMatrix
-from oracles import as_scipy, assert_close, oracle_make_splits, to_dense
+from oracles import as_scipy, assert_close, assert_splits_equal, oracle_make_splits, pair_set, to_dense
 
 
 def write(tmp_path, name, text):
@@ -186,8 +186,8 @@ def test_splits_partition_edges():
     split = gd.make_splits(g, 0.10, 0.05, seed=1)
     full = edge_set(g.adjacency)
     train = edge_set(split.train_adjacency)
-    held_val = set(split.val_pos)
-    held_test = set(split.test_pos)
+    held_val = pair_set(split.val_pos)
+    held_test = pair_set(split.test_pos)
     assert train | held_val | held_test == full
     assert not (train & held_val) and not (train & held_test) and not (held_val & held_test)
 
@@ -196,8 +196,8 @@ def test_splits_negatives_are_non_edges_exhaustive():
     g = random_graph(3, n=120)
     split = gd.make_splits(g, 0.10, 0.05, seed=2)
     dense = to_dense(g.adjacency)
-    negs = list(split.val_neg) + list(split.test_neg)
-    assert len(set(negs)) == len(negs)
+    negs = np.concatenate([split.val_neg, split.test_neg]).tolist()
+    assert len(pair_set(negs)) == len(negs)
     for u, v in negs:
         assert u < v
         assert dense[u, v] == 0.0
@@ -232,14 +232,14 @@ def test_splits_deterministic():
     g = random_graph(7)
     a = gd.make_splits(g, 0.10, 0.05, seed=9)
     b = gd.make_splits(g, 0.10, 0.05, seed=9)
-    assert a == b
+    assert_splits_equal(a, b)
 
 
 def test_splits_seed_changes_result():
     g = random_graph(7)
     a = gd.make_splits(g, 0.10, 0.05, seed=1)
     b = gd.make_splits(g, 0.10, 0.05, seed=2)
-    assert a.test_pos != b.test_pos or a.val_pos != b.val_pos
+    assert not (np.array_equal(a.test_pos, b.test_pos) and np.array_equal(a.val_pos, b.val_pos))
 
 
 def test_splits_train_adjacency_symmetric():
@@ -346,28 +346,29 @@ def test_split_save_load_roundtrip(tmp_path):
     split = gd.make_splits(g, 0.15, 0.05, seed=3)
     path = tmp_path / "split.txt"
     gd.save_split(split, path)
-    loaded = gd.load_split(path)
+    loaded = gd.load_split(path, g)
     assert loaded.n_nodes == split.n_nodes
     assert loaded.seed == split.seed
-    assert loaded.val_pos == split.val_pos
-    assert loaded.val_neg == split.val_neg
-    assert loaded.test_pos == split.test_pos
-    assert loaded.test_neg == split.test_neg
+    assert np.array_equal(loaded.val_pos, split.val_pos)
+    assert np.array_equal(loaded.val_neg, split.val_neg)
+    assert np.array_equal(loaded.test_pos, split.test_pos)
+    assert np.array_equal(loaded.test_neg, split.test_neg)
     np.testing.assert_array_equal(
         to_dense(loaded.train_adjacency), to_dense(split.train_adjacency)
     )
-
-
-def test_split_load_rejects_missing_header(tmp_path):
-    p = write(tmp_path, "s.txt", "TRAIN\n0 1\n")
-    with pytest.raises(gd.LoadError, match="nodes"):
-        gd.load_split(p)
 
 
 SPLIT_OK = (
     "# nodes 4\n# seed 0\nTRAIN\n0 1\n1 2\nVAL_POS\n2 3\nVAL_NEG\n0 3\n"
     "TEST_POS\n0 2\nTEST_NEG\n1 3\n"
 )
+SPLIT_GRAPH = graph_from_pairs([(0, 1), (1, 2), (2, 3), (0, 2)], 4)  # the graph SPLIT_OK splits
+
+
+def test_split_load_rejects_missing_header(tmp_path):
+    p = write(tmp_path, "s.txt", "TRAIN\n0 1\n")
+    with pytest.raises(gd.LoadError, match="nodes"):
+        gd.load_split(p, SPLIT_GRAPH)
 
 
 @pytest.mark.parametrize(
@@ -383,37 +384,38 @@ SPLIT_OK = (
 def test_split_load_rejects_non_integer_header(tmp_path, old, new, lineno):
     p = write(tmp_path, "s.txt", SPLIT_OK.replace(old, new))
     with pytest.raises(gd.LoadError, match=rf"s\.txt:{lineno}: bad (nodes|seed) directive"):
-        gd.load_split(p)
+        gd.load_split(p, SPLIT_GRAPH)
 
 
 @pytest.mark.parametrize("pair", ["1 9", "-1 2", "4 0"])
 def test_split_load_rejects_pair_out_of_range(tmp_path, pair):
     p = write(tmp_path, "s.txt", SPLIT_OK.replace("1 2\n", pair + "\n"))
     with pytest.raises(gd.LoadError, match=rf"s\.txt:5: TRAIN pair {pair} .*\[0, 4\)"):
-        gd.load_split(p)
+        gd.load_split(p, SPLIT_GRAPH)
 
 
 def test_split_load_rejects_self_pair(tmp_path):
     p = write(tmp_path, "s.txt", SPLIT_OK.replace("0 3\n", "3 3\n"))
     with pytest.raises(gd.LoadError, match=r"s\.txt:9: VAL_NEG pair 3 3 needs two distinct"):
-        gd.load_split(p)
+        gd.load_split(p, SPLIT_GRAPH)
 
 
 @pytest.mark.parametrize(
-    "old,new,section,lineno",
+    "old,new,message,lineno",
     [
-        ("TEST_POS\n0 2", "TEST_POS\n0 1", "TEST_POS", 11),
-        ("TEST_POS\n0 2", "TEST_POS\n2 1", "TEST_POS", 11),
-        ("VAL_POS\n2 3", "VAL_POS\n1 0", "VAL_POS", 7),
-        ("TEST_NEG\n1 3", "TEST_NEG\n2 1", "TEST_NEG", 13),
+        ("TEST_POS\n0 2", "TEST_POS\n0 1", "TEST_POS pair 0 1 repeats line 4", 11),
+        ("TEST_POS\n0 2", "TEST_POS\n2 1", "TEST_POS pair 2 1 repeats line 5", 11),
+        ("VAL_POS\n2 3", "VAL_POS\n1 0", "VAL_POS pair 1 0 repeats line 4", 7),
+        ("TEST_NEG\n1 3", "TEST_NEG\n2 1", "TEST_NEG pair 2 1 is an edge of the graph", 13),
     ],
     ids=["test-pos", "test-pos-reversed", "val-pos-reversed", "test-neg"],
 )
-def test_split_load_rejects_held_out_pair_in_train(tmp_path, old, new, section, lineno):
+def test_split_load_rejects_held_out_pair_in_train(tmp_path, old, new, message, lineno):
+    # a TRAIN pair held out again repeats its line; a negative one is also an edge
     p = write(tmp_path, "s.txt", SPLIT_OK.replace(old, new))
-    match = rf"s\.txt:{lineno}: {section} pair .* also a TRAIN edge"
+    match = rf"s\.txt:{lineno}: {message}"
     with pytest.raises(gd.LoadError, match=match):
-        gd.load_split(p)
+        gd.load_split(p, SPLIT_GRAPH)
 
 
 @pytest.mark.parametrize("repeat", ["0 1", "1 0"], ids=["same", "reversed"])
@@ -421,39 +423,52 @@ def test_split_load_rejects_repeated_train_pair(tmp_path, repeat):
     # merged by the CSR build, a repeat would be a target of 2 in the link BCE
     p = write(tmp_path, "s.txt", SPLIT_OK.replace("1 2\n", f"1 2\n{repeat}\n"))
     with pytest.raises(gd.LoadError, match=rf"s\.txt:6: TRAIN pair {repeat} repeats"):
-        gd.load_split(p)
+        gd.load_split(p, SPLIT_GRAPH)
 
 
 @pytest.mark.parametrize(
     "text,named",
     [
         ("# nodes 4\nVAL_POS\n0 9\nTRAIN\n0 7\n", ":3: VAL_POS pair 0 9 needs two distinct"),
-        ("# nodes 4\nVAL_POS\n0 1\nTRAIN\n0 1\n1 2\n2 1\n", ":3: VAL_POS pair 0 1 is also a TRAIN edge"),
-        ("# nodes 4\nTRAIN\n0 1\n1 0\nVAL_POS\n0 1\n", ":4: TRAIN pair 1 0 repeats"),
-        ("# nodes 4\nVAL_POS\n0 1\nTRAIN\n0 1\n0 4\n", ":6: TRAIN pair 0 4 needs two distinct"),
+        ("# nodes 4\nVAL_POS\n0 1\nTRAIN\n0 1\n1 2\n2 1\n", ":5: TRAIN pair 0 1 repeats line 3"),
+        ("# nodes 4\nTRAIN\n0 1\n1 0\nVAL_POS\n0 1\n", ":4: TRAIN pair 1 0 repeats line 3"),
+        ("# nodes 4\nVAL_POS\n0 1\nTRAIN\n0 4\n0 1\n", ":5: TRAIN pair 0 4 needs two distinct"),
+        ("# nodes 4\nVAL_POS\n0 1\nTRAIN\n0 1\n0 4\n", ":5: TRAIN pair 0 1 repeats line 3"),
+        ("# nodes 4\nTRAIN\n0 3\n0 1\n0 1\n", ":3: TRAIN pair 0 3 is not an edge"),
+        ("# nodes 4\nTRAIN\n0 1\n1 0\nTEST_NEG\n1 2\n", ":4: TRAIN pair 1 0 repeats line 3"),
+        ("# nodes 5\nTRAIN\n0 9\n", ":1: split has 5 nodes, graph has 4"),
     ],
-    ids=["range", "leak-before-repeat", "repeat-before-leak", "range-before-leak"],
+    ids=["range", "leak-before-repeat", "repeat-before-leak", "range-before-leak", "leak-before-range",
+         "non-edge-before-repeat", "repeat-before-edge", "nodes-before-range"],
 )
 def test_split_load_names_the_first_bad_pair_by_line(tmp_path, text, named):
-    # sections may come in any order; ids out of range are found before repeats and leaks
+    # sections may come in any order; a pair held out again is a repeat (a leak)
     p = write(tmp_path, "s.txt", text)
     with pytest.raises(gd.LoadError, match=rf"s\.txt{named}"):
-        gd.load_split(p)
+        gd.load_split(p, SPLIT_GRAPH)
 
 
 @pytest.mark.parametrize("count", ["-4", "0"])
 def test_split_load_rejects_non_positive_node_count(tmp_path, count):
     p = write(tmp_path, "s.txt", f"# nodes {count}\nTRAIN\n")
-    with pytest.raises(gd.LoadError, match=r"s\.txt:1: node count must be positive"):
-        gd.load_split(p)
+    with pytest.raises(gd.LoadError, match=rf"s\.txt:1: split has {count} nodes, graph has 4"):
+        gd.load_split(p, SPLIT_GRAPH)
 
 
 def test_split_with_empty_held_out_section_loads(tmp_path):
     # looking up an empty pair list in the train CSR used to raise ValueError
-    p = write(tmp_path, "s.txt", SPLIT_OK.replace("VAL_POS\n2 3\n", "VAL_POS\n"))
-    split = gd.load_split(p)
-    assert split.val_pos == ()
-    assert split.test_pos == ((0, 2),)
+    p = write(tmp_path, "s.txt", SPLIT_OK.replace("1 2\nVAL_POS\n2 3\n", "1 2\n2 3\nVAL_POS\n"))
+    split = gd.load_split(p, SPLIT_GRAPH)
+    assert split.val_pos.shape == (0, 2)
+    assert np.array_equal(split.test_pos, [[0, 2]])
+
+
+@pytest.mark.parametrize("edge", ["0 1", "2 3"])
+def test_split_load_rejects_an_edge_in_no_section(tmp_path, edge):
+    # the edge would train as a non-edge and never be held out
+    p = write(tmp_path, "s.txt", SPLIT_OK.replace(f"\n{edge}\n", "\n", 1))
+    with pytest.raises(gd.LoadError, match=rf"s\.txt: graph edge {edge} is in none of TRAIN, VAL_POS and TEST_POS"):
+        gd.load_split(p, SPLIT_GRAPH)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +737,7 @@ def test_splits_partition_property(seed, n_edges_scale):
         return
     full = set(pairs)
     train = edge_set(split.train_adjacency)
-    assert train | set(split.val_pos) | set(split.test_pos) == full
+    assert train | pair_set(split.val_pos) | pair_set(split.test_pos) == full
     assert len(train) + len(split.val_pos) + len(split.test_pos) == len(full)
     dense = to_dense(g.adjacency)
     for u, v in list(split.val_neg) + list(split.test_neg):

@@ -23,7 +23,7 @@ from dglfrm import trainer
 from dglfrm.graphdata import Graph, SplitSpec, normalize_adjacency
 from dglfrm.tensor import Parameter, SparseMatrix
 from dglfrm.trainer import TrainConfig
-from oracles import assert_close, to_dense, weighted_bce_with_logits_sum, zero_grads
+from oracles import NO_PAIRS, assert_close, to_dense, weighted_bce_with_logits_sum, zero_grads
 
 def labels_grid(positives: SparseMatrix) -> np.ndarray:
     """Dense targets: the train adjacency with the diagonal set to 1."""
@@ -234,7 +234,7 @@ def test_training_step_allocates_no_n_by_n_array():
     n = 3000
     g = _random_graph(n, np.random.default_rng(0), with_features=False)
     split = SplitSpec(n_nodes=n, train_adjacency=g.adjacency,
-                      val_pos=(), val_neg=(), test_pos=(), test_neg=(), seed=0)
+                      val_pos=NO_PAIRS, val_neg=NO_PAIRS, test_pos=NO_PAIRS, test_neg=NO_PAIRS, seed=0)
     cfg = TrainConfig(variant="dglfrm", k=8, hidden=16, decoder_hidden=(8,), epochs=1, seed=0)
     tracemalloc.start()
     try:

@@ -5,9 +5,11 @@ The `oracle_*` functions are the line-by-line parsers and writers that
 numpy operations. Rules added or changed in them since: non-finite
 feature values are rejected; a split section may be empty; both formats
 read a `# key N` directive by one rule, exactly one integer after the key;
-split pair lines give the edge list's messages; and a split's pair errors
-name the first bad line. Generated files must give the same graph, split
-or features, or the same LoadError text, from both.
+split pair lines give the edge list's messages; a split is read against
+its graph, whose node count, edges and non-edges it must match, with no
+pair twice and no edge left out; and a split's line errors name the first
+bad line. Generated files must give the same graph, split or features, or
+the same LoadError text, from both.
 
 Deliberate differences, tested one by one at the end: integer fields are
 an optional sign and 1 to 18 ASCII digits, so `1_000`, non-ASCII digits
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 from dglfrm import graphdata as gd
 from dglfrm.graphdata import LoadError, SplitSpec, _adjacency_from_pairs
-from oracles import as_scipy, to_dense
+from oracles import as_scipy, assert_splits_equal, pair_array, to_dense
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -134,14 +136,18 @@ def oracle_load_features(path, n_nodes: int) -> np.ndarray:
 SECTIONS = ("TRAIN", "VAL_POS", "VAL_NEG", "TEST_POS", "TEST_NEG")
 
 
-def oracle_load_split(path) -> SplitSpec:
+def oracle_load_split(path, g: gd.Graph) -> SplitSpec:
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as e:
         raise LoadError(f"cannot read {path}: {e}") from e
+    n = g.n_nodes
+    coo = as_scipy(g.adjacency).tocoo()
+    edges = {(int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v}
     headers: dict[str, int] = {}
-    pairs: list[tuple[int, str, int, int]] = []  # (lineno, section, u, v)
+    sections: dict[str, list[tuple[int, int]]] = {name: [] for name in SECTIONS}
+    first_line: dict[tuple[int, int], int] = {}  # each unordered pair's line
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -154,8 +160,8 @@ def oracle_load_split(path) -> SplitSpec:
                     (headers[parts[0]],) = map(int, parts[1:])
                 except ValueError as e:
                     raise LoadError(f"{path}:{lineno}: bad {parts[0]} directive {raw!r}") from e
-                if parts[0] == "nodes" and headers["nodes"] <= 0:
-                    raise LoadError(f"{path}:{lineno}: node count must be positive, got {raw!r}")
+                if parts[0] == "nodes" and headers["nodes"] != n:  # rule 1
+                    raise LoadError(f"{path}:{lineno}: split has {headers['nodes']} nodes, graph has {n}")
             continue
         if line in SECTIONS:
             current = line
@@ -169,34 +175,30 @@ def oracle_load_split(path) -> SplitSpec:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as e:
             raise LoadError(f"{path}:{lineno}: non-integer node id in {raw!r}") from e
-        pairs.append((lineno, current, u, v))
+        if not (0 <= u < n and 0 <= v < n and u != v):
+            raise LoadError(f"{path}:{lineno}: {current} pair {u} {v} needs two distinct node ids in [0, {n})")
+        pair = (min(u, v), max(u, v))
+        positive = current in ("TRAIN", "VAL_POS", "TEST_POS")
+        if (pair in edges) != positive:  # rule 2
+            is_or_not = "is not" if positive else "is"
+            raise LoadError(f"{path}:{lineno}: {current} pair {u} {v} {is_or_not} an edge of the graph")
+        if pair in first_line:  # rule 3
+            raise LoadError(f"{path}:{lineno}: {current} pair {u} {v} repeats line {first_line[pair]}")
+        first_line[pair] = lineno
+        sections[current].append((u, v))
     if "nodes" not in headers:
         raise LoadError(f"{path}: missing '# nodes N' header")
-    n_nodes = headers["nodes"]
-    # pair errors name the first bad line; ids in range are checked before the rest
-    for lineno, name, u, v in pairs:
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes and u != v):
-            raise LoadError(
-                f"{path}:{lineno}: {name} pair {u} {v} needs two distinct node ids in [0, {n_nodes})"
-            )
-    sections = {s: [(u, v) for _, name, u, v in pairs if name == s] for s in SECTIONS}
-    train_edges = {(min(u, v), max(u, v)) for u, v in sections["TRAIN"]}
-    seen: set[tuple[int, int]] = set()
-    for lineno, name, u, v in pairs:
-        edge = (min(u, v), max(u, v))
-        if name == "TRAIN":
-            if edge in seen:
-                raise LoadError(f"{path}:{lineno}: TRAIN pair {u} {v} repeats an earlier TRAIN pair")
-            seen.add(edge)
-        elif edge in train_edges:
-            raise LoadError(f"{path}:{lineno}: {name} pair {u} {v} is also a TRAIN edge")
+    unlisted = sorted(edges - first_line.keys())  # rule 4
+    if unlisted:
+        a, b = unlisted[0]
+        raise LoadError(f"{path}: graph edge {a} {b} is in none of TRAIN, VAL_POS and TEST_POS")
     return SplitSpec(
-        n_nodes=n_nodes,
-        train_adjacency=_adjacency_from_pairs(sections["TRAIN"], n_nodes),
-        val_pos=tuple(sections["VAL_POS"]),
-        val_neg=tuple(sections["VAL_NEG"]),
-        test_pos=tuple(sections["TEST_POS"]),
-        test_neg=tuple(sections["TEST_NEG"]),
+        n_nodes=n,
+        train_adjacency=_adjacency_from_pairs(sections["TRAIN"], n),
+        val_pos=pair_array(sections["VAL_POS"]),
+        val_neg=pair_array(sections["VAL_NEG"]),
+        test_pos=pair_array(sections["TEST_POS"]),
+        test_neg=pair_array(sections["TEST_NEG"]),
         seed=headers.get("seed", 0),
     )
 
@@ -432,7 +434,13 @@ def random_graph(seed: int, n: int, density: float = 0.5) -> gd.Graph:
 
 @st.composite
 def split_file(draw):
-    """A saved split, then lines edited, moved, added or dropped."""
+    """A graph and its saved split, then lines edited, moved, added or dropped.
+
+    Last, up to two pairs of distinct ids in range may be inserted anywhere.
+    Most break a rule: an edge listed again, a non-edge among the positives.
+    So a file often holds two bad lines of different kinds, and the first by
+    line must be named.
+    """
     g = random_graph(draw(st.integers(0, 10**6)), draw(st.integers(6, 10)), density=0.3)
     try:
         split = gd.make_splits(g, 0.2, 0.2, seed=draw(st.integers(0, 99)))
@@ -463,17 +471,24 @@ def split_file(draw):
                 "# nodes {} 1", "#seed {} x", "##nodes {}", "# nodes", "#seed",
             ]))
             lines.insert(i, header.format(draw(st.one_of(ids(-1, n + 2), st.sampled_from(JUNK)))))
-    return "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        lines.insert(draw(st.integers(0, len(lines))), f"{u} {v}")
+    return g, "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
 
 
 @SETTINGS
-@given(text=split_file())
-def test_split_matches_oracle(tmp_path, text):
+@given(case=split_file())
+def test_split_matches_oracle(tmp_path, case):
+    g, text = case
     path = write(tmp_path, "s.split", text)
-    expected = outcome(oracle_load_split, path)
-    got = outcome(gd.load_split, path)
+    expected = outcome(oracle_load_split, path, g)
+    got = outcome(gd.load_split, path, g)
     assert got[0] == expected[0], (got, expected)
-    assert got[1] == expected[1]
+    if got[0] == "error":
+        assert got[1] == expected[1]
+    else:
+        assert_splits_equal(got[1], expected[1])
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +512,8 @@ def test_edge_list_and_split_round_trip_byte_for_byte(tmp_path_factory, seed, n)
         return  # too few edges or non-edges to hold out
     gd.save_split(split, tmp / "a.split")
     assert (tmp / "a.split").read_text() == oracle_split_text(split)
-    assert gd.load_split(tmp / "a.split") == split
-    gd.save_split(gd.load_split(tmp / "a.split"), tmp / "b.split")
+    assert_splits_equal(gd.load_split(tmp / "a.split", g), split)
+    gd.save_split(gd.load_split(tmp / "a.split", g), tmp / "b.split")
     assert (tmp / "a.split").read_bytes() == (tmp / "b.split").read_bytes()
 
 
@@ -570,14 +585,15 @@ def test_edge_list_ids_stay_below_2_31(tmp_path, text, where):
 
 @pytest.mark.parametrize(
     "text,where",
-    [("# nodes 2147483648\nTRAIN\n0 1\n", ":1: node count at or above 2**31"),
+    [("# nodes 2147483648\nTRAIN\n0 1\n", ":1: split has 2147483648 nodes, graph has 4"),
      ("# nodes 4\nTRAIN\n0 1\n2 2147483648\n", ":4: TRAIN pair 2 2147483648 needs two distinct")],
     ids=["nodes-header", "pair"],
 )
 def test_split_ids_stay_below_2_31(tmp_path, text, where):
+    # a split's node count must be its graph's, which load_edge_list keeps below 2**31
     path = write(tmp_path, "s.split", text)
     with pytest.raises(LoadError) as e:
-        gd.load_split(path)
+        gd.load_split(path, gd.Graph(n_nodes=4, adjacency=_adjacency_from_pairs([(0, 1)], 4)))
     assert str(e.value).startswith(f"{path}{where}")
 
 

@@ -25,7 +25,7 @@ from dglfrm.trainer import (
     StepNoise,
     TrainConfig,
 )
-from oracles import gradient_check
+from oracles import NO_PAIRS, gradient_check
 
 
 def small_graph(n=6, extra=((1, 4),), seed=8, with_features=True):
@@ -44,10 +44,10 @@ def trivial_split(g):
     return SplitSpec(
         n_nodes=g.n_nodes,
         train_adjacency=g.adjacency,
-        val_pos=(),
-        val_neg=(),
-        test_pos=(),
-        test_neg=(),
+        val_pos=NO_PAIRS,
+        val_neg=NO_PAIRS,
+        test_pos=NO_PAIRS,
+        test_neg=NO_PAIRS,
         seed=0,
     )
 
@@ -417,7 +417,7 @@ class TestTrain:
 
     def test_nan_in_a_forward_op_stops_at_the_loss(self, synth, monkeypatch):
         g, split = synth
-        no_val = dataclasses.replace(split, val_pos=(), val_neg=())
+        no_val = dataclasses.replace(split, val_pos=NO_PAIRS, val_neg=NO_PAIRS)
         cfg = tiny_config(epochs=6)
         clean, clean_report = trainer.train(g, no_val, dataclasses.replace(cfg, epochs=2))
         digamma, calls = tc.digamma, []
@@ -436,7 +436,7 @@ class TestTrain:
 
     def test_nan_in_one_gradient_stops_before_adam(self, synth, monkeypatch):
         g, split = synth
-        no_val = dataclasses.replace(split, val_pos=(), val_neg=())
+        no_val = dataclasses.replace(split, val_pos=NO_PAIRS, val_neg=NO_PAIRS)
         cfg = tiny_config(epochs=6)
         clean, clean_report = trainer.train(g, no_val, dataclasses.replace(cfg, epochs=2))
         init_params, backward, params, calls = trainer.init_params, tc.backward, {}, []
@@ -520,7 +520,7 @@ class TestTrain:
 
     def test_without_validation_pairs_keeps_last_epoch(self, synth):
         g, split = synth
-        no_val = dataclasses.replace(split, val_pos=(), val_neg=())
+        no_val = dataclasses.replace(split, val_pos=NO_PAIRS, val_neg=NO_PAIRS)
         cfg = tiny_config(epochs=4, val_every=2)
         ckpt, report = trainer.train(g, no_val, cfg)
         assert report.val_trace == [] and report.best_val_auc is None
@@ -565,7 +565,7 @@ class TestScorePairs:
         a_hat = normalize_adjacency(
             Graph(n_nodes=g.n_nodes, adjacency=split.train_adjacency, features=g.features)
         )
-        pairs = list(split.test_pos) + list(split.test_neg)
+        pairs = np.concatenate([split.test_pos, split.test_neg])
         s1 = trainer.score_pairs(ckpt, g, a_hat, pairs)
         s2 = trainer.score_pairs(ckpt, g, a_hat, pairs)
         assert s1.tobytes() == s2.tobytes()
@@ -640,7 +640,7 @@ class TestCheckpointIO:
         a_hat = normalize_adjacency(
             Graph(n_nodes=g.n_nodes, adjacency=split.train_adjacency, features=g.features)
         )
-        pairs = list(split.test_pos) + list(split.test_neg)
+        pairs = np.concatenate([split.test_pos, split.test_neg])
         before = trainer.score_pairs(ckpt, g, a_hat, pairs)
         after = trainer.score_pairs(loaded, g, a_hat, pairs)
         assert before.tobytes() == after.tobytes()
