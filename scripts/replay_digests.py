@@ -25,9 +25,14 @@ more run trains on an 800-node graph with 1000 feature columns: 5 blocks of
 the link likelihood and 7 of the feature likelihood at the default block
 size, summed from the worker threads in block order.
 
-Last, a near-complete 70-node graph is split: its split needs all 24 of the
+A near-complete 70-node graph is split: its split needs all 24 of the
 graph's non-edges, so the negative sampler runs out of attempts and the
 rest come from the enumeration fallback.
+
+Last, copies of the 300-node graph and its split with CRLF line ends and a
+non-ASCII comment line first are split and evaluated. The loaders read such
+text as code points rather than bytes, so these runs cover that path; their
+split and metrics must equal those of the plain files.
 """
 
 from __future__ import annotations
@@ -95,6 +100,12 @@ def drop_validation(split: Path, out: Path) -> None:
     out.write_text("\n".join([*header, *(line for name in SECTIONS for line in (name, *pairs[name]))]) + "\n")
 
 
+def wide_copy(path: Path, out: Path) -> None:
+    """Copy a text file with a non-ASCII comment line first and CRLF line ends."""
+    text = "# 300 nœuds — graphe synthétique\n" + path.read_text()
+    out.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -134,6 +145,12 @@ def main(argv: list[str]) -> int:
     dglfrm("eval", "--ckpt", "x-identity-term.ckpt", *GRAPH, "--split", "graph.split", "--out", bare)
     dglfrm("communities", "--ckpt", "x-identity-term.ckpt", *GRAPH, "--out", f"{bare}.communities.txt",
            "--export-latent", f"{bare}.latent.csv")
+
+    wide_copy(out / "graph.edges.txt", out / "wide.edges.txt")
+    wide_copy(out / "graph.split", out / "wide.split")
+    dglfrm("split", "--graph", "wide.edges.txt", "--seed", "5", "--out", "wide.resplit")
+    dglfrm("eval", "--ckpt", "dglfrm.ckpt", "--graph", "wide.edges.txt", "--split", "wide.split",
+           "--out", "dglfrm-wide.metrics")
 
     for path in sorted(out.iterdir()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")

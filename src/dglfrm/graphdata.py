@@ -57,23 +57,35 @@ def sigmoid_np(x: np.ndarray, out=None) -> np.ndarray:
 class SparseMatrix:
     """Immutable CSR float64 matrix: each row's int32 column indices sorted and unique.
 
-    `SparseMatrix(dense)` stores the nonzero entries of a 2-D array.
+    `SparseMatrix(dense)` stores the nonzero entries of a 2-D array. Two facts
+    derived from the arrays are computed at most once and kept: tensor.spmm's
+    kernel matrix, and whether the matrix is symmetric, which
+    `_adjacency_from_pairs` knows when it builds one.
     """
 
-    __slots__ = ("shape", "indptr", "indices", "values", "_spmm_view", "_spmm_view_t")
+    __slots__ = ("shape", "indptr", "indices", "values", "_symmetric", "_spmm_view", "_spmm_view_t")
 
     def __init__(self, dense) -> None:
         dense = np.asarray(dense, dtype=np.float64)
         rows, cols = np.nonzero(dense)  # row-major: already in CSR order
-        self._set(dense.shape, rows, cols, dense[rows, cols])
+        self._set(dense.shape, np.searchsorted(rows, np.arange(dense.shape[0] + 1)), cols, dense[rows, cols])
 
-    def _set(self, shape, rows, cols, values) -> "SparseMatrix":
-        """Fill from entries in CSR order (rows ascending)."""
+    def _set(self, shape, indptr, indices, values, symmetric: bool | None = None) -> "SparseMatrix":
         self.shape = (int(shape[0]), int(shape[1]))
-        self.indptr = np.searchsorted(rows, np.arange(self.shape[0] + 1))
-        self.indices, self.values = cols.astype(np.int32, copy=False), values
+        self.indptr, self.indices, self.values = indptr, indices.astype(np.int32, copy=False), values
+        self._symmetric = symmetric  # None until is_symmetric() decides
         self._spmm_view = self._spmm_view_t = None  # tensor.spmm's kernel matrix over the arrays, and its transpose
         return self
+
+    @classmethod
+    def _from_keys(cls, keys, values, shape, symmetric: bool | None = None) -> "SparseMatrix":
+        """values[i] at key row * n_cols + col; keys ascending, the values of a repeated key summed in order."""
+        first = _run_starts(keys)
+        if not first.all():
+            starts = np.flatnonzero(first)
+            keys, values = keys[starts], np.add.reduceat(values, starts)
+        indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+        return cls.__new__(cls)._set(shape, indptr, keys % shape[1], values, symmetric)
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape: tuple[int, int]) -> "SparseMatrix":
@@ -85,17 +97,21 @@ class SparseMatrix:
             raise ShapeError(f"index out of range for a {n_rows} x {n_cols} sparse matrix")
         key = rows * n_cols + cols
         order = np.argsort(key)
-        key, vals = key[order], vals[order]
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        if not first.all():
-            starts = np.flatnonzero(first)
-            key, vals = key[starts], np.add.reduceat(vals, starts)
-        return cls.__new__(cls)._set(shape, *np.divmod(key, n_cols), vals)
+        return cls._from_keys(key[order], vals[order], shape)
 
     def with_values(self, values: np.ndarray) -> "SparseMatrix":
         """The same pattern holding `values`, one per stored entry."""
-        return SparseMatrix.__new__(SparseMatrix)._set(self.shape, self.entry_rows(), self.indices, values)
+        return SparseMatrix.__new__(SparseMatrix)._set(self.shape, self.indptr, self.indices, values)
+
+    def is_symmetric(self) -> bool:
+        """Whether the matrix equals its transpose, stored zeros included."""
+        if self._symmetric is None:
+            n, rows = self.shape[0], self.entry_rows()
+            mirrored = self.indices * np.int64(n) + rows  # each entry's key in the transpose
+            t = np.argsort(mirrored)  # the transpose's k-th entry is entry t[k]
+            self._symmetric = self.shape == (n, n) and np.array_equal(mirrored[t], rows * n + self.indices) \
+                and np.array_equal(self.values[t], self.values)
+        return self._symmetric
 
     @property
     def nnz(self) -> int:
@@ -118,6 +134,13 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in an ascending array."""
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
 def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Which of `keys` appear in the ascending array `sorted_keys`."""
     at = np.searchsorted(sorted_keys, keys)
@@ -138,8 +161,7 @@ class Graph:
         a = self.adjacency
         if a.shape != (self.n_nodes, self.n_nodes):
             raise LoadError(f"adjacency shape {a.shape} vs n_nodes {self.n_nodes}")
-        # the transpose is built by from_coo, not by spmm's scipy kernel: graphdata stays numpy only
-        if a != SparseMatrix.from_coo(a.indices, a.entry_rows(), a.values, a.shape):
+        if not a.is_symmetric():
             raise LoadError("adjacency must be symmetric")
         if np.any(a.values[a.entry_rows() == a.indices]):
             raise LoadError("adjacency must have a zero diagonal")
@@ -185,10 +207,11 @@ class SyntheticSpec:
 
 
 def _adjacency_from_pairs(pairs, n: int) -> SparseMatrix:
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    rows = np.concatenate([arr[:, 0], arr[:, 1]])
-    cols = np.concatenate([arr[:, 1], arr[:, 0]])
-    return SparseMatrix.from_coo(rows, cols, np.ones(rows.size), (n, n))
+    """The symmetric adjacency of (m, 2) pairs in [0, n): 1 per pair, summed over repeats as from_coo sums."""
+    u, v = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    keys = np.concatenate([u * n + v, v * n + u])
+    keys.sort()
+    return SparseMatrix._from_keys(keys, np.ones(keys.size), (n, n), symmetric=True)
 
 
 def _upper_pairs(adjacency: SparseMatrix) -> np.ndarray:
@@ -247,7 +270,7 @@ def _pair_lines(pairs) -> bytes:
 # str.splitlines() ends a line at the first ten of them.
 _LINE_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
 _SPACES = _LINE_BREAKS + "\t\x1f \xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u202f\u205f\u3000"
-_CHAR_KIND = np.zeros(ord("\u3000") + 2, dtype=np.int8)  # 0 other, 1 space, 2 line break
+_CHAR_KIND = np.zeros(0x110000, dtype=np.int8)  # per code point: 0 other, 1 space, 2 line break
 _CHAR_KIND[[ord(c) for c in _SPACES]] = 1
 _CHAR_KIND[[ord(c) for c in _LINE_BREAKS]] = 2
 
@@ -260,6 +283,10 @@ class _TextFile:
     `text.splitlines()`, `width[i]` its number of tokens, `first[i]` the
     index of its first token, and `comment[i]` whether that token starts
     with "#".
+
+    `code` is the text as uint8 if it is ASCII, else as uint32 code points; the
+    same code reads both. A token's line is the number of line breaks before it.
+    Loading an edge list peaks at about 16 bytes of memory per byte of file.
     """
 
     def __init__(self, path) -> None:
@@ -268,32 +295,34 @@ class _TextFile:
             self.text = self.path.read_text()
         except (OSError, UnicodeDecodeError) as e:
             raise LoadError(f"cannot read {self.path}: {e}") from e
-        self.code = np.frombuffer(self.text.encode("utf-32-le"), dtype=np.uint32)
-        kind = _CHAR_KIND[np.minimum(self.code, _CHAR_KIND.size - 1)]
-        # read_text turns "\r\n" into "\n", so each line break is one character
-        self.line_of_char = np.cumsum(kind == 2, dtype=np.int32)
-        bounds = np.flatnonzero(np.diff(kind == 0, prepend=False, append=False))
-        self.start, self.end = bounds[0::2], bounds[1::2]
-        line = self.line_of_char[self.start]
-        self.first = np.flatnonzero(np.diff(line, prepend=-1))
+        wide = not self.text.isascii()
+        self.code = np.frombuffer(self.text.encode("utf-32-le" if wide else "ascii"), np.uint32 if wide else np.uint8)
+        kind = _CHAR_KIND[self.code]  # read_text turns "\r\n" into "\n", so each line break is one character
+        word = kind == 0
+        self.start, self.end = np.flatnonzero(np.diff(word, prepend=False, append=False)).reshape(-1, 2).T.copy()
+        self.breaks, non_digits = np.flatnonzero(kind == 2), np.flatnonzero(word & (self.code - ord("0") >= 10))
+        del kind, word  # of the arrays per character only `code` is kept
+        line = np.searchsorted(self.breaks, self.start)
+        self.first = np.flatnonzero(_run_starts(line))
         self.lineno = line[self.first]
         self.width = np.diff(self.first, append=line.size)
         self.comment = self.code[self.start[self.first]] == ord("#")
-        self._read_ints()
+        self._read_ints(non_digits)
+        self._worded = np.flatnonzero(~self.int_ok[self.first])  # rows that may hold a section or directive word
 
-    def _read_ints(self) -> None:
+    def _read_ints(self, non_digits: np.ndarray) -> None:
         """Every token's value as an integer: an optional "+" or "-" and 1 to 18 ASCII digits."""
         lead = self.code[self.start]
-        digits_from = self.start + ((lead == ord("+")) | (lead == ord("-")))
-        n_digits = self.end - digits_from
-        digits_before = np.r_[0, np.cumsum(self.code - ord("0") < 10, dtype=np.int32)]
-        all_digits = digits_before[self.end] - digits_before[digits_from] == n_digits
-        self.int_ok = all_digits & (n_digits >= 1) & (n_digits <= 18)
+        signed = (lead == ord("+")) | (lead == ord("-"))
+        n_digits = self.end - self.start - signed
+        holder = np.searchsorted(self.start, non_digits, side="right") - 1  # the token each non-digit is in
+        self.int_ok = (n_digits >= 1) & (n_digits <= 18)
+        self.int_ok[holder[non_digits >= self.start[holder] + signed[holder]]] = False  # a non-digit after the sign
         n_digits[~self.int_ok] = 0
         self.int_value = np.zeros(self.start.size, dtype=np.int64)
         for k in range(int(n_digits.max(initial=0))):  # the digit 10**k counts
-            digit = self.code[np.maximum(self.end - 1 - k, 0)].astype(np.int64) - ord("0")
-            self.int_value += np.where(n_digits > k, digit, 0) * 10**k
+            digit = self.code[np.maximum(self.end - 1 - k, 0)] - ord("0")
+            self.int_value += np.where(n_digits > k, digit, 0) * np.int64(10**k)
         self.int_value[lead == ord("-")] *= -1
 
     def _token(self, col: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,13 +331,13 @@ class _TextFile:
         return np.where(has, self.first + col, 0), has
 
     def is_word(self, col: int, word: str) -> np.ndarray:
-        """Rows whose token `col` is `word`."""
-        tok, has = self._token(col)
-        start = self.start[tok]
-        match = has & (self.end[tok] - start == len(word))
+        """Rows whose token `col` is `word`, among the rows whose first token is not an integer."""
+        rows = self._worded[self.width[self._worded] > col]
+        tok = self.first[rows] + col
+        match = self.end[tok] - self.start[tok] == len(word)
         for k, char in enumerate(word):
-            match[match] = self.code[start[match] + k] == ord(char)
-        return match
+            match[match] = self.code[self.start[tok[match]] + k] == ord(char)
+        return np.bincount(rows[match], minlength=len(self.first)) > 0
 
     def ints(self, col: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Token `col` of each row as an integer (0 where it is none), and the rows where it is none."""
@@ -325,9 +354,16 @@ class _TextFile:
         return rows, value, rows & (bad | (self.width != 2 + spaced))
 
     def words(self, col: int) -> np.ndarray:
-        """Token `col` of each row as a str ("" where the row is shorter)."""
+        """Token `col` of each row as a str ("" where the row is shorter), decoded from a copy of those tokens only."""
         tok, has = self._token(col)
-        return np.where(has, np.array(self.text.split(), dtype=object)[tok], "")
+        start = self.start[tok[has]]
+        size = self.end[tok[has]] - start + 1  # each token and the space put after it
+        at = np.cumsum(size) - size
+        chars = self.code[np.minimum(np.repeat(start - at, size) + np.arange(size.sum()), self.code.size - 1)]
+        chars[at + size - 1] = ord(" ")
+        out = np.full(len(self.first), "", dtype=object)
+        out[has] = np.array(chars.tobytes().decode("utf-32-le" if chars.itemsize == 4 else "ascii").split(), dtype=object)
+        return out
 
     def raw(self, row: int) -> str:
         return repr(self.text.splitlines()[self.lineno[row]])
@@ -391,23 +427,25 @@ def load_edge_list(path) -> Graph:
         (data & ((u < 0) | (v < 0)), lambda i: f"negative node id in {f.raw(i)}"),
         (data & ((u >= ID_LIMIT) | (v >= ID_LIMIT)), lambda i: f"node id at or above 2**31 in {f.raw(i)}"),
     )
-    u, v = u[data], v[data]
+    u, v, path = u[data], v[data], f.path
+    del f  # the text's arrays are freed before the adjacency is built
     loops = u == v
     if loops.all():
-        raise LoadError(f"{f.path}: no edges")
+        raise LoadError(f"{path}: no edges")
     if loops.any():
-        logger.warning("%s: dropped %d self-loop(s)", f.path, int(loops.sum()))
+        logger.warning("%s: dropped %d self-loop(s)", path, int(loops.sum()))
     max_id = int(max(u.max(), v.max()))
     n = max_id + 1
     if nodes.any():
         declared_n = int(declared[nodes][-1])  # the last directive wins
         if declared_n < n:
             raise LoadError(
-                f"{f.path}: nodes directive says {declared_n} but ids reach {max_id}"
+                f"{path}: nodes directive says {declared_n} but ids reach {max_id}"
             )
         n = declared_n
-    keys = np.unique((np.minimum(u, v) * n + np.maximum(u, v))[~loops])
-    return Graph(n_nodes=n, adjacency=_adjacency_from_pairs(np.column_stack((keys // n, keys % n)), n))
+    keys = np.sort((np.minimum(u, v) * n + np.maximum(u, v))[~loops])
+    keys = keys[_run_starts(keys)]  # as np.unique, without its hash table
+    return Graph(n_nodes=n, adjacency=_adjacency_from_pairs(np.column_stack(np.divmod(keys, n)), n))
 
 
 def save_edge_list(g: Graph, path) -> None:
@@ -456,7 +494,7 @@ def load_features(path, n_nodes: int) -> SparseMatrix:
 
 def _csv_table(f: _TextFile, data: np.ndarray, n_nodes: int) -> np.ndarray:
     """Comma-separated floats, one row per data line of `f`."""
-    commas = np.bincount(f.line_of_char[f.code == ord(",")], minlength=f.lineno.max(initial=-1) + 1)
+    commas = np.bincount(np.searchsorted(f.breaks, np.flatnonzero(f.code == ord(","))), minlength=f.lineno.max(initial=-1) + 1)
     widths = commas[f.lineno[data]] + 1
     lines = np.array(f.text.splitlines(), dtype=object)[f.lineno[data]]
     fields = np.array(",".join(lines).split(",") if lines.size else [], dtype=object)
@@ -478,12 +516,14 @@ def _csv_table(f: _TextFile, data: np.ndarray, n_nodes: int) -> np.ndarray:
 
 
 def normalize_adjacency(g: Graph) -> SparseMatrix:
-    """Symmetric GCN normalization of A+I by the degree of A+I."""
+    """Symmetric GCN normalization of A+I by the degree of A+I.
+
+    A+I is built without a sort: the diagonal goes in among A's ascending keys,
+    and a stored (zero) diagonal entry is summed with its 1, as from_coo sums."""
     a, n = g.adjacency, g.n_nodes
-    diagonal = np.arange(n)
-    a_tilde = SparseMatrix.from_coo(
-        np.r_[a.entry_rows(), diagonal], np.r_[a.indices, diagonal], np.r_[a.values, np.ones(n)], (n, n)
-    )
+    keys, diagonal = a.entry_rows() * n + a.indices, np.arange(n) * (n + 1)
+    at = np.searchsorted(keys, diagonal)
+    a_tilde = SparseMatrix._from_keys(np.insert(keys, at, diagonal), np.insert(a.values, at, 1.0), (n, n))
     # each degree summed along its row in column order; no row of A+I is empty
     inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_tilde.values, a_tilde.indptr[:-1]))
     return a_tilde.with_values(a_tilde.values * inv_sqrt[a_tilde.entry_rows()] * inv_sqrt[a_tilde.indices])
@@ -636,9 +676,9 @@ def load_split(path, g: Graph) -> SplitSpec:
     key = np.where(is_pair & ~out_of_range, lo * n + hi, -1)
     edges = _upper_pairs(g.adjacency)
     edge_keys = edges[:, 0] * n + edges[:, 1]  # ascending
-    is_edge = _contains(edge_keys, key)
     keys, first, same = np.unique(key, return_index=True, return_inverse=True)
     first_row = first[same]  # the first row holding each row's key
+    is_edge = _contains(edge_keys, keys)[same]
 
     def pair(i: int) -> str:
         return f"{_SPLIT_SECTIONS[current[i]]} pair {u[i]} {v[i]}"
@@ -661,8 +701,8 @@ def load_split(path, g: Graph) -> SplitSpec:
     if np.count_nonzero(is_pair & positive) < len(edges):  # by rules 2 and 3 they are distinct edges
         a, b = edges[~_contains(keys, edge_keys)][0]
         raise LoadError(f"{f.path}: graph edge {a} {b} is in none of TRAIN, VAL_POS and TEST_POS")
-    pairs, current = np.column_stack((u, v))[is_pair], current[is_pair]
-    train, val_pos, val_neg, test_pos, test_neg = (pairs[current == k] for k in range(len(_SPLIT_SECTIONS)))
+    pairs, rows = np.column_stack((u, v)), np.flatnonzero(is_pair)
+    train, val_pos, val_neg, test_pos, test_neg = (pairs[rows[current[rows] == k]] for k in range(len(_SPLIT_SECTIONS)))
     return SplitSpec(
         n_nodes=n,
         train_adjacency=_adjacency_from_pairs(train, n),

@@ -6,6 +6,11 @@ checking and the op registries.
 likelihoods `tensor.link_bce_sum` and `tensor.feature_bce_sum`, which sum
 the same loss without forming the logit matrix. `oracle_make_splits` is the
 reference for `graphdata.make_splits`, which draws its negatives in batches.
+
+`oracle_adjacency_from_pairs`, `oracle_is_symmetric` and
+`oracle_normalize_adjacency` are the routines `graphdata` used before it
+built CSR arrays from sorted keys: each put its entries through
+`SparseMatrix.from_coo`, which argsorts them and sums repeats.
 """
 
 from typing import Callable, Iterable, Sequence
@@ -94,6 +99,30 @@ def oracle_make_splits(g: gd.Graph, test_frac: float, val_frac: float, seed: int
         test_neg=pair_array(negatives[:n_test]),
         seed=seed,
     )
+
+
+def oracle_adjacency_from_pairs(pairs, n: int) -> SparseMatrix:
+    """Each pair in both orientations through from_coo: a pair given k times stores k."""
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([arr[:, 0], arr[:, 1]])
+    cols = np.concatenate([arr[:, 1], arr[:, 0]])
+    return SparseMatrix.from_coo(rows, cols, np.ones(rows.size), (n, n))
+
+
+def oracle_is_symmetric(m: SparseMatrix) -> bool:
+    """Whether m equals its transpose built by from_coo, stored zeros included."""
+    return m == SparseMatrix.from_coo(m.indices, m.entry_rows(), m.values, m.shape[::-1])
+
+
+def oracle_normalize_adjacency(g: gd.Graph) -> SparseMatrix:
+    """A+I by from_coo, A's entries and the diagonal summed, then scaled by deg^-1/2 on both sides."""
+    a, n = g.adjacency, g.n_nodes
+    diagonal = np.arange(n)
+    a_tilde = SparseMatrix.from_coo(
+        np.r_[a.entry_rows(), diagonal], np.r_[a.indices, diagonal], np.r_[a.values, np.ones(n)], (n, n)
+    )
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_tilde.values, a_tilde.indptr[:-1]))
+    return a_tilde.with_values(a_tilde.values * inv_sqrt[a_tilde.entry_rows()] * inv_sqrt[a_tilde.indices])
 
 
 NO_PAIRS = np.empty((0, 2), dtype=np.int64)  # an empty SplitSpec section

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,10 @@ from hypothesis import strategies as st
 from dglfrm import graphdata as gd
 from dglfrm import tensor as tc
 from dglfrm.tensor import SparseMatrix
-from oracles import as_scipy, assert_close, assert_splits_equal, oracle_make_splits, pair_set, to_dense
+from oracles import (
+    as_scipy, assert_close, assert_splits_equal, oracle_adjacency_from_pairs, oracle_is_symmetric,
+    oracle_make_splits, oracle_normalize_adjacency, pair_set, to_dense,
+)
 
 
 def write(tmp_path, name, text):
@@ -69,6 +73,21 @@ def test_load_rejects_empty(tmp_path):
 def test_load_rejects_negative_id(tmp_path):
     with pytest.raises(gd.LoadError, match="negative"):
         gd.load_edge_list(write(tmp_path, "e.txt", "0 -1\n"))
+
+
+def test_load_edge_list_memory_per_input_byte(tmp_path):
+    # about 16 bytes traced per byte of a 200k-edge list; the UTF-32 tokenizer
+    # with a count per character peaked at about 32
+    path = tmp_path / "e.txt"
+    path.write_bytes(gd._pair_lines(np.random.default_rng(0).integers(20000, size=(200_000, 2))))
+    tracemalloc.start()
+    try:
+        g = gd.load_edge_list(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges > 199_000
+    assert peak < 22 * path.stat().st_size, f"{peak / path.stat().st_size:.1f} bytes per input byte"
 
 
 def test_cora_counts(cora_dir):
@@ -696,6 +715,97 @@ def test_normalize_adjacency_is_bit_equal_to_scipy(seed, weighted):
     upper = np.triu(rng.random((n, n)) < rng.random(), 1) * (rng.uniform(0.1, 3.0, (n, n)) if weighted else 1.0)
     g = gd.Graph(n_nodes=n, adjacency=SparseMatrix(upper + upper.T))
     assert_same_csr(gd.normalize_adjacency(g), scipy_normalize(g.adjacency))
+
+
+# ---------------------------------------------------------------------------
+# the sort-built CSR paths against the from_coo routines they replaced
+
+
+def assert_identical(m: SparseMatrix, want: SparseMatrix) -> None:
+    assert m == want
+    for name in ("indptr", "indices", "values"):
+        assert getattr(m, name).dtype == getattr(want, name).dtype, name
+
+
+def node_pairs(n: int, max_size: int = 20):
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=max_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), node_pairs(n))))
+@example(case=(1, []))
+@example(case=(1, [(0, 0)]))
+@example(case=(4, []))
+@example(case=(3, [(0, 1), (1, 0), (0, 1), (2, 1)]))  # repeats in both orientations
+def test_adjacency_from_pairs_matches_from_coo(case):
+    n, pairs = case
+    got = gd._adjacency_from_pairs(pairs, n)
+    assert_identical(got, oracle_adjacency_from_pairs(pairs, n))
+    assert got._symmetric is True  # set when built, never computed
+    assert oracle_is_symmetric(got)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Square or not, often mirrored, then sometimes given one more entry: an
+    asymmetric pattern, an asymmetric value or an explicit zero on one side."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = n_rows if draw(st.booleans()) else draw(st.integers(1, 6))
+    value = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0])
+    cells = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), value), max_size=12))
+    if n_rows == n_cols and draw(st.booleans()):
+        cells += [(c, r, v) for r, c, v in cells]
+    if draw(st.booleans()):
+        cells.append((draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1)), draw(value)))
+    rows, cols, vals = zip(*cells) if cells else ((), (), ())
+    return SparseMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=sparse_matrices())
+@example(m=SparseMatrix.from_coo([0], [1], [1.0], (2, 2)))  # asymmetric pattern
+@example(m=SparseMatrix.from_coo([0, 1], [1, 0], [1.0, 2.0], (2, 2)))  # asymmetric values
+@example(m=SparseMatrix.from_coo([0, 1], [1, 0], [0.0, 0.0], (2, 2)))  # explicit zeros, both sides
+@example(m=SparseMatrix.from_coo([0, 1, 1], [1, 0, 1], [1.0, 1.0, 0.0], (2, 2)))  # a stored zero diagonal
+@example(m=SparseMatrix.from_coo([0], [1], [0.0], (2, 2)))  # an explicit zero on one side
+@example(m=SparseMatrix.from_coo([0], [0], [1.0], (1, 2)))  # non-square
+@example(m=SparseMatrix(np.zeros((2, 3))))  # non-square, nothing stored
+def test_symmetry_verdict_matches_the_transpose_comparison(m):
+    want = oracle_is_symmetric(m)
+    m = m.with_values(m.values)  # new values, no verdict yet; an explicit example is reused between runs
+    assert m._symmetric is None
+    assert m.is_symmetric() is want
+    assert m._symmetric is want and m.is_symmetric() is want  # decided once
+
+
+@st.composite
+def graphs_with_stored_zeros(draw):
+    """Graphs with isolated nodes, weighted edges and explicit zeros, on and off the diagonal."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1]),
+                          unique=True, max_size=12))
+    values = draw(st.lists(st.sampled_from([1.0, 2.5, 0.0]), min_size=len(pairs), max_size=len(pairs)))
+    zero_diagonal = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    u, v = (np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+    rows, cols = np.r_[u, v, zero_diagonal], np.r_[v, u, zero_diagonal]
+    vals = np.r_[values, values, [draw(st.sampled_from([0.0, -0.0])) for _ in zero_diagonal]]
+    return gd.Graph(n_nodes=n, adjacency=SparseMatrix.from_coo(rows, cols, vals, (n, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs_with_stored_zeros())
+@example(g=gd.Graph(n_nodes=1, adjacency=SparseMatrix(np.zeros((1, 1)))))
+@example(g=gd.Graph(n_nodes=3, adjacency=SparseMatrix.from_coo([1], [1], [0.0], (3, 3))))  # only a stored zero
+def test_diagonal_insertion_matches_from_coo_a_plus_i(g):
+    assert_identical(gd.normalize_adjacency(g), oracle_normalize_adjacency(g))
+
+
+@given(st.lists(st.integers(-(2**62), 2**62), max_size=30) | st.lists(st.integers(0, 5), max_size=30))
+def test_sort_dedupe_matches_np_unique(values):
+    keys = np.sort(np.asarray(values, dtype=np.int64))
+    got = keys[gd._run_starts(keys)]  # as load_edge_list dedupes its keys
+    want = np.unique(np.asarray(values, dtype=np.int64))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,52 @@ def test_split_matches_oracle(tmp_path, case):
 
 
 # ---------------------------------------------------------------------------
+# both character widths
+
+
+def widened(text: str) -> str:
+    """The text with a non-ASCII comment line first, its first " " made an
+    ideographic space and CRLF line ends: the readers take it as uint32 code points."""
+    return ("# ünïcödé — 注释\n" + text.replace(" ", "\u3000", 1)).replace("\n", "\r\n")
+
+
+def width_cases(case):
+    """(file name, loader, good text, bad text, bad line, message) of one format."""
+    if case == "split":
+        g = random_graph(3, 8)
+        lines = oracle_split_text(gd.make_splits(g, 0.2, 0.2, seed=1)).splitlines(keepends=True)
+        bad = "".join(lines[:4] + ["0 x\n"] + lines[4:])
+        return "s.split", lambda p: gd.load_split(p, g), "".join(lines), bad, 5, "non-integer node id in '0 x'"
+    return {
+        "edges": ("e.txt", gd.load_edge_list, "# nodes 6\n0 1\n1 2\n2 0\n3 4\n", "0 1\n1 2\n2 x\n",
+                  3, "non-integer node id in '2 x'"),
+        "triplets": ("f.txt", lambda p: gd.load_features(p, 3), "0 0 1\n1 2 0.5\n2 1 -3\n", "0 0 1\n1 x 2\n",
+                     2, "bad triplet '1 x 2'"),
+        "csv": ("f.csv", lambda p: gd.load_features(p, 2), "1.0, 0.5\n0.0,2.0\n", "1.0, 0.5\n0.0,x\n",
+                2, "bad value in '0.0,x'"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["edges", "split", "triplets", "csv"])
+def test_both_character_widths_load_alike(tmp_path, case):
+    name, load, good, bad, line, message = width_cases(case)
+    plain, wide = write(tmp_path, name, good), write(tmp_path, "wide-" + name, widened(good))
+    assert (gd._TextFile(plain).code.dtype, gd._TextFile(wide).code.dtype) == (np.uint8, np.uint32)
+    got, want = load(wide), load(plain)
+    if case == "split":
+        assert_splits_equal(got, want)
+    elif case == "edges":
+        assert (got.n_nodes, got.adjacency) == (want.n_nodes, want.adjacency)
+    else:
+        assert got == want
+    for path, text, lineno in ((plain, bad, line), (wide, widened(bad), line + 1)):
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(LoadError) as e:
+            load(path)
+        assert str(e.value) == f"{path}:{lineno}: {message}"
+
+
+# ---------------------------------------------------------------------------
 # writers
 
 
