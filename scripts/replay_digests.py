@@ -18,7 +18,9 @@ with memberships, communities with the latent CSV, for each run below.
 BLAS is pinned to one thread, since threaded sums may round differently.
 The identity-input run with a feature term is also evaluated and its
 communities extracted on the graph without `--features`: its encoder
-does not read them, so it accepts that graph.
+does not read them, so it accepts that graph. One run trains as the README's
+walkthrough does, without dropout, and at full KL weight from the first
+epoch.
 
 The 300-node graph fits in one row block of the fused likelihoods, so one
 more run trains on an 800-node graph with 1000 feature columns: 5 blocks of
@@ -55,6 +57,7 @@ RUNS = [
     *((f"{v}-mf", GRAPH, "graph.split", ["--variant", v, "--mean-field"]) for v in ("dglfrm", "dglfrm-b")),
     ("dglfrm-nomlp", GRAPH, "graph.split", ["--variant", "dglfrm", "--decoder-hidden", ""]),
     ("dglfrm-noval", GRAPH, "noval.split", ["--variant", "dglfrm"]),
+    ("dglfrm-nodrop", GRAPH, "graph.split", ["--variant", "dglfrm", "--dropout", "0", "--kl-anneal-epochs", "0"]),
     ("x-vgae", FEATURES, "graph.split", ["--variant", "vgae"]),
     ("x-dglfrm", FEATURES, "graph.split", ["--variant", "dglfrm"]),
     ("x-lfrm-mf", FEATURES, "graph.split", ["--variant", "lfrm", "--mean-field"]),

@@ -141,11 +141,11 @@ def encode(
         # identity features: X @ W1 is W1 itself, so drop entries of W1 directly
         first = w1
         if drop:
-            first = tc.dropout(first, dropout, rng, train=True)
+            first = tc.dropout(first, dropout, rng)
 
     hidden = tc.leaky_relu(tc.spmm(a_hat, first), LEAKY_SLOPE)
     if drop:
-        hidden = tc.dropout(hidden, dropout, rng, train=True)
+        hidden = tc.dropout(hidden, dropout, rng)
 
     # each head is A_hat @ (hidden @ w) = (A_hat @ hidden) @ w: one sparse product for all
     propagated = tc.spmm(a_hat, hidden)

@@ -1,15 +1,18 @@
 """Reparameterized samplers and KL terms for the three variational families.
 
-All samplers take explicit noise so training steps are deterministic under a
-seed and finite-difference checks can freeze the randomness. Parameters in a
-stated domain (positive c, d and temperature, y in (0, 1)) are the caller's
-contract, met by construction: softplus plus a floor, clips to [EPS, 1-EPS]
-and the config checks of `trainer.TrainConfig`. Nothing here scans for them.
+Every function takes its family's parameters as tensors and, for a sampler,
+its noise as the raw draw: `rng.random` uniforms for the Kumaraswamy and
+Binary Concrete samplers, `rng.standard_normal` for the Gaussian. Explicit
+noise keeps training steps deterministic under a seed and lets
+finite-difference checks freeze the randomness. The two uniform samplers
+clamp their draw into [EPS, 1-EPS] themselves, so a raw 0 or 1 is safe.
+Parameters in a stated domain (positive c, d and temperature, y in (0, 1))
+are the caller's contract, met by construction: softplus plus a floor, clips
+to [EPS, 1-EPS] and the config checks of `trainer.TrainConfig`. Nothing here
+scans for them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,68 +22,15 @@ from .tensor import Tensor
 EPS = 1e-7
 
 
-@dataclass(frozen=True)
-class KumaraswamyParams:
-    """Surrogate posterior for Beta sticks; c, d strictly positive."""
-
-    c: Tensor
-    d: Tensor
-
-    def __post_init__(self) -> None:
-        if self.c.shape != self.d.shape:
-            raise tc.ShapeError(f"kumaraswamy: c {self.c.shape} vs d {self.d.shape}")
-
-
-@dataclass(frozen=True)
-class ConcreteParams:
-    """Binary Concrete distribution in logit parameterization; temperature > 0."""
-
-    logit_pi: Tensor
-    temperature: float
-
-    @classmethod
-    def from_pi(cls, pi: Tensor, temperature: float) -> "ConcreteParams":
-        """Build from probabilities; pi is clamped away from {0, 1} first."""
-        p = tc.clip(pi, EPS, 1.0 - EPS)
-        return cls(logit_pi=tc.log(p) - tc.log(1.0 - p), temperature=temperature)
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    mu: Tensor
-    log_sigma: Tensor
-
-    def __post_init__(self) -> None:
-        if self.mu.shape != self.log_sigma.shape:
-            raise tc.ShapeError(
-                f"gaussian: mu {self.mu.shape} vs log_sigma {self.log_sigma.shape}"
-            )
-
-
-class ReparamNoise:
-    """Uniform noise clamped into [EPS, 1-EPS], with derived logistic noise."""
-
-    __slots__ = ("u", "logistic")
-
-    def __init__(self, u) -> None:
-        u = np.clip(np.asarray(u, dtype=np.float64), EPS, 1.0 - EPS)
-        self.u = u
-        self.logistic = np.log(u) - np.log1p(-u)
-
-    @classmethod
-    def uniform(cls, rng: np.random.Generator, shape) -> "ReparamNoise":
-        return cls(rng.random(shape))
-
-
 # ---------------------------------------------------------------------------
 # Samplers
 
 
-def sample_kumaraswamy(p: KumaraswamyParams, noise: ReparamNoise) -> Tensor:
-    """Inverse-CDF draw v = (1 - u^(1/d))^(1/c), clamped into (0, 1)."""
-    u = Tensor(noise.u)
-    inner = tc.clip(1.0 - tc.pow_(u, tc.reciprocal(p.d)), EPS, 1.0 - EPS)
-    return tc.clip(tc.pow_(inner, tc.reciprocal(p.c)), EPS, 1.0 - EPS)
+def sample_kumaraswamy(c: Tensor, d: Tensor, u) -> Tensor:
+    """Inverse-CDF draw v = (1 - u^(1/d))^(1/c) of Kumaraswamy(c, d), clamped into (0, 1)."""
+    u = Tensor(np.clip(np.asarray(u, dtype=np.float64), EPS, 1.0 - EPS))
+    inner = tc.clip(1.0 - tc.pow_(u, tc.reciprocal(d)), EPS, 1.0 - EPS)
+    return tc.clip(tc.pow_(inner, tc.reciprocal(c)), EPS, 1.0 - EPS)
 
 
 def stick_breaking(v: Tensor) -> Tensor:
@@ -88,76 +38,84 @@ def stick_breaking(v: Tensor) -> Tensor:
     return tc.row_cumprod(v)
 
 
-def sample_binary_concrete(p: ConcreteParams, noise: ReparamNoise) -> Tensor:
-    """Relaxed Bernoulli draw sigmoid((logit_pi + L)/temperature)."""
-    logistic = Tensor(np.broadcast_to(noise.logistic, p.logit_pi.shape).copy())
-    y = tc.sigmoid((p.logit_pi + logistic) / p.temperature)
+def concrete_logit(pi: Tensor) -> Tensor:
+    """The Binary Concrete logit log(pi / (1 - pi)), with pi clamped away from {0, 1} first."""
+    p = tc.clip(pi, EPS, 1.0 - EPS)
+    return tc.log(p) - tc.log(1.0 - p)
+
+
+def sample_binary_concrete(logit_pi: Tensor, temperature: float, u) -> Tensor:
+    """Relaxed Bernoulli draw sigmoid((logit_pi + L)/temperature), L = logit(u) logistic noise."""
+    u = np.clip(np.asarray(u, dtype=np.float64), EPS, 1.0 - EPS)
+    logistic = Tensor(np.broadcast_to(np.log(u) - np.log1p(-u), logit_pi.shape).copy())
+    y = tc.sigmoid((logit_pi + logistic) / temperature)
     return tc.clip(y, EPS, 1.0 - EPS)
 
 
-def sample_gaussian(p: GaussianParams, eps) -> Tensor:
+def sample_gaussian(mu: Tensor, log_sigma: Tensor, eps) -> Tensor:
     """Location-scale draw r = mu + exp(log_sigma) * eps."""
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != p.mu.shape:
-        raise tc.ShapeError(f"sample_gaussian: eps {eps.shape} vs mu {p.mu.shape}")
-    return p.mu + tc.exp(p.log_sigma) * Tensor(eps)
+    return mu + tc.exp(log_sigma) * Tensor(eps)
 
 
 # ---------------------------------------------------------------------------
 # Densities and divergences
 
 
-def log_density_binary_concrete(y: Tensor, p: ConcreteParams) -> Tensor:
+def log_density_binary_concrete(y: Tensor, logit_pi: Tensor, temperature: float) -> Tensor:
     """Elementwise log-density of the Binary Concrete at y in (0, 1).
 
     log lam + logit_pi - (lam+1)(log y + log(1-y))
         - 2*logaddexp(logit_pi - lam*log y, -lam*log(1-y))
     """
-    lam = p.temperature
+    lam = temperature
     log_y = tc.log(y)
     log_1my = tc.log(1.0 - y)
     return (
-        (p.logit_pi + float(np.log(lam)))
+        (logit_pi + float(np.log(lam)))
         - (log_y + log_1my) * (lam + 1.0)
-        - tc.logaddexp(p.logit_pi - log_y * lam, tc.negate(log_1my * lam)) * 2.0
+        - tc.logaddexp(logit_pi - log_y * lam, tc.negate(log_1my * lam)) * 2.0
     )
 
 
-def kl_concrete_mc(q: ConcreteParams, p: ConcreteParams, y: Tensor) -> Tensor:
+def kl_concrete_mc(
+    y: Tensor, q_logit: Tensor, q_temperature: float, p_logit: Tensor, p_temperature: float
+) -> Tensor:
     """Single-sample relaxed KL: sum over entries of log q(y) - log p(y).
 
     y must be the same relaxed draw used downstream (shared-sample estimator).
     """
-    return (log_density_binary_concrete(y, q) - log_density_binary_concrete(y, p)).sum()
+    return (
+        log_density_binary_concrete(y, q_logit, q_temperature)
+        - log_density_binary_concrete(y, p_logit, p_temperature)
+    ).sum()
 
 
-def kl_kumaraswamy_beta(q: KumaraswamyParams, prior_alpha: float) -> Tensor:
+def kl_kumaraswamy_beta(c: Tensor, d: Tensor, alpha: float) -> Tensor:
     """KL(Kumaraswamy(c,d) || Beta(alpha,1)) summed over entries, alpha > 0.
 
     The IBP stick prior is Beta(alpha, 1), for which the KL is exact
     (Nalisnick & Smyth 2017):
-      ((a-alpha)/a)(-gamma - digamma(b) - 1/b) + log(ab) + logB(alpha,1) - (b-1)/b
+      ((c-alpha)/c)(-gamma - digamma(d) - 1/d) + log(cd) + logB(alpha,1) - (d-1)/d
     with logB(alpha, 1) = -log(alpha).
     """
-    a, b = q.c, q.d
-    alpha = float(prior_alpha)
+    alpha = float(alpha)
     gamma = float(np.euler_gamma)
-    inv_b = tc.reciprocal(b)
+    inv_d = tc.reciprocal(d)
     log_beta_const = -float(np.log(alpha))
 
-    kl = ((a - alpha) / a) * (tc.negate(tc.digamma(b)) - gamma - inv_b)
-    kl = kl + tc.log(a) + tc.log(b) + log_beta_const
-    kl = kl + inv_b - 1.0  # equals -(b-1)/b
+    kl = ((c - alpha) / c) * (tc.negate(tc.digamma(d)) - gamma - inv_d)
+    kl = kl + tc.log(c) + tc.log(d) + log_beta_const
+    kl = kl + inv_d - 1.0  # equals -(d-1)/d
     return kl.sum()
 
 
-def kl_gaussian_std(p: GaussianParams, prior_sigma: float = 1.0) -> Tensor:
+def kl_gaussian_std(mu: Tensor, log_sigma: Tensor, prior_sigma: float = 1.0) -> Tensor:
     """Closed-form KL(N(mu, sigma^2) || N(0, prior_sigma^2)) summed over entries, prior_sigma > 0."""
-    sigma = tc.exp(p.log_sigma)
+    sigma = tc.exp(log_sigma)
     scale = 1.0 / (2.0 * prior_sigma * prior_sigma)
     terms = (
-        (tc.negate(p.log_sigma) + float(np.log(prior_sigma)))
-        + (sigma * sigma + p.mu * p.mu) * scale
+        (tc.negate(log_sigma) + float(np.log(prior_sigma)))
+        + (sigma * sigma + mu * mu) * scale
         - 0.5
     )
     return terms.sum()

@@ -435,12 +435,12 @@ def clip(x, lo: float, hi: float) -> Tensor:
     return _make("clip", np.clip(x.data, lo, hi), (x, lambda g: g * mask))
 
 
-def dropout(x, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
+def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero entries w.p. rate, scale the rest by 1/(1-rate)."""
     x = as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise UsageError(f"dropout: rate {rate} outside [0, 1)")
-    if not train or rate == 0.0:
+    if rate == 0.0:
         return x
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return _make("dropout", x.data * mask, (x, lambda g: g * mask))
@@ -592,13 +592,11 @@ def feature_bce_sum(z, w, targets: SparseMatrix) -> Tensor:
 # Optimizer
 
 
-def adam_step(
-    params: Iterable[Parameter],
-    lr: float = 0.01,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+# Adam's moment decay rates and denominator floor: the defaults of Kingma & Ba (2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: Iterable[Parameter], lr: float = 0.01) -> None:
     """One Adam update per parameter; gradients are zeroed afterwards.
 
     Every gradient is checked before any parameter changes, so a non-finite
@@ -606,16 +604,14 @@ def adam_step(
     """
     params = list(params)
     for p in params:
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+        if not np.all(np.isfinite(p.grad)):
             raise NumericDomainError(f"adam_step: non-finite gradient for {p.name!r}")
     for p in params:
         g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
         p.t += 1
-        p.m = beta1 * p.m + (1.0 - beta1) * g
-        p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
-        m_hat = p.m / (1.0 - beta1**p.t)
-        v_hat = p.v / (1.0 - beta2**p.t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.m = ADAM_BETA1 * p.m + (1.0 - ADAM_BETA1) * g
+        p.v = ADAM_BETA2 * p.v + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = p.m / (1.0 - ADAM_BETA1**p.t)
+        v_hat = p.v / (1.0 - ADAM_BETA2**p.t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.grad = np.zeros_like(p.data)

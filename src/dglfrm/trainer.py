@@ -12,6 +12,13 @@ likelihood over all N x D entries by `tensor.feature_bce_sum`, so neither
 grid is formed during training. Scoring uses deterministic posterior means
 (flagged in the report) rather than Monte Carlo draws.
 
+A step's randomness is one `StepNoise` of raw draws, which `draw_noise` takes
+from the run's generator in field order: `u_v`, the stick uniforms ((1, k)
+structured, (n, k) mean-field), `u_b`, the membership uniforms, and `eps_r`,
+the strength standard normals (both (n, k)). A field is None, and nothing is
+drawn for it, when the variant lacks that latent. The `stochastic` samplers
+take these arrays as they are.
+
 Numeric faults are caught here, at the loss of each step and at the encoder
 outputs of each scoring pass, and by `tensor.adam_step` at the gradients.
 """
@@ -69,7 +76,13 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         md.ModelVariant.parse(self.variant)
+        fields = self.__dataclass_fields__
+        floats = {name: getattr(self, name) for name in fields if fields[name].type.startswith("float")}
         checks = [
+            *(
+                (v is None or math.isfinite(v), f"{name} must be finite, got {v}")
+                for name, v in floats.items()
+            ),
             (self.k >= 1, f"k must be >= 1, got {self.k}"),
             (self.alpha > 0, f"alpha must be > 0, got {self.alpha}"),
             (self.prior_r_sigma > 0, f"prior_r_sigma must be > 0, got {self.prior_r_sigma}"),
@@ -176,20 +189,21 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class StepNoise:
-    """One training step's frozen randomness."""
+    """One training step's frozen randomness: the raw draws the module docstring lists."""
 
-    u_v: sl.ReparamNoise | None = None
-    u_b: sl.ReparamNoise | None = None
+    u_v: np.ndarray | None = None
+    u_b: np.ndarray | None = None
     eps_r: np.ndarray | None = None
 
 
 def draw_noise(
     rng: np.random.Generator, n: int, k: int, variant: md.ModelVariant, structured: bool
 ) -> StepNoise:
+    """The arrays the variant uses, drawn from rng in field order."""
     u_v = u_b = eps_r = None
     if variant.uses_b:
-        u_v = sl.ReparamNoise.uniform(rng, (1, k) if structured else (n, k))
-        u_b = sl.ReparamNoise.uniform(rng, (n, k))
+        u_v = rng.random((1, k) if structured else (n, k))
+        u_b = rng.random((n, k))
     if variant.uses_r:
         eps_r = rng.standard_normal((n, k))
     return StepNoise(u_v=u_v, u_b=u_b, eps_r=eps_r)
@@ -305,26 +319,21 @@ def elbo_loss(
         if noise.u_v is None or noise.u_b is None:
             raise UsageError("variant needs stick and membership noise")
         if config.structured:
-            sticks_q = sl.KumaraswamyParams(
-                tc.softplus(params["sticks.raw_c"]) + md.PARAM_FLOOR,
-                tc.softplus(params["sticks.raw_d"]) + md.PARAM_FLOOR,
-            )
+            c = tc.softplus(params["sticks.raw_c"]) + md.PARAM_FLOOR
+            d = tc.softplus(params["sticks.raw_d"]) + md.PARAM_FLOOR
         else:
-            sticks_q = sl.KumaraswamyParams(out["c"], out["d"])
-        v = sl.sample_kumaraswamy(sticks_q, noise.u_v)
-        pi = sl.stick_breaking(v)
-        prior_b = sl.ConcreteParams.from_pi(pi, config.lambda_prior)
-        q_b = sl.ConcreteParams(out["pi"], config.lambda_post)
-        b = sl.sample_binary_concrete(q_b, noise.u_b)
-        kl_b = sl.kl_concrete_mc(q_b, prior_b, b)
+            c, d = out["c"], out["d"]
+        pi = sl.stick_breaking(sl.sample_kumaraswamy(c, d, noise.u_v))
+        prior_logit = sl.concrete_logit(pi)
+        b = sl.sample_binary_concrete(out["pi"], config.lambda_post, noise.u_b)
+        kl_b = sl.kl_concrete_mc(b, out["pi"], config.lambda_post, prior_logit, config.lambda_prior)
         # structured sticks are global: their KL is counted once, not per node
-        kl_v = sl.kl_kumaraswamy_beta(sticks_q, config.alpha)
+        kl_v = sl.kl_kumaraswamy_beta(c, d, config.alpha)
     if variant.uses_r:
         if noise.eps_r is None:
             raise UsageError("variant needs gaussian noise")
-        q_r = sl.GaussianParams(out["mu"], out["sigma"])
-        r = sl.sample_gaussian(q_r, noise.eps_r)
-        kl_r = sl.kl_gaussian_std(q_r, config.prior_r_sigma)
+        r = sl.sample_gaussian(out["mu"], out["sigma"], noise.eps_r)
+        kl_r = sl.kl_gaussian_std(out["mu"], out["sigma"], config.prior_r_sigma)
 
     z = md.compose_z(variant, b, r)
     left, right = md.link_factors(z, params)

@@ -130,28 +130,26 @@ def test_a2_kl_divergence_oracles():
     for a in grid:
         for b in grid:
             for alpha in grid:
-                q = st.KumaraswamyParams(Tensor(np.full(1, a)), Tensor(np.full(1, b)))
-                got = st.kl_kumaraswamy_beta(q, alpha).item()
+                got = st.kl_kumaraswamy_beta(Tensor(np.full(1, a)), Tensor(np.full(1, b)), alpha).item()
                 worst_kumar = max(worst_kumar, abs(got - _kumar_beta_kl_quad(a, b, alpha, 1.0)))
 
-    q22 = st.KumaraswamyParams(Tensor(np.full(1, 2.0)), Tensor(np.full(1, 2.0)))
-    analytic_err = abs(st.kl_kumaraswamy_beta(q22, 1.0).item() - 0.1363)
+    kl22 = st.kl_kumaraswamy_beta(Tensor(np.full(1, 2.0)), Tensor(np.full(1, 2.0)), 1.0).item()
+    analytic_err = abs(kl22 - 0.1363)
 
     rng = np.random.default_rng(9)
     mu = rng.normal(size=12)
     log_sigma = rng.normal(scale=0.5, size=12)
-    got_gauss = st.kl_gaussian_std(
-        st.GaussianParams(Tensor(mu), Tensor(log_sigma))).item()
+    got_gauss = st.kl_gaussian_std(Tensor(mu), Tensor(log_sigma)).item()
     closed = float(np.sum(0.5 * (mu**2 + np.exp(2 * log_sigma) - 1.0) - log_sigma))
     gauss_err = abs(got_gauss - closed) / max(1.0, abs(closed))
 
     n = 100_000
     pi_q, pi_p, lam = 0.85, 0.2, 1.0
-    qc = st.ConcreteParams.from_pi(Tensor(np.full(n, pi_q)), temperature=lam)
-    pc = st.ConcreteParams.from_pi(Tensor(np.full(n, pi_p)), temperature=lam)
-    y = st.sample_binary_concrete(qc, st.ReparamNoise.uniform(rng, n))
-    per_entry = (st.log_density_binary_concrete(y, qc).data
-                 - st.log_density_binary_concrete(y, pc).data)
+    qc = st.concrete_logit(Tensor(np.full(n, pi_q)))
+    pc = st.concrete_logit(Tensor(np.full(n, pi_p)))
+    y = st.sample_binary_concrete(qc, lam, rng.random(n))
+    per_entry = (st.log_density_binary_concrete(y, qc, lam).data
+                 - st.log_density_binary_concrete(y, pc, lam).data)
     mc, se = per_entry.mean(), per_entry.std(ddof=1) / np.sqrt(n)
     mc_gap_se = abs(mc - _concrete_kl_quad(pi_q, pi_p, lam)) / se
 
@@ -179,14 +177,12 @@ def test_a3_sampler_distributions():
     rng = np.random.default_rng(17)
 
     c, d = 2.0, 3.0
-    params = st.KumaraswamyParams(Tensor(np.full(n, c)), Tensor(np.full(n, d)))
-    draws = st.sample_kumaraswamy(params, st.ReparamNoise.uniform(rng, n)).data
+    draws = st.sample_kumaraswamy(Tensor(np.full(n, c)), Tensor(np.full(n, d)), rng.random(n)).data
     ks = stats.kstest(draws, lambda x: 1.0 - (1.0 - x**c) ** d).statistic
 
     worst_mean = 0.0
     for pi in (0.2, 0.5, 0.8):
-        cp = st.ConcreteParams.from_pi(Tensor(np.full(n, pi)), temperature=0.05)
-        y = st.sample_binary_concrete(cp, st.ReparamNoise.uniform(rng, n)).data
+        y = st.sample_binary_concrete(st.concrete_logit(Tensor(np.full(n, pi))), 0.05, rng.random(n)).data
         worst_mean = max(worst_mean, abs(y.mean() - pi))
 
     elapsed = time.monotonic() - t0

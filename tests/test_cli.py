@@ -259,6 +259,15 @@ class TestTrain:
         assert "k" in captured.err
         assert "missing" not in captured.err
 
+    def test_non_finite_option_rejected_before_reading_files(self, tmp_path, capsys):
+        code = run("train", "--graph", tmp_path / "missing.txt",
+                   "--split", tmp_path / "missing.split",
+                   "--lr", "inf", "--out-ckpt", tmp_path / "c")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "lr must be finite" in captured.err
+        assert "missing" not in captured.err
+
     def test_bad_decoder_hidden_is_config_error(self, ws, tmp_path, capsys):
         code = run("train", "--graph", ws["graph"], "--split", ws["split"],
                    "--decoder-hidden", "3,x", "--out-ckpt", tmp_path / "c")
@@ -643,8 +652,9 @@ class TestEval:
             (lambda c: c.update(k="x"), "'k' has a value of the wrong type"),
             (lambda c: c.update(structured="yes"), "'structured' has a value of the wrong type"),
             (lambda c: c.update(variant="nope"), "unknown variant"),
+            (lambda c: c.update(lr=float("inf")), "lr must be finite"),
         ],
-        ids=["unknown-key", "string-k", "string-bool", "unknown-variant"],
+        ids=["unknown-key", "string-k", "string-bool", "unknown-variant", "infinite-lr"],
     )
     def test_bad_stored_config_is_data_error(self, ws, tmp_path, capsys, edit, message):
         ckpt = self._with_stored_config(ws["ckpt"], tmp_path, edit)

@@ -51,31 +51,35 @@ def concrete_kl_quad(pi_q, pi_p, lam):
 
 
 def test_kumaraswamy_uniform_case():
-    p = st.KumaraswamyParams(Tensor([[1.0]]), Tensor([[1.0]]))
-    v = st.sample_kumaraswamy(p, st.ReparamNoise([[0.5]]))
+    v = st.sample_kumaraswamy(Tensor([[1.0]]), Tensor([[1.0]]), [[0.5]])
     assert v.data[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kumaraswamy_hand_value():
-    p = st.KumaraswamyParams(Tensor([[1.0]]), Tensor([[3.0]]))
-    v = st.sample_kumaraswamy(p, st.ReparamNoise([[0.729]]))
+    v = st.sample_kumaraswamy(Tensor([[1.0]]), Tensor([[3.0]]), [[0.729]])
     assert v.data[0, 0] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_kumaraswamy_boundary_monotonicity():
-    p = st.KumaraswamyParams(Tensor([[2.0]]), Tensor([[3.0]]))
-    near_one = st.sample_kumaraswamy(p, st.ReparamNoise([[0.0]])).data[0, 0]
-    near_zero = st.sample_kumaraswamy(p, st.ReparamNoise([[1.0]])).data[0, 0]
+    c, d = Tensor([[2.0]]), Tensor([[3.0]])
+    near_one = st.sample_kumaraswamy(c, d, [[0.0]]).data[0, 0]
+    near_zero = st.sample_kumaraswamy(c, d, [[1.0]]).data[0, 0]
     assert near_one > 0.99
     assert near_zero < 0.01
+
+
+def test_kumaraswamy_clamps_raw_uniforms():
+    c, d = Tensor([[2.0, 0.5]]), Tensor([[3.0, 0.7]])
+    raw = st.sample_kumaraswamy(c, d, [[0.0, 1.0]]).data
+    clamped = st.sample_kumaraswamy(c, d, [[st.EPS, 1.0 - st.EPS]]).data
+    np.testing.assert_array_equal(raw, clamped)
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.0, 1.0), (2.0, 3.0)])
 def test_kumaraswamy_sampler_ks_distance(a, b):
     n = 100_000
     rng = np.random.default_rng(42)
-    p = st.KumaraswamyParams(Tensor(np.full(n, a)), Tensor(np.full(n, b)))
-    draws = np.sort(st.sample_kumaraswamy(p, st.ReparamNoise.uniform(rng, n)).data)
+    draws = np.sort(st.sample_kumaraswamy(Tensor(np.full(n, a)), Tensor(np.full(n, b)), rng.random(n)).data)
     cdf = 1.0 - (1.0 - draws**a) ** b
     grid = np.arange(n, dtype=float)
     ks = max(np.max(cdf - grid / n), np.max((grid + 1.0) / n - cdf))
@@ -126,19 +130,17 @@ def test_stick_breaking_monotone_in_each_entry():
 
 def test_kl_kumar_matching_beta_one_prior_is_zero():
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        q = st.KumaraswamyParams(Tensor([[alpha]]), Tensor([[1.0]]))
-        kl = st.kl_kumaraswamy_beta(q, alpha)
+        kl = st.kl_kumaraswamy_beta(Tensor([[alpha]]), Tensor([[1.0]]), alpha)
         assert kl.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_kumar_uniform_vs_uniform_zero():
-    q = st.KumaraswamyParams(Tensor([[1.0]]), Tensor([[1.0]]))
-    assert st.kl_kumaraswamy_beta(q, 1.0).item() == pytest.approx(0.0, abs=1e-12)
+    kl = st.kl_kumaraswamy_beta(Tensor([[1.0]]), Tensor([[1.0]]), 1.0)
+    assert kl.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_kumar_2_2_vs_uniform():
-    q = st.KumaraswamyParams(Tensor([[2.0]]), Tensor([[2.0]]))
-    kl = st.kl_kumaraswamy_beta(q, 1.0).item()
+    kl = st.kl_kumaraswamy_beta(Tensor([[2.0]]), Tensor([[2.0]]), 1.0).item()
     closed_form = np.log(4.0) - 0.75 - 0.5
     assert kl == pytest.approx(closed_form, abs=1e-12)
     assert kl == pytest.approx(0.1363, abs=5e-4)
@@ -149,18 +151,15 @@ def test_kl_kumar_2_2_vs_uniform():
 @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
 def test_kl_kumar_grid_nonnegative_and_matches_quadrature(a, b, alpha):
-    q = st.KumaraswamyParams(Tensor([[a]]), Tensor([[b]]))
-    kl = st.kl_kumaraswamy_beta(q, alpha).item()
+    kl = st.kl_kumaraswamy_beta(Tensor([[a]]), Tensor([[b]]), alpha).item()
     assert kl >= -1e-9
     assert kl == pytest.approx(kumar_beta_kl_quad(a, b, alpha, 1.0), abs=1e-3)
 
 
 def test_kl_kumar_sums_over_entries():
-    q = st.KumaraswamyParams(Tensor([[2.0, 2.0]]), Tensor([[2.0, 2.0]]))
-    single = st.kl_kumaraswamy_beta(
-        st.KumaraswamyParams(Tensor([[2.0]]), Tensor([[2.0]])), 1.0
-    ).item()
-    assert st.kl_kumaraswamy_beta(q, 1.0).item() == pytest.approx(2 * single, rel=1e-12)
+    single = st.kl_kumaraswamy_beta(Tensor([[2.0]]), Tensor([[2.0]]), 1.0).item()
+    total = st.kl_kumaraswamy_beta(Tensor([[2.0, 2.0]]), Tensor([[2.0, 2.0]]), 1.0).item()
+    assert total == pytest.approx(2 * single, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -168,47 +167,49 @@ def test_kl_kumar_sums_over_entries():
 
 
 def test_concrete_sample_center():
-    p = st.ConcreteParams(Tensor([[0.0]]), temperature=0.37)
-    y = st.sample_binary_concrete(p, st.ReparamNoise([[0.5]]))
+    y = st.sample_binary_concrete(Tensor([[0.0]]), 0.37, [[0.5]])
     assert y.data[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_concrete_sample_passes_pi_through_at_center_noise():
-    p = st.ConcreteParams.from_pi(Tensor([[0.88]]), temperature=1.0)
-    y = st.sample_binary_concrete(p, st.ReparamNoise([[0.5]]))
+    y = st.sample_binary_concrete(st.concrete_logit(Tensor([[0.88]])), 1.0, [[0.5]])
     assert y.data[0, 0] == pytest.approx(0.88, abs=1e-9)
 
 
 def test_concrete_sample_low_temperature_hardens():
-    p = st.ConcreteParams.from_pi(Tensor([[0.9]]), temperature=0.01)
-    y = st.sample_binary_concrete(p, st.ReparamNoise([[0.5]]))
+    y = st.sample_binary_concrete(st.concrete_logit(Tensor([[0.9]])), 0.01, [[0.5]])
     assert y.data[0, 0] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_concrete_clamps_raw_uniforms():
+    # a high temperature keeps the clamped draws off the output clip
+    logit = Tensor([[0.4, -1.3]])
+    raw = st.sample_binary_concrete(logit, 50.0, [[0.0, 1.0]]).data
+    clamped = st.sample_binary_concrete(logit, 50.0, [[st.EPS, 1.0 - st.EPS]]).data
+    np.testing.assert_array_equal(raw, clamped)
+    assert np.all((raw > 0.1) & (raw < 0.9))
 
 
 @pytest.mark.parametrize("pi", [0.3, 0.7])
 def test_concrete_low_temperature_mean_approaches_pi(pi):
     n = 100_000
     rng = np.random.default_rng(11)
-    p = st.ConcreteParams.from_pi(Tensor(np.full(n, pi)), temperature=0.01)
-    y = st.sample_binary_concrete(p, st.ReparamNoise.uniform(rng, n))
+    y = st.sample_binary_concrete(st.concrete_logit(Tensor(np.full(n, pi))), 0.01, rng.random(n))
     assert abs(float(y.data.mean()) - pi) < 0.01
 
 
 def test_concrete_log_density_uniform_case():
-    p = st.ConcreteParams(Tensor([[0.0]]), temperature=1.0)
-    val = st.log_density_binary_concrete(Tensor([[0.5]]), p)
+    val = st.log_density_binary_concrete(Tensor([[0.5]]), Tensor([[0.0]]), 1.0)
     assert val.data[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_concrete_log_density_temperature_two():
-    p = st.ConcreteParams(Tensor([[0.0]]), temperature=2.0)
-    val = st.log_density_binary_concrete(Tensor([[0.5]]), p)
+    val = st.log_density_binary_concrete(Tensor([[0.5]]), Tensor([[0.0]]), 2.0)
     assert val.data[0, 0] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_concrete_log_density_symmetric_at_half():
-    p = st.ConcreteParams(Tensor([[0.0, 0.0]]), temperature=0.66)
-    v = st.log_density_binary_concrete(Tensor([[0.2, 0.8]]), p)
+    v = st.log_density_binary_concrete(Tensor([[0.2, 0.8]]), Tensor([[0.0, 0.0]]), 0.66)
     assert v.data[0, 0] == pytest.approx(v.data[0, 1], abs=1e-12)
 
 
@@ -221,29 +222,29 @@ def test_concrete_log_density_integrates_to_one():
 
 
 def test_kl_concrete_identical_distributions_zero_pointwise():
-    q = st.ConcreteParams.from_pi(Tensor([[0.42, 0.9]]), temperature=0.8)
+    q = st.concrete_logit(Tensor([[0.42, 0.9]]))
     rng = np.random.default_rng(0)
-    y = st.sample_binary_concrete(q, st.ReparamNoise.uniform(rng, (1, 2)))
-    assert st.kl_concrete_mc(q, q, y).item() == pytest.approx(0.0, abs=1e-12)
+    y = st.sample_binary_concrete(q, 0.8, rng.random((1, 2)))
+    assert st.kl_concrete_mc(y, q, 0.8, q, 0.8).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_concrete_mc_matches_quadrature_within_3_se():
     n = 100_000
     rng = np.random.default_rng(123)
     pi_q, pi_p, lam = 0.9, 0.1, 1.0
-    q = st.ConcreteParams.from_pi(Tensor(np.full(n, pi_q)), temperature=lam)
-    p = st.ConcreteParams.from_pi(Tensor(np.full(n, pi_p)), temperature=lam)
-    y = st.sample_binary_concrete(q, st.ReparamNoise.uniform(rng, n))
+    q = st.concrete_logit(Tensor(np.full(n, pi_q)))
+    p = st.concrete_logit(Tensor(np.full(n, pi_p)))
+    y = st.sample_binary_concrete(q, lam, rng.random(n))
     per_entry = (
-        st.log_density_binary_concrete(y, q).data
-        - st.log_density_binary_concrete(y, p).data
+        st.log_density_binary_concrete(y, q, lam).data
+        - st.log_density_binary_concrete(y, p, lam).data
     )
     mc = per_entry.mean()
     se = per_entry.std(ddof=1) / np.sqrt(n)
     oracle = concrete_kl_quad(pi_q, pi_p, lam)
     assert mc > 0.0
     assert abs(mc - oracle) < 3.0 * se
-    total = st.kl_concrete_mc(q, p, y).item()
+    total = st.kl_concrete_mc(y, q, lam, p, lam).item()
     assert total == pytest.approx(per_entry.sum(), rel=1e-10)
 
 
@@ -251,10 +252,10 @@ def test_kl_concrete_with_stick_prior_is_finite():
     rng = np.random.default_rng(3)
     v = Tensor(np.clip(rng.random((4, 6)), 1e-6, 1 - 1e-6))
     pi = st.stick_breaking(v)
-    prior = st.ConcreteParams.from_pi(pi, temperature=0.5)
-    q = st.ConcreteParams(Tensor(rng.normal(size=(4, 6))), temperature=1.0)
-    y = st.sample_binary_concrete(q, st.ReparamNoise.uniform(rng, (4, 6)))
-    assert np.isfinite(st.kl_concrete_mc(q, prior, y).item())
+    prior = st.concrete_logit(pi)
+    q = Tensor(rng.normal(size=(4, 6)))
+    y = st.sample_binary_concrete(q, 1.0, rng.random((4, 6)))
+    assert np.isfinite(st.kl_concrete_mc(y, q, 1.0, prior, 0.5).item())
 
 
 # ---------------------------------------------------------------------------
@@ -262,35 +263,31 @@ def test_kl_concrete_with_stick_prior_is_finite():
 
 
 def test_gaussian_mean_draw():
-    p = st.GaussianParams(Tensor([[2.5]]), Tensor([[0.3]]))
-    assert st.sample_gaussian(p, [[0.0]]).data[0, 0] == pytest.approx(2.5)
+    assert st.sample_gaussian(Tensor([[2.5]]), Tensor([[0.3]]), [[0.0]]).data[0, 0] == pytest.approx(2.5)
 
 
 def test_gaussian_standard_passthrough():
-    p = st.GaussianParams(Tensor([[0.0]]), Tensor([[0.0]]))
-    assert st.sample_gaussian(p, [[1.7]]).data[0, 0] == pytest.approx(1.7)
+    assert st.sample_gaussian(Tensor([[0.0]]), Tensor([[0.0]]), [[1.7]]).data[0, 0] == pytest.approx(1.7)
 
 
 def test_gaussian_location_scale():
-    p = st.GaussianParams(Tensor([[2.0]]), Tensor([[np.log(0.5)]]))
-    assert st.sample_gaussian(p, [[-2.0]]).data[0, 0] == pytest.approx(1.0)
+    r = st.sample_gaussian(Tensor([[2.0]]), Tensor([[np.log(0.5)]]), [[-2.0]])
+    assert r.data[0, 0] == pytest.approx(1.0)
 
 
 def test_kl_gaussian_zero_at_prior():
-    p = st.GaussianParams(Tensor([[0.0]]), Tensor([[0.0]]))
-    assert st.kl_gaussian_std(p, 1.0).item() == pytest.approx(0.0, abs=1e-15)
+    assert st.kl_gaussian_std(Tensor([[0.0]]), Tensor([[0.0]]), 1.0).item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kl_gaussian_mean_shift():
-    p = st.GaussianParams(Tensor([[1.0]]), Tensor([[0.0]]))
-    assert st.kl_gaussian_std(p, 1.0).item() == pytest.approx(0.5, abs=1e-15)
+    assert st.kl_gaussian_std(Tensor([[1.0]]), Tensor([[0.0]]), 1.0).item() == pytest.approx(0.5, abs=1e-15)
 
 
 def test_kl_gaussian_shrunk_scale():
-    p = st.GaussianParams(Tensor([[0.0]]), Tensor([[-1.0]]))
+    mu, log_sigma = Tensor([[0.0]]), Tensor([[-1.0]])
     expected = 1.0 + (np.exp(-2.0) - 1.0) / 2.0
-    assert st.kl_gaussian_std(p, 1.0).item() == pytest.approx(expected, abs=1e-12)
-    assert st.kl_gaussian_std(p, 1.0).item() == pytest.approx(0.5677, abs=5e-5)
+    assert st.kl_gaussian_std(mu, log_sigma, 1.0).item() == pytest.approx(expected, abs=1e-12)
+    assert st.kl_gaussian_std(mu, log_sigma, 1.0).item() == pytest.approx(0.5677, abs=5e-5)
 
 
 def test_kl_gaussian_nonnegative_zero_only_at_prior():
@@ -298,8 +295,7 @@ def test_kl_gaussian_nonnegative_zero_only_at_prior():
     for _ in range(200):
         mu = rng.normal() * 2
         ls = rng.normal()
-        p = st.GaussianParams(Tensor([[mu]]), Tensor([[ls]]))
-        kl = st.kl_gaussian_std(p, 1.5).item()
+        kl = st.kl_gaussian_std(Tensor([[mu]]), Tensor([[ls]]), 1.5).item()
         assert kl >= -1e-12
         if abs(mu) > 1e-3 or abs(np.exp(ls) - 1.5) > 1e-3:
             assert kl > 0.0
@@ -307,7 +303,6 @@ def test_kl_gaussian_nonnegative_zero_only_at_prior():
 
 def test_kl_gaussian_nonstandard_prior_quadrature():
     mu, sigma, prior = 0.7, 0.6, 2.0
-    p = st.GaussianParams(Tensor([[mu]]), Tensor([[np.log(sigma)]]))
 
     def integrand(x):
         q = np.exp(-((x - mu) ** 2) / (2 * sigma**2)) / (sigma * np.sqrt(2 * np.pi))
@@ -316,7 +311,8 @@ def test_kl_gaussian_nonstandard_prior_quadrature():
 
     oracle, err = integrate.quad(integrand, -12, 12)
     assert err < 1e-7
-    assert st.kl_gaussian_std(p, prior).item() == pytest.approx(oracle, abs=1e-7)
+    kl = st.kl_gaussian_std(Tensor([[mu]]), Tensor([[np.log(sigma)]]), prior).item()
+    assert kl == pytest.approx(oracle, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +323,11 @@ def test_kumaraswamy_sampler_gradients():
     rng = np.random.default_rng(0)
     c = Parameter(rng.random((2, 3)) + 0.5, "c")
     d = Parameter(rng.random((2, 3)) + 0.5, "d")
-    noise = st.ReparamNoise.uniform(rng, (2, 3))
+    noise = rng.random((2, 3))
     weights = rng.normal(size=(2, 3))
 
     def f():
-        v = st.sample_kumaraswamy(st.KumaraswamyParams(c, d), noise)
+        v = st.sample_kumaraswamy(c, d, noise)
         return (v * weights).sum()
 
     assert gradient_check(f, [c, d]) < 1e-4
@@ -341,11 +337,11 @@ def test_stick_breaking_gradients():
     rng = np.random.default_rng(1)
     c = Parameter(rng.random((2, 4)) + 0.5, "c")
     d = Parameter(rng.random((2, 4)) + 0.5, "d")
-    noise = st.ReparamNoise.uniform(rng, (2, 4))
+    noise = rng.random((2, 4))
     weights = rng.normal(size=(2, 4))
 
     def f():
-        v = st.sample_kumaraswamy(st.KumaraswamyParams(c, d), noise)
+        v = st.sample_kumaraswamy(c, d, noise)
         return (st.stick_breaking(v) * weights).sum()
 
     assert gradient_check(f, [c, d]) < 1e-4
@@ -358,7 +354,7 @@ def test_kl_kumaraswamy_gradients(alpha):
     d = Parameter(rng.random((2, 3)) + 0.8, "d")
 
     def f():
-        return st.kl_kumaraswamy_beta(st.KumaraswamyParams(c, d), alpha)
+        return st.kl_kumaraswamy_beta(c, d, alpha)
 
     assert gradient_check(f, [c, d]) < 1e-4
 
@@ -369,15 +365,14 @@ def test_concrete_chain_gradients():
     logits = Parameter(rng.normal(size=(2, 3)), "logits")
     c = Parameter(rng.random((1, 3)) + 0.8, "c")
     d = Parameter(rng.random((1, 3)) + 0.8, "d")
-    noise_v = st.ReparamNoise.uniform(rng, (1, 3))
-    noise_b = st.ReparamNoise.uniform(rng, (2, 3))
+    noise_v = rng.random((1, 3))
+    noise_b = rng.random((2, 3))
 
     def f():
-        v = st.sample_kumaraswamy(st.KumaraswamyParams(c, d), noise_v)
-        prior = st.ConcreteParams.from_pi(st.stick_breaking(v), temperature=0.5)
-        q = st.ConcreteParams(logits, temperature=1.0)
-        y = st.sample_binary_concrete(q, noise_b)
-        return st.kl_concrete_mc(q, prior, y)
+        v = st.sample_kumaraswamy(c, d, noise_v)
+        prior = st.concrete_logit(st.stick_breaking(v))
+        y = st.sample_binary_concrete(logits, 1.0, noise_b)
+        return st.kl_concrete_mc(y, logits, 1.0, prior, 0.5)
 
     assert gradient_check(f, [logits, c, d]) < 1e-4
 
@@ -390,7 +385,7 @@ def test_gaussian_gradients():
     weights = rng.normal(size=(2, 3))
 
     def f():
-        r = st.sample_gaussian(st.GaussianParams(mu, ls), eps)
-        return (r * weights).sum() + st.kl_gaussian_std(st.GaussianParams(mu, ls), 1.3)
+        r = st.sample_gaussian(mu, ls, eps)
+        return (r * weights).sum() + st.kl_gaussian_std(mu, ls, 1.3)
 
     assert gradient_check(f, [mu, ls]) < 1e-4

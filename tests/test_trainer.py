@@ -112,6 +112,13 @@ class TestTrainConfig:
         with pytest.raises((ConfigError, UsageError)):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "name", ["alpha", "prior_r_sigma", "lr", "dropout", "lambda_prior", "lambda_post", "pos_weight"]
+    )
+    def test_rejects_non_finite_floats(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be finite, got inf"):
+            TrainConfig(**{name: float("inf")})
+
     def test_json_roundtrip(self):
         cfg = tiny_config(variant="lfrm", alpha=3.5, decoder_hidden=(9, 2))
         assert TrainConfig.from_json(cfg.to_json()) == cfg
@@ -169,15 +176,15 @@ class TestDrawNoise:
         noise = trainer.draw_noise(
             np.random.default_rng(0), 9, 4, md.ModelVariant.DGLFRM, True
         )
-        assert noise.u_v.u.shape == (1, 4)
-        assert noise.u_b.u.shape == (9, 4)
+        assert noise.u_v.shape == (1, 4)
+        assert noise.u_b.shape == (9, 4)
         assert noise.eps_r.shape == (9, 4)
 
     def test_mean_field_sticks_are_per_node(self):
         noise = trainer.draw_noise(
             np.random.default_rng(0), 9, 4, md.ModelVariant.DGLFRM, False
         )
-        assert noise.u_v.u.shape == (9, 4)
+        assert noise.u_v.shape == (9, 4)
 
     def test_gaussian_only_variant_skips_sticks(self):
         noise = trainer.draw_noise(
@@ -191,7 +198,37 @@ class TestDrawNoise:
             np.random.default_rng(0), 9, 4, md.ModelVariant.LFRM, True
         )
         assert noise.eps_r is None
-        assert noise.u_b.u.shape == (9, 4)
+        assert noise.u_b.shape == (9, 4)
+
+    DRAWN = {
+        "dglfrm": ("u_v", "u_b", "eps_r"),
+        "dglfrm-b": ("u_v", "u_b"),
+        "lfrm": ("u_v", "u_b"),
+        "lsm": ("eps_r",),
+        "vgae": ("eps_r",),
+    }
+
+    @pytest.mark.parametrize("structured", [True, False], ids=["structured", "mean-field"])
+    @pytest.mark.parametrize("variant", DRAWN)
+    def test_draws_only_the_variant_arrays_in_order(self, variant, structured):
+        # the noise stream is part of the replayed bits: stick uniforms, then
+        # membership uniforms, then standard normals, and nothing else
+        n, k, drawn = 9, 4, self.DRAWN[variant]
+        rng = np.random.default_rng(23)
+        noise = trainer.draw_noise(rng, n, k, md.ModelVariant.parse(variant), structured)
+        ref = np.random.default_rng(23)
+        expected = {
+            "u_v": lambda: ref.random((1, k) if structured else (n, k)),
+            "u_b": lambda: ref.random((n, k)),
+            "eps_r": lambda: ref.standard_normal((n, k)),
+        }
+        for name, draw in expected.items():
+            got = getattr(noise, name)
+            if name in drawn:
+                np.testing.assert_array_equal(got, draw())
+            else:
+                assert got is None
+        assert rng.random() == ref.random()
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +297,7 @@ class TestElboLoss:
         g, cfg, params, noise = two_node_setup()
         _, parts = trainer.elbo_loss(g, normalize_adjacency(g), params, cfg, noise)
         c, d = (tc.softplus(params[f"sticks.raw_{x}"]) + md.PARAM_FLOOR for x in "cd")
-        q = sl.KumaraswamyParams(c, d)
-        direct = sl.kl_kumaraswamy_beta(q, cfg.alpha).item()
+        direct = sl.kl_kumaraswamy_beta(c, d, cfg.alpha).item()
         assert abs(parts.kl_v - direct) < 1e-12
 
     def test_nonfinite_loss_reports_components(self):
