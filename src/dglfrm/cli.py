@@ -127,6 +127,14 @@ def _decoder_hidden(text: str) -> tuple[int, ...]:
         raise ConfigError(f"--decoder-hidden expects comma-separated ints, got {text!r}") from e
 
 
+def _seed(text: str) -> int:
+    """A --seed value, refused by the parser when negative: numpy seeds are non-negative."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _feature_term(choice: str) -> bool | None:
     return {"auto": None, "on": True, "off": False}[choice]
 
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic overlapping-community graph")
     p.add_argument("--nodes", type=int, default=100)
     p.add_argument("--communities", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -247,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default=None)
     p.add_argument("--test-frac", type=float, default=0.10)
     p.add_argument("--val-frac", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
@@ -264,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=10.0)
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-ckpt", required=True)
     p.add_argument("--hidden", type=int, default=None)
     p.add_argument("--decoder-hidden", default="32,16", help="comma list, empty for none")

@@ -91,14 +91,12 @@ class CommunityAssignment:
     """Thresholded overlapping memberships, communities ordered by size.
 
     ``communities[j]`` lists (node, strength) pairs sorted by descending
-    strength; ``source_index[j]`` is the latent dimension community j came
-    from before the size reindexing.
+    strength.
     """
 
     n_nodes: int
     threshold: float
     communities: tuple[tuple[tuple[int, float], ...], ...]
-    source_index: tuple[int, ...]
     n_unassigned: int
 
 
@@ -130,7 +128,6 @@ def communities_from_memberships(
         n_nodes=n,
         threshold=float(threshold),
         communities=tuple(communities),
-        source_index=tuple(int(o) for o in order),
         n_unassigned=n_unassigned,
     )
 
@@ -138,16 +135,12 @@ def communities_from_memberships(
 def extract_communities(
     variant: md.ModelVariant, latents, threshold: float = 0.5
 ) -> CommunityAssignment:
-    """Overlapping communities from a checkpoint's `trainer.posterior_latents`."""
+    """Overlapping communities from a checkpoint's `trainer.posterior_latents`; a member's strength is |z|."""
     if not variant.uses_b:
         raise UsageError(
             f"variant {variant.value} has no membership posteriors to threshold"
         )
-    if variant is md.ModelVariant.DGLFRM:
-        strength = np.abs(latents.b_prob * latents.mu)
-    else:
-        strength = latents.b_prob
-    return communities_from_memberships(latents.b_prob, strength, threshold)
+    return communities_from_memberships(latents.b_prob, np.abs(latents.z.data), threshold)
 
 
 def active_communities(assignment: CommunityAssignment, min_members: int = 1) -> int:

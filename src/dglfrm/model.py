@@ -194,11 +194,8 @@ def decode_links(z: Tensor, params: dict[str, Tensor], pairs) -> np.ndarray:
     return tc.sigmoid_np(logits)
 
 
-def compose_z(variant: ModelVariant, b: Tensor | None, r: Tensor | None) -> Tensor:
-    """Per-variant embedding: b*r, b alone, or r alone."""
-    if (variant.uses_b and b is None) or (variant.uses_r and r is None):
-        needs = [name for name, used in (("b", variant.uses_b), ("r", variant.uses_r)) if used]
-        raise UsageError(f"{variant.value} needs {' and '.join(needs)} in the sample")
-    if variant is ModelVariant.DGLFRM:
-        return b * r
-    return b if variant.uses_b else r
+def compose_z(b: Tensor | None, r: Tensor | None) -> Tensor:
+    """The embedding from the latents the model has: b*r, b alone, or r alone."""
+    if b is None:
+        return r
+    return b if r is None else b * r

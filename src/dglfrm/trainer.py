@@ -303,8 +303,9 @@ def elbo_loss(
     BCE of every node pair against `g`'s adjacency plus the diagonal, the
     feature term against `g`'s features. Unless the config sets it, the
     positive weight balances the two link classes: negatives / positives.
+    The encoder's heads decide the latents (`b` with "pi", per-node sticks with
+    "c", `r` with "mu"), and `noise` holds `draw_noise`'s draws for them.
     """
-    variant = config.model_variant
     pos_weight = config.pos_weight
     if pos_weight is None:
         n = g.n_nodes
@@ -315,27 +316,23 @@ def elbo_loss(
 
     kl_b = kl_v = kl_r = None
     b = r = None
-    if variant.uses_b:
-        if noise.u_v is None or noise.u_b is None:
-            raise UsageError("variant needs stick and membership noise")
-        if config.structured:
+    if "pi" in out:
+        if "c" in out:
+            c, d = out["c"], out["d"]
+        else:  # structured: the sticks are global parameters
             c = tc.softplus(params["sticks.raw_c"]) + md.PARAM_FLOOR
             d = tc.softplus(params["sticks.raw_d"]) + md.PARAM_FLOOR
-        else:
-            c, d = out["c"], out["d"]
         pi = sl.stick_breaking(sl.sample_kumaraswamy(c, d, noise.u_v))
         prior_logit = sl.concrete_logit(pi)
         b = sl.sample_binary_concrete(out["pi"], config.lambda_post, noise.u_b)
         kl_b = sl.kl_concrete_mc(b, out["pi"], config.lambda_post, prior_logit, config.lambda_prior)
         # structured sticks are global: their KL is counted once, not per node
         kl_v = sl.kl_kumaraswamy_beta(c, d, config.alpha)
-    if variant.uses_r:
-        if noise.eps_r is None:
-            raise UsageError("variant needs gaussian noise")
+    if "mu" in out:
         r = sl.sample_gaussian(out["mu"], out["sigma"], noise.eps_r)
         kl_r = sl.kl_gaussian_std(out["mu"], out["sigma"], config.prior_r_sigma)
 
-    z = md.compose_z(variant, b, r)
+    z = md.compose_z(b, r)
     left, right = md.link_factors(z, params)
     link_nll = tc.link_bce_sum(left, right, g.adjacency, pos_weight)
 
@@ -402,7 +399,7 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
         nonlocal best
         if not len(val_pairs):
             return
-        scores = _score_with_params(params, config, encoder_graph, a_hat, val_pairs)
+        scores = _score_with_params(params, encoder_graph, a_hat, val_pairs)
         auc = mx.auc_roc(scores, val_labels)
         ap = mx.average_precision(scores, val_labels)
         report.val_trace.append({"epoch": float(epoch), "auc": auc, "ap": ap})
@@ -467,9 +464,7 @@ class EvalLatents:
     z: Tensor
 
 
-def _latents_from_params(
-    params: dict[str, Tensor], config: TrainConfig, g: Graph, a_hat: SparseMatrix
-) -> EvalLatents:
+def _latents_from_params(params: dict[str, Tensor], g: Graph, a_hat: SparseMatrix) -> EvalLatents:
     """Posterior means on `g` as the encoder sees it; overflow is quiet, as each head's output is checked."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = md.encode(g, a_hat, params)
@@ -481,7 +476,7 @@ def _latents_from_params(
     return EvalLatents(
         b_prob=None if b is None else b.data,
         mu=None if r is None else r.data,
-        z=md.compose_z(config.model_variant, b, r),
+        z=md.compose_z(b, r),
     )
 
 
@@ -510,35 +505,36 @@ def rebuild_params(ckpt: Checkpoint) -> dict[str, Tensor]:
 def _scoring_inputs(ckpt: Checkpoint, g: Graph) -> tuple[dict[str, Tensor], Graph]:
     """The checkpoint's checked parameters and `g` as their encoder sees it.
 
-    `g` fits when it gives the encoder the input width that the checkpoint's
-    counts gave it; otherwise CheckpointError.
+    `g` fits when it gives the encoder the input that the checkpoint's counts
+    gave it, features or identity columns, of the same width; otherwise
+    CheckpointError.
     """
     params = rebuild_params(ckpt)
-    _, expects = _encoder_input(ckpt.config, ckpt.n_nodes, ckpt.d_features)
-    _, supplies = _encoder_input(ckpt.config, g.n_nodes, g.d_features)
+    expects = _encoder_input(ckpt.config, ckpt.n_nodes, ckpt.d_features)
+    supplies = _encoder_input(ckpt.config, g.n_nodes, g.d_features)
     if supplies != expects:
-        raise CheckpointError(f"checkpoint encoder expects {expects} input columns, graph supplies {supplies}")
+        kind = ("identity", "features")
+        raise CheckpointError(
+            f"checkpoint encoder expects {expects[1]} input columns, graph supplies {supplies[1]} "
+            f"(encoder input: checkpoint {kind[expects[0]]}, graph {kind[supplies[0]]})"
+        )
     return params, effective_graph(g, ckpt.config)
 
 
 def posterior_latents(ckpt: Checkpoint, g: Graph, a_hat: SparseMatrix) -> EvalLatents:
     params, encoder_graph = _scoring_inputs(ckpt, g)
-    return _latents_from_params(params, ckpt.config, encoder_graph, a_hat)
+    return _latents_from_params(params, encoder_graph, a_hat)
 
 
 def _score_with_params(
-    params: dict[str, Tensor],
-    config: TrainConfig,
-    encoder_graph: Graph,
-    a_hat: SparseMatrix,
-    pairs,
+    params: dict[str, Tensor], encoder_graph: Graph, a_hat: SparseMatrix, pairs
 ) -> np.ndarray:
     """Posterior-mean link probabilities of `pairs`; `encoder_graph` is the graph as the encoder sees it.
 
     `params` are live in validation, else `rebuild_params`'s constants. Overflow
     is not warned about: the encoder outputs and the link logits are checked.
     """
-    latents = _latents_from_params(params, config, encoder_graph, a_hat)
+    latents = _latents_from_params(params, encoder_graph, a_hat)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return md.decode_links(latents.z, params, pairs=pairs)
 
@@ -553,7 +549,7 @@ def score_pairs(ckpt: Checkpoint, g: Graph, a_hat: SparseMatrix, pairs) -> np.nd
     if np.any(arr[:, 0] == arr[:, 1]):
         raise UsageError("pairs must have u != v")
     params, encoder_graph = _scoring_inputs(ckpt, g)
-    return _score_with_params(params, ckpt.config, encoder_graph, a_hat, arr)
+    return _score_with_params(params, encoder_graph, a_hat, arr)
 
 
 def evaluate_split(ckpt: Checkpoint, g: Graph, split: SplitSpec) -> "mx.MetricsReport":

@@ -96,11 +96,17 @@ def _beta_pdf(x, alpha, beta):
 
 
 def _kumar_beta_kl_quad(a, b, alpha, beta):
-    def integrand(x):
-        q = _kumar_pdf(x, a, b)
-        return q * (np.log(q) - np.log(_beta_pdf(x, alpha, beta)))
+    """KL(Kumaraswamy(a, b) || Beta(alpha, beta)) as an integral over the Kumaraswamy CDF F.
 
-    val, err = integrate.quad(integrand, 1e-12, 1.0 - 1e-12, limit=400)
+    With x = (1 - (1 - F)**(1/b))**(1/a), q(x) dx = dF, so the KL is the
+    integral of log q(x) - log p(x) over F in [0, 1]: no density factor is
+    left to be singular at an end of the interval.
+    """
+    def integrand(f):
+        x = (1.0 - (1.0 - f) ** (1.0 / b)) ** (1.0 / a)
+        return np.log(_kumar_pdf(x, a, b)) - np.log(_beta_pdf(x, alpha, beta))
+
+    val, err = integrate.quad(integrand, 0.0, 1.0, limit=400)
     assert err < 1e-6
     return val
 
@@ -223,11 +229,11 @@ def synthetic_run():
     a_hat = normalize_adjacency(trainer.effective_graph(g, ckpt.config))
     latents = trainer.posterior_latents(ckpt, g, a_hat)
     assignment = mx.extract_communities(cfg.model_variant, latents, threshold=0.5)
+    # one column per community; the F1 matching makes their order irrelevant
     pred = np.zeros((g.n_nodes, cfg.k), dtype=int)
     for j, comm in enumerate(assignment.communities):
-        col = assignment.source_index[j]
         for node, _strength in comm:
-            pred[node, col] = 1
+            pred[node, j] = 1
     return {
         "auc": report.auc,
         "active": mx.active_communities(assignment),

@@ -774,6 +774,19 @@ class TestArgHandling:
     def test_version_exits_zero(self, capsys):
         assert run("--version") == 0
 
+    @pytest.mark.parametrize("command", ["synth", "split", "train"])
+    def test_negative_seed_is_usage_error_before_any_file(self, tmp_path, capsys, command):
+        argv = {
+            "synth": ["--out-prefix", tmp_path / "g"],
+            "split": ["--graph", tmp_path / "missing.txt", "--out", tmp_path / "s"],
+            "train": ["--graph", tmp_path / "missing.txt", "--split", tmp_path / "missing.split",
+                      "--out-ckpt", tmp_path / "c"],
+        }[command]
+        assert run(command, *argv, "--seed", -1) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err and "missing" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_cli_import_leaves_out_scipy_stats(self):
         # scipy.stats (with scipy.optimize and scipy.spatial) more than
         # doubles the start-up time of every command

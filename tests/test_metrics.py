@@ -215,12 +215,22 @@ class TestMetricsReport:
 # communities
 
 
-def node_columns(assign):
+def source_columns(assign, prob):
+    """The column of `prob` each community came from (None when empty), for strengths equal to `prob`."""
+    columns = []
+    for members in assign.communities:
+        fits = [c for c in range(prob.shape[1]) if all(prob[node, c] == s for node, s in members)]
+        assert not members or len(fits) == 1
+        columns.append(fits[0] if members else None)
+    return columns
+
+
+def node_columns(assign, prob):
     """{node: {source column: strength}} read off the communities."""
     rows = {}
-    for j, members in enumerate(assign.communities):
+    for column, members in zip(source_columns(assign, prob), assign.communities):
         for node, strength in members:
-            rows.setdefault(node, {})[assign.source_index[j]] = strength
+            rows.setdefault(node, {})[column] = strength
     return rows
 
 
@@ -229,13 +239,13 @@ class TestCommunitiesFromMemberships:
         prob = np.array([[0.9, 0.1]])
         assign = mx.communities_from_memberships(prob, prob, 0.5)
         assert assign.communities == (((0, 0.9),), ())
-        assert node_columns(assign) == {0: {0: 0.9}}
+        assert node_columns(assign, prob) == {0: {0: 0.9}}
         assert assign.n_unassigned == 0
 
     def test_all_below_threshold_is_unassigned(self):
         prob = np.array([[0.2, 0.3], [0.9, 0.1]])
         assign = mx.communities_from_memberships(prob, prob, 0.5)
-        assert 0 not in node_columns(assign)
+        assert 0 not in node_columns(assign, prob)
         assert assign.n_unassigned == 1
 
     def test_reindexed_by_member_count(self):
@@ -250,7 +260,7 @@ class TestCommunitiesFromMemberships:
         )
         assign = mx.communities_from_memberships(prob, prob, 0.5)
         assert tuple(len(c) for c in assign.communities) == (4, 1, 1)
-        assert assign.source_index[0] == 1
+        assert source_columns(assign, prob)[0] == 1
 
     def test_members_sorted_by_strength_desc(self):
         prob = np.array([[0.6], [0.9], [0.7]])
@@ -262,11 +272,12 @@ class TestCommunitiesFromMemberships:
         rng = np.random.default_rng(0)
         prob = rng.random((30, 6))
         assign = mx.communities_from_memberships(prob, prob, 0.5)
-        assert sorted(assign.source_index) == list(range(6))
+        columns = source_columns(assign, prob)
+        assert sorted(columns) == list(range(6))
         mask = prob >= 0.5
-        rows = node_columns(assign)
+        rows = node_columns(assign, prob)
         assert [len(rows.get(node, {})) for node in range(30)] == list(mask.sum(axis=1))
-        assert [len(c) for c in assign.communities] == list(mask.sum(axis=0)[list(assign.source_index)])
+        assert [len(c) for c in assign.communities] == list(mask.sum(axis=0)[columns])
         assert sum(len(c) for c in assign.communities) == int(mask.sum())
 
     def test_raising_tau_never_adds_membership(self):
@@ -274,7 +285,7 @@ class TestCommunitiesFromMemberships:
         prob = rng.random((25, 5))
         low = mx.communities_from_memberships(prob, prob, 0.3)
         high = mx.communities_from_memberships(prob, prob, 0.7)
-        low_rows, high_rows = node_columns(low), node_columns(high)
+        low_rows, high_rows = node_columns(low, prob), node_columns(high, prob)
         for node in range(25):
             assert set(high_rows.get(node, {})) <= set(low_rows.get(node, {}))
 
@@ -374,9 +385,7 @@ class TestExtractCommunities:
         )
         assign = self.extract(ckpt, g, 0.5)
         want = np.abs(latents.b_prob * latents.mu)
-        for node, row in node_columns(assign).items():
-            for old_k, strength in row.items():
-                assert strength == pytest.approx(want[node, old_k], abs=0)
+        assert assign == mx.communities_from_memberships(latents.b_prob, want, 0.5)
 
 
 class TestFormatCommunities:

@@ -252,24 +252,16 @@ class TestComposeZ:
         self.r = Tensor(np.array([[2.0, 5.0, -1.0]]))
 
     def test_dglfrm_masks(self):
-        z = md.compose_z(md.ModelVariant.DGLFRM, self.b, self.r)
+        z = md.compose_z(self.b, self.r)
         np.testing.assert_array_equal(z.data, [[2.0, 0.0, -1.0]])
 
     def test_binary_variant_keeps_b(self):
-        z = md.compose_z(md.ModelVariant.DGLFRM_B, self.b, self.r)
-        np.testing.assert_array_equal(z.data, [[1.0, 0.0, 1.0]])
+        z = md.compose_z(self.b, None)
+        assert z is self.b
 
     def test_vgae_keeps_r(self):
-        z = md.compose_z(md.ModelVariant.VGAE_STYLE, self.b, self.r)
-        np.testing.assert_array_equal(z.data, [[2.0, 5.0, -1.0]])
-
-    def test_missing_field_errors(self):
-        with pytest.raises(UsageError):
-            md.compose_z(md.ModelVariant.DGLFRM, self.b, None)
-        with pytest.raises(UsageError):
-            md.compose_z(md.ModelVariant.LFRM, None, self.r)
-        with pytest.raises(UsageError):
-            md.compose_z(md.ModelVariant.LSM, self.b, None)
+        z = md.compose_z(None, self.r)
+        assert z is self.r
 
 
 # ---------------------------------------------------------------------------

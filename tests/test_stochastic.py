@@ -16,11 +16,17 @@ def beta_pdf(x, alpha, beta):
 
 
 def kumar_beta_kl_quad(a, b, alpha, beta):
-    def integrand(x):
-        q = kumar_pdf(x, a, b)
-        return q * (np.log(q) - np.log(beta_pdf(x, alpha, beta)))
+    """KL(Kumaraswamy(a, b) || Beta(alpha, beta)) as an integral over the Kumaraswamy CDF F.
 
-    val, err = integrate.quad(integrand, 1e-12, 1.0 - 1e-12, limit=400)
+    With x = (1 - (1 - F)**(1/b))**(1/a), q(x) dx = dF, so the KL is the
+    integral of log q(x) - log p(x) over F in [0, 1]: no density factor is
+    left to be singular at an end of the interval.
+    """
+    def integrand(f):
+        x = (1.0 - (1.0 - f) ** (1.0 / b)) ** (1.0 / a)
+        return np.log(kumar_pdf(x, a, b)) - np.log(beta_pdf(x, alpha, beta))
+
+    val, err = integrate.quad(integrand, 0.0, 1.0, limit=400)
     assert err < 1e-6
     return val
 

@@ -923,3 +923,30 @@ class TestEncoderInputRule:
         for name in ("b_prob", "mu"):
             assert getattr(with_x, name).tobytes() == getattr(without, name).tobytes()
         assert with_x.z.data.tobytes() == without.z.data.tobytes()
+
+    @staticmethod
+    def square_graphs():
+        """A 6-node graph without features, and the same graph with 6 feature columns."""
+        bare = small_graph(with_features=False)
+        x = SparseMatrix((np.random.default_rng(3).random((6, 6)) < 0.5).astype(float))
+        return bare, Graph(n_nodes=6, adjacency=bare.adjacency, features=x)
+
+    def test_identity_trained_checkpoint_refuses_features_of_its_width(self):
+        bare, featured = self.square_graphs()
+        ckpt, _ = trainer.train(bare, trivial_split(bare), tiny_config(epochs=2))
+        a_hat = normalize_adjacency(featured)
+        message = r"expects 6 input columns, graph supplies 6 \(encoder input: checkpoint identity, graph features\)"
+        with pytest.raises(CheckpointError, match=message):
+            trainer.score_pairs(ckpt, featured, a_hat, self.PAIRS)
+        with pytest.raises(CheckpointError, match=message):
+            trainer.posterior_latents(ckpt, featured, a_hat)
+
+    def test_feature_trained_checkpoint_refuses_a_featureless_graph_of_its_width(self):
+        bare, featured = self.square_graphs()
+        ckpt, _ = trainer.train(featured, trivial_split(featured), tiny_config(epochs=2))
+        a_hat = normalize_adjacency(bare)
+        message = r"expects 6 input columns, graph supplies 6 \(encoder input: checkpoint features, graph identity\)"
+        with pytest.raises(CheckpointError, match=message):
+            trainer.score_pairs(ckpt, bare, a_hat, self.PAIRS)
+        with pytest.raises(CheckpointError, match=message):
+            trainer.posterior_latents(ckpt, bare, a_hat)
