@@ -58,9 +58,10 @@ class SparseMatrix:
     """Immutable CSR float64 matrix: each row's int32 column indices sorted and unique.
 
     `SparseMatrix(dense)` stores the nonzero entries of a 2-D array. Two facts
-    derived from the arrays are computed at most once and kept: tensor.spmm's
-    kernel matrix, and whether the matrix is symmetric, which
-    `_adjacency_from_pairs` knows when it builds one.
+    derived from the arrays are computed at most once and kept: the arrays
+    tensor.spmm's compiled kernel reads, for the matrix and its transpose,
+    and whether the matrix is symmetric, which `_adjacency_from_pairs` knows
+    when it builds one.
     """
 
     __slots__ = ("shape", "indptr", "indices", "values", "_symmetric", "_spmm_view", "_spmm_view_t")
@@ -74,7 +75,7 @@ class SparseMatrix:
         self.shape = (int(shape[0]), int(shape[1]))
         self.indptr, self.indices, self.values = indptr, indices.astype(np.int32, copy=False), values
         self._symmetric = symmetric  # None until is_symmetric() decides
-        self._spmm_view = self._spmm_view_t = None  # tensor.spmm's kernel matrix over the arrays, and its transpose
+        self._spmm_view = self._spmm_view_t = None  # tensor.spmm's kernel arrays of the matrix and of its transpose
         return self
 
     @classmethod

@@ -1,5 +1,9 @@
 """Float64 tensors with reverse-mode autodiff, the sparse product, and Adam.
 
+The sparse product runs scipy's compiled CSR kernels, `csr_matvecs` and
+`csr_tocsc`, on the matrix's own arrays, loaded without scipy's package
+inits (see `_load_sparsetools`).
+
 Every op records through `_make`: it computes its forward value and passes
 one edge (parent, vjp) per operand, where vjp maps the output's gradient to
 that parent's share. `_make` keeps the edges whose parent needs a gradient
@@ -19,11 +23,13 @@ and the decoded link logits.
 from __future__ import annotations
 
 import contextvars
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy.sparse as _sp  # the program's only scipy import: the kernel of spmm
 
 from .graphdata import LINK_BLOCK_ELEMENTS, ShapeError, SparseMatrix, sigmoid_np
 
@@ -375,28 +381,63 @@ def matmul(a, b) -> Tensor:
     return _make("matmul", a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
-def _csr_view(s: SparseMatrix, transposed: bool = False) -> _sp.csr_matrix:
-    """The compiled kernel's CSR matrix over s's arrays, or its transpose, each made once per matrix."""
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, the only scipy module the program loads.
+
+    The extension runs from its file in scipy's directory, so neither
+    `scipy/__init__.py` nor `scipy/sparse/__init__.py` runs: they import
+    about 200 modules, about 0.14 s of the start-up of `train`, `eval` and
+    `communities`. It is registered under its own name unless scipy.sparse
+    loaded it first.
+    """
+    name = "scipy.sparse._sparsetools"
+    scipy_spec = importlib.util.find_spec("scipy")
+    where = [os.path.join(scipy_spec.submodule_search_locations[0], "sparse")] if scipy_spec else []
+    spec = importlib.machinery.PathFinder.find_spec(name, where)
+    if spec is None:
+        raise ImportError(f"No module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(name, module)
+
+
+_sparsetools = _load_sparsetools()
+
+
+def _csr_product(s: SparseMatrix, x: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """s @ x, or s.T @ x, by `csr_matvecs` into zeros, as scipy's CSR matrix computes it.
+
+    The kernels' (indptr, indices, values) of s and of its transpose are
+    made once per matrix. indptr and indices share one index dtype: int32
+    while every count fits in it, else int64, as scipy picks it.
+    """
     if s._spmm_view is None:
-        s._spmm_view = _sp.csr_matrix((s.values, s.indices, s.indptr), shape=s.shape)
+        index = np.int32 if max(s.nnz, *s.shape) < 2**31 else np.int64
+        s._spmm_view = (s.indptr.astype(index, copy=False), s.indices.astype(index, copy=False), s.values)
     if transposed and s._spmm_view_t is None:
-        s._spmm_view_t = s._spmm_view.T.tocsr()
-    return s._spmm_view_t if transposed else s._spmm_view
+        indptr, indices, values = s._spmm_view
+        s._spmm_view_t = (np.empty(s.shape[1] + 1, indptr.dtype), np.empty_like(indices), np.empty_like(values))
+        _sparsetools.csr_tocsc(*s.shape, *s._spmm_view, *s._spmm_view_t)
+    n_rows, n_cols = s.shape[::-1] if transposed else s.shape
+    arrays = s._spmm_view_t if transposed else s._spmm_view
+    out = np.zeros((n_rows, x.shape[1]))
+    _sparsetools.csr_matvecs(n_rows, n_cols, x.shape[1], *arrays, x.ravel(), out.ravel())
+    return out
 
 
 def spmm(s: SparseMatrix, b) -> Tensor:
     """Sparse @ dense. Gradient flows to the dense operand only.
 
-    Backward multiplies by the sparse operand's transpose, scipy's O(nnz)
-    CSR transpose of the kernel's view, cached beside it: a feature matrix
-    is not symmetric.
+    Backward multiplies by the sparse operand's transpose, made once by
+    scipy's O(nnz) `csr_tocsc` and cached beside it: a feature matrix is
+    not symmetric.
     """
     if not isinstance(s, SparseMatrix):
         raise UsageError("spmm: first operand must be a SparseMatrix")
     b = as_tensor(b)
     if b.data.ndim != 2 or s.shape[1] != b.shape[0]:
         raise ShapeError(f"spmm: {s.shape} @ {b.shape}")
-    return _make("spmm", np.asarray(_csr_view(s) @ b.data), (b, lambda g: _csr_view(s, transposed=True) @ g))
+    return _make("spmm", _csr_product(s, b.data), (b, lambda g: _csr_product(s, g, transposed=True)))
 
 
 def transpose(x) -> Tensor:

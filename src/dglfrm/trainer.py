@@ -84,6 +84,7 @@ class TrainConfig:
                 for name, v in floats.items()
             ),
             (self.k >= 1, f"k must be >= 1, got {self.k}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.alpha > 0, f"alpha must be > 0, got {self.alpha}"),
             (self.prior_r_sigma > 0, f"prior_r_sigma must be > 0, got {self.prior_r_sigma}"),
             (self.lr > 0, f"lr must be > 0, got {self.lr}"),

@@ -671,25 +671,40 @@ def test_sparse_matrix_matches_scipy(seed, n_rows, n_cols, n_entries, zero_share
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 2**32 - 1), st.integers(0, 9), st.integers(0, 9), st.integers(0, 60),
-    st.floats(0.0, 1.0), st.booleans(),
+    st.floats(0.0, 1.0), st.booleans(), st.booleans(), st.booleans(),
 )
-@example(seed=0, n_rows=4, n_cols=3, n_entries=0, zero_share=0.0, drop=False)  # nnz = 0
-@example(seed=1, n_rows=9, n_cols=2, n_entries=3, zero_share=0.0, drop=False)  # empty rows
-@example(seed=2, n_rows=2, n_cols=9, n_entries=3, zero_share=1.0, drop=True)  # empty columns, explicit zeros
-def test_spmm_gradient_is_the_scipy_transpose_product(seed, n_rows, n_cols, n_entries, zero_share, drop):
+@example(seed=0, n_rows=4, n_cols=3, n_entries=0, zero_share=0.0, drop=False, integral=False, strided=False)  # nnz = 0
+@example(seed=1, n_rows=9, n_cols=2, n_entries=3, zero_share=0.0, drop=False, integral=False, strided=False)  # empty rows
+@example(  # empty columns, explicit zeros
+    seed=2, n_rows=2, n_cols=9, n_entries=3, zero_share=1.0, drop=True, integral=False, strided=False,
+)
+@example(  # a dense operand that is a transposed view
+    seed=3, n_rows=7, n_cols=5, n_entries=20, zero_share=0.0, drop=False, integral=False, strided=True,
+)
+@example(  # integer-valued stored values, as in an adjacency
+    seed=4, n_rows=6, n_cols=6, n_entries=25, zero_share=0.0, drop=False, integral=True, strided=False,
+)
+def test_spmm_gradient_is_the_scipy_transpose_product(
+    seed, n_rows, n_cols, n_entries, zero_share, drop, integral, strided,
+):
     # entries are drawn independently, so a square matrix is in general not symmetric
     rng = np.random.default_rng(seed)
     n_entries *= n_rows * n_cols > 0
     rows, cols = rng.integers(max(n_rows, 1), size=n_entries), rng.integers(max(n_cols, 1), size=n_entries)
     vals = rng.normal(size=n_entries) * (rng.random(n_entries) >= zero_share)  # explicit zeros
+    if integral:
+        vals = np.rint(vals * 3)
     s = SparseMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))
     if drop:
         s = tc.sparse_dropout(s, 0.5, rng)
     g = rng.normal(size=(n_rows, 3))
-    b = tc.Tensor(rng.normal(size=(n_cols, 3)))
+    b = tc.Tensor(rng.normal(size=(3, n_cols)).T if strided else rng.normal(size=(n_cols, 3)))
     b.requires_grad = True
     with tc.Tape():
-        tc.backward(tc.mul(tc.spmm(s, b), g).sum())  # the product's gradient is g, exactly
+        out = tc.spmm(s, b)
+        tc.backward(tc.mul(out, g).sum())  # the product's gradient is g, exactly
+    want = as_scipy(s) @ b.data
+    assert out.shape == want.shape and out.data.tobytes() == np.ascontiguousarray(want).tobytes()
     want = as_scipy(s).T @ g
     assert b.grad.shape == want.shape and b.grad.tobytes() == np.ascontiguousarray(want).tobytes()
 

@@ -1,3 +1,4 @@
+import importlib.machinery
 import warnings
 
 import numpy as np
@@ -54,6 +55,13 @@ def test_spmm_matches_dense_oracle(seed):
     s = tc.SparseMatrix(dense)
     b = tc.Tensor(rng.normal(size=(5, 4)))
     np.testing.assert_allclose(tc.spmm(s, b).data, dense @ b.data, atol=1e-12)
+
+
+def test_sparsetools_not_found_is_a_named_import_error(monkeypatch):
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args, **kwargs: None)
+    with pytest.raises(ImportError, match="scipy.sparse._sparsetools") as raised:
+        tc._load_sparsetools()
+    assert raised.value.name == "scipy.sparse._sparsetools"
 
 
 def test_spmm_gradient_reaches_dense_operand_only():

@@ -106,6 +106,7 @@ class TestTrainConfig:
             {"decoder_hidden": (0,)},
             {"pos_weight": 0.0},
             {"variant": "gin"},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, bad):
