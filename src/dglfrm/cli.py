@@ -210,10 +210,12 @@ def cmd_communities(args) -> None:
     if args.min_members < 1:
         raise UsageError(f"--min-members must be >= 1, got {args.min_members}")
     ckpt = trainer.load_checkpoint(args.ckpt)
+    if "encoder.w_pi" not in ckpt.params:
+        raise UsageError(f"variant {ckpt.config.variant} has no membership posteriors to threshold")
     g = _load_graph(args.graph, args.features)
     a_hat = gd.normalize_adjacency(g)
     latents = trainer.posterior_latents(ckpt, g, a_hat)
-    assignment = mx.extract_communities(ckpt.config.model_variant, latents, args.tau)
+    assignment = mx.extract_communities(latents, args.tau)
     out = str(args.out)
     gd.write_atomic(out, mx.format_communities(assignment))
     outputs = [out]
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--variant",
         default="dglfrm",
-        choices=["dglfrm", "dglfrm-b", "lfrm", "lsm", "vgae"],
+        choices=["dglfrm", "dglfrm-b", "lfrm", "lsm", "vgae"],  # model.VARIANTS, kept out of start-up
     )
     p.add_argument("--k", type=int, default=50)
     p.add_argument("--alpha", type=float, default=10.0)

@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import model as md
 from .tensor import UsageError
 
 
@@ -132,14 +131,10 @@ def communities_from_memberships(
     )
 
 
-def extract_communities(
-    variant: md.ModelVariant, latents, threshold: float = 0.5
-) -> CommunityAssignment:
+def extract_communities(latents, threshold: float = 0.5) -> CommunityAssignment:
     """Overlapping communities from a checkpoint's `trainer.posterior_latents`; a member's strength is |z|."""
-    if not variant.uses_b:
-        raise UsageError(
-            f"variant {variant.value} has no membership posteriors to threshold"
-        )
+    if latents.b_prob is None:
+        raise UsageError("the latents have no membership posteriors to threshold")
     return communities_from_memberships(latents.b_prob, np.abs(latents.z.data), threshold)
 
 

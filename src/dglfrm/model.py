@@ -1,19 +1,17 @@
-"""GCN encoder, link decoders, feature decoder, and the model-variant switch.
+"""GCN encoder, link decoders, feature decoder, and the table of model variants.
 
 A model's parameters are a dict of tensors keyed by name; `param_shapes`
-states which names a variant has and their shapes. The encoder is one shared
-GCN hidden layer followed by a linear GCN head for each variational parameter
-the variant trains (`ModelVariant.encoder_heads`). Decoders: a small MLP
-feeding an inner product, a symmetrized bilinear form, or the plain inner
-product. Each is given as two factors whose product is the symmetric N x N
-logit grid (`link_factors`); training sums the likelihood over that grid
-without forming it (`tensor.link_bce_sum`), and scoring evaluates single
-pairs.
+reads a variant's row of `VARIANTS` and states which names it has and their
+shapes; everything else reads the names. The encoder is one shared GCN hidden
+layer followed by a linear GCN head for each variational parameter the
+variant trains. Decoders: a small MLP feeding an inner product, a symmetrized
+bilinear form, or the plain inner product. Each is given as two factors
+whose product is the symmetric N x N logit grid (`link_factors`); training
+sums the likelihood over that grid without forming it (`tensor.link_bce_sum`),
+and scoring evaluates single pairs.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
@@ -28,54 +26,19 @@ LEAKY_SLOPE = 0.2  # negative-side slope of the encoder and MLP-decoder activati
 ENCODER_HEADS = ("c", "d", "pi", "mu", "sigma")
 
 
-class ModelVariant(Enum):
-    DGLFRM = "dglfrm"
-    DGLFRM_B = "dglfrm-b"
-    LFRM = "lfrm"
-    LSM = "lsm"
-    VGAE_STYLE = "vgae"
-
-    @classmethod
-    def parse(cls, name: str) -> "ModelVariant":
-        for variant in cls:
-            if variant.value == name:
-                return variant
-        valid = ", ".join(v.value for v in cls)
-        raise UsageError(f"unknown variant {name!r}; valid: {valid}")
-
-    @property
-    def uses_b(self) -> bool:
-        return self in (ModelVariant.DGLFRM, ModelVariant.DGLFRM_B, ModelVariant.LFRM)
-
-    @property
-    def uses_r(self) -> bool:
-        return self in (ModelVariant.DGLFRM, ModelVariant.LSM, ModelVariant.VGAE_STYLE)
-
-    @property
-    def decoder_form(self) -> str:
-        if self in (ModelVariant.DGLFRM, ModelVariant.DGLFRM_B):
-            return "mlp"
-        if self in (ModelVariant.LFRM, ModelVariant.LSM):
-            return "bilinear"
-        return "inner"
-
-    def encoder_heads(self, structured: bool) -> tuple[str, ...]:
-        """The encoder heads this variant trains, in ENCODER_HEADS order.
-
-        Membership logits `pi` come with `b`, per-node Kumaraswamy sticks
-        `c`, `d` with `b` under the mean-field posterior (structured sticks
-        are global parameters), and `mu`, `sigma` with `r`.
-        """
-        heads = ()
-        if self.uses_b:
-            heads = ("pi",) if structured else ("c", "d", "pi")
-        if self.uses_r:
-            heads += ("mu", "sigma")
-        return heads
+# Each variant's latents ("b" memberships, "r" strengths; z is their product)
+# and its link decoder: the paper's model and its four ablations.
+VARIANTS = {
+    "dglfrm": ("br", "mlp"),
+    "dglfrm-b": ("b", "mlp"),
+    "lfrm": ("b", "bilinear"),
+    "lsm": ("r", "bilinear"),
+    "vgae": ("r", "inner"),
+}
 
 
 def param_shapes(
-    variant: ModelVariant,
+    variant: str,
     structured: bool,
     d_in: int,
     hidden: int,
@@ -85,22 +48,32 @@ def param_shapes(
 ) -> dict[str, tuple[int, int]]:
     """Name and shape of every parameter the variant trains, in draw order.
 
-    `d_features` is the feature decoder's width, None when it has none.
+    `d_features` is the feature decoder's width, None when it has none. The
+    encoder heads follow the latents, in ENCODER_HEADS order: membership
+    logits `pi` come with `b`, per-node Kumaraswamy sticks `c`, `d` with `b`
+    under the mean-field posterior (structured sticks are global parameters),
+    and `mu`, `sigma` with `r`.
     """
+    latents, decoder = VARIANTS[variant]
+    heads = ()
+    if "b" in latents:
+        heads = ("pi",) if structured else ("c", "d", "pi")
+    if "r" in latents:
+        heads += ("mu", "sigma")
     shapes = {"encoder.w1": (d_in, hidden)}
-    for head in variant.encoder_heads(structured):
+    for head in heads:
         shapes[f"encoder.w_{head}"] = (hidden, k)
-    if variant.decoder_form == "mlp":
+    if decoder == "mlp":
         width = k
         for i, out in enumerate(decoder_hidden):
             shapes[f"decoder.mlp{i}.w"] = (width, out)
             shapes[f"decoder.mlp{i}.b"] = (1, out)
             width = out
-    elif variant.decoder_form == "bilinear":
+    elif decoder == "bilinear":
         shapes["decoder.bilinear"] = (k, k)
     if d_features is not None:
         shapes["feature_decoder.w"] = (k, d_features)
-    if variant.uses_b and structured:
+    if "b" in latents and structured:
         shapes["sticks.raw_c"] = shapes["sticks.raw_d"] = (1, k)
     return shapes
 

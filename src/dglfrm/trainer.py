@@ -16,8 +16,8 @@ A step's randomness is one `StepNoise` of raw draws, which `draw_noise` takes
 from the run's generator in field order: `u_v`, the stick uniforms ((1, k)
 structured, (n, k) mean-field), `u_b`, the membership uniforms, and `eps_r`,
 the strength standard normals (both (n, k)). A field is None, and nothing is
-drawn for it, when the variant lacks that latent. The `stochastic` samplers
-take these arrays as they are.
+drawn for it, when the parameters lack the encoder head that calls for it.
+The `stochastic` samplers take these arrays as they are.
 
 Numeric faults are caught here, at the loss of each step and at the encoder
 outputs of each scoring pass, and by `tensor.adam_step` at the gradients.
@@ -75,7 +75,9 @@ class TrainConfig:
     val_every: int = 10
 
     def __post_init__(self) -> None:
-        md.ModelVariant.parse(self.variant)
+        if not isinstance(self.variant, str) or self.variant not in md.VARIANTS:
+            valid = ", ".join(md.VARIANTS)
+            raise ConfigError(f"unknown variant {self.variant!r}; valid: {valid}")
         fields = self.__dataclass_fields__
         floats = {name: getattr(self, name) for name in fields if fields[name].type.startswith("float")}
         checks = [
@@ -108,10 +110,6 @@ class TrainConfig:
             if not ok:
                 raise ConfigError(message)
         object.__setattr__(self, "decoder_hidden", tuple(self.decoder_hidden))
-
-    @property
-    def model_variant(self) -> md.ModelVariant:
-        return md.ModelVariant.parse(self.variant)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -197,15 +195,17 @@ class StepNoise:
     eps_r: np.ndarray | None = None
 
 
-def draw_noise(
-    rng: np.random.Generator, n: int, k: int, variant: md.ModelVariant, structured: bool
-) -> StepNoise:
-    """The arrays the variant uses, drawn from rng in field order."""
+def draw_noise(rng: np.random.Generator, n: int, k: int, names) -> StepNoise:
+    """The arrays that parameters with these names use, drawn from rng in field order.
+
+    Memberships come with "encoder.w_pi", their sticks per node with
+    "encoder.w_c", and strengths with "encoder.w_mu".
+    """
     u_v = u_b = eps_r = None
-    if variant.uses_b:
-        u_v = rng.random((1, k) if structured else (n, k))
+    if "encoder.w_pi" in names:
+        u_v = rng.random((n, k) if "encoder.w_c" in names else (1, k))
         u_b = rng.random((n, k))
-    if variant.uses_r:
+    if "encoder.w_mu" in names:
         eps_r = rng.standard_normal((n, k))
     return StepNoise(u_v=u_v, u_b=u_b, eps_r=eps_r)
 
@@ -250,7 +250,7 @@ def model_shapes(config: TrainConfig, n_nodes: int, d_features: int) -> dict[str
     if term and not d_features:
         raise ConfigError("feature_term requires node features")
     return md.param_shapes(
-        config.model_variant,
+        config.variant,
         config.structured,
         d_in=d_in,
         hidden=config.hidden or (32 if reads else 128),
@@ -389,7 +389,6 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
     rng = np.random.default_rng(config.seed)
     train_graph, a_hat = _train_graph(g, split)
     params = init_params(train_graph, config, rng)
-    variant = config.model_variant
     encoder_graph = effective_graph(train_graph, config)
     val_pairs, val_labels = _held_out(split.val_pos, split.val_neg)
 
@@ -415,7 +414,7 @@ def train(g: Graph, split: SplitSpec, config: TrainConfig) -> tuple[Checkpoint, 
             kl_weight = 1.0
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                noise = draw_noise(rng, g.n_nodes, config.k, variant, config.structured)
+                noise = draw_noise(rng, g.n_nodes, config.k, params)
                 with tc.Tape() as tape:
                     loss, parts = elbo_loss(
                         train_graph,
@@ -624,7 +623,7 @@ def load_checkpoint(path) -> Checkpoint:
     (cfg_len,) = struct.unpack("<I", read(4))
     try:
         config = TrainConfig.from_json(read(cfg_len).decode("utf-8"))
-    except (UnicodeDecodeError, ConfigError, UsageError) as e:
+    except (UnicodeDecodeError, ConfigError) as e:
         raise CheckpointError(f"{path}: bad stored config: {e}") from e
     (n_params,) = struct.unpack("<I", read(4))
     params: dict[str, np.ndarray] = {}

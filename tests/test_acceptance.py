@@ -67,8 +67,7 @@ def test_a1_full_model_gradients():
         cfg = TrainConfig(variant=variant, k=4, hidden=5, decoder_hidden=(3,),
                           dropout=0.0, epochs=1, seed=3)
         params = trainer.init_params(g, cfg, np.random.default_rng(cfg.seed))
-        noise = trainer.draw_noise(np.random.default_rng(11), g.n_nodes,
-                                   cfg.k, cfg.model_variant, cfg.structured)
+        noise = trainer.draw_noise(np.random.default_rng(11), g.n_nodes, cfg.k, params)
 
         def f():
             return trainer.elbo_loss(g, a_hat, params, cfg, noise)[0]
@@ -228,7 +227,7 @@ def synthetic_run():
     report = trainer.evaluate_split(ckpt, g, split)
     a_hat = normalize_adjacency(trainer.effective_graph(g, ckpt.config))
     latents = trainer.posterior_latents(ckpt, g, a_hat)
-    assignment = mx.extract_communities(cfg.model_variant, latents, threshold=0.5)
+    assignment = mx.extract_communities(latents, threshold=0.5)
     # one column per community; the F1 matching makes their order irrelevant
     pred = np.zeros((g.n_nodes, cfg.k), dtype=int)
     for j, comm in enumerate(assignment.communities):
@@ -350,8 +349,7 @@ def test_a7_variant_reductions():
         cfg = TrainConfig(variant=variant, k=4, hidden=5, dropout=0.0,
                           epochs=1, seed=2)
         params = trainer.init_params(g, cfg, np.random.default_rng(2))
-        noise = trainer.draw_noise(np.random.default_rng(3), g.n_nodes,
-                                   cfg.k, cfg.model_variant, cfg.structured)
+        noise = trainer.draw_noise(np.random.default_rng(3), g.n_nodes, cfg.k, params)
         _, parts = trainer.elbo_loss(g, a_hat, params, cfg, noise)
         zero_kls &= parts.kl_b == 0.0 and parts.kl_v == 0.0
 

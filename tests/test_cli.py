@@ -229,6 +229,13 @@ class TestTrain:
             run("train", "--graph", ws["graph"], "--split", ws["split"], "--out-ckpt", tmp_path / "m.ckpt")
         assert seen == [trainer.TrainConfig()]
 
+    def test_variant_choices_are_the_model_table(self):
+        # the parser lists the variants a second time, since cli does not import
+        # model at start-up; the config's error names them in table order
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        variant = next(a for a in commands.choices["train"]._actions if a.dest == "variant")
+        assert variant.choices == list(md.VARIANTS)
+
     def test_lfrm_variant_trains(self, ws, tmp_path):
         ckpt = tmp_path / "lfrm.ckpt"
         code = run("train", "--graph", ws["graph"], "--split", ws["split"],
@@ -676,16 +683,24 @@ class TestCommunities:
         assert active >= 2
         assert "wrote" in capsys.readouterr().out
 
-    def test_gaussian_variant_rejected(self, ws, tmp_path, capsys):
-        ckpt = tmp_path / "vgae.ckpt"
+    @pytest.mark.parametrize(
+        "variant,graph",
+        [("lsm", "graph"), ("vgae", "graph"), ("vgae", None)],
+        ids=["lsm", "vgae", "vgae-missing-graph"],
+    )
+    def test_gaussian_variant_rejected(self, ws, tmp_path, capsys, variant, graph):
+        # refused on the checkpoint alone, before --graph is read
+        ckpt = tmp_path / "gaussian.ckpt"
         assert run("train", "--graph", ws["graph"], "--split", ws["split"],
-                   "--variant", "vgae", "--k", 6, "--hidden", 16,
+                   "--variant", variant, "--k", 6, "--hidden", 16,
                    "--epochs", 5, "--out-ckpt", ckpt) == 0
-        code = run("communities", "--ckpt", ckpt, "--graph", ws["graph"],
-                   "--out", tmp_path / "c.txt")
+        out = tmp_path / "c.txt"
+        code = run("communities", "--ckpt", ckpt, "--graph", ws[graph] if graph else tmp_path / "missing.txt",
+                   "--out", out)
         captured = capsys.readouterr()
         assert code == 1
-        assert "vgae" in captured.err
+        assert f"variant {variant}" in captured.err
+        assert not out.exists() and not (tmp_path / "c.txt.manifest.json").exists()
 
     def test_tau_out_of_range(self, ws, tmp_path, capsys):
         code = run("communities", "--ckpt", ws["ckpt"], "--graph", ws["graph"],

@@ -185,8 +185,7 @@ def _elbo_setup(variant="dglfrm", structured=True):
     cfg = TrainConfig(variant=variant, structured=structured, k=4, hidden=5,
                       decoder_hidden=(3,), dropout=0.0, epochs=1, seed=3)
     params = trainer.init_params(g, cfg, np.random.default_rng(cfg.seed))
-    noise = trainer.draw_noise(np.random.default_rng(11), g.n_nodes, cfg.k,
-                               cfg.model_variant, structured)
+    noise = trainer.draw_noise(np.random.default_rng(11), g.n_nodes, cfg.k, params)
     return g, normalize_adjacency(g), params, cfg, noise
 
 

@@ -351,7 +351,7 @@ class TestExtractCommunities:
 
         a_hat = normalize_adjacency(trainer.effective_graph(g, ckpt.config))
         latents = trainer.posterior_latents(ckpt, g, a_hat)
-        return mx.extract_communities(ckpt.config.model_variant, latents, threshold)
+        return mx.extract_communities(latents, threshold)
 
     def test_deterministic_given_checkpoint(self):
         ckpt, g = self.make_synth_ckpt()

@@ -107,10 +107,11 @@ class TestTrainConfig:
             {"pos_weight": 0.0},
             {"variant": "gin"},
             {"seed": -1},
+            {"variant": ["dglfrm"]},
         ],
     )
     def test_rejects_bad_values(self, bad):
-        with pytest.raises((ConfigError, UsageError)):
+        with pytest.raises(ConfigError):
             TrainConfig(**bad)
 
     @pytest.mark.parametrize(
@@ -173,31 +174,27 @@ class TestModelShapes:
 
 
 class TestDrawNoise:
+    B_STRUCTURED = ("encoder.w1", "encoder.w_pi")
+    B_MEAN_FIELD = ("encoder.w1", "encoder.w_c", "encoder.w_d", "encoder.w_pi")
+    R = ("encoder.w1", "encoder.w_mu", "encoder.w_sigma")
+
     def test_structured_sticks_are_global(self):
-        noise = trainer.draw_noise(
-            np.random.default_rng(0), 9, 4, md.ModelVariant.DGLFRM, True
-        )
+        noise = trainer.draw_noise(np.random.default_rng(0), 9, 4, self.B_STRUCTURED + self.R[1:])
         assert noise.u_v.shape == (1, 4)
         assert noise.u_b.shape == (9, 4)
         assert noise.eps_r.shape == (9, 4)
 
     def test_mean_field_sticks_are_per_node(self):
-        noise = trainer.draw_noise(
-            np.random.default_rng(0), 9, 4, md.ModelVariant.DGLFRM, False
-        )
+        noise = trainer.draw_noise(np.random.default_rng(0), 9, 4, self.B_MEAN_FIELD + self.R[1:])
         assert noise.u_v.shape == (9, 4)
 
     def test_gaussian_only_variant_skips_sticks(self):
-        noise = trainer.draw_noise(
-            np.random.default_rng(0), 9, 4, md.ModelVariant.LSM, True
-        )
+        noise = trainer.draw_noise(np.random.default_rng(0), 9, 4, self.R)
         assert noise.u_v is None and noise.u_b is None
         assert noise.eps_r.shape == (9, 4)
 
     def test_binary_only_variant_skips_gaussian(self):
-        noise = trainer.draw_noise(
-            np.random.default_rng(0), 9, 4, md.ModelVariant.LFRM, True
-        )
+        noise = trainer.draw_noise(np.random.default_rng(0), 9, 4, self.B_STRUCTURED)
         assert noise.eps_r is None
         assert noise.u_b.shape == (9, 4)
 
@@ -215,8 +212,9 @@ class TestDrawNoise:
         # the noise stream is part of the replayed bits: stick uniforms, then
         # membership uniforms, then standard normals, and nothing else
         n, k, drawn = 9, 4, self.DRAWN[variant]
+        names = trainer.model_shapes(tiny_config(variant=variant, structured=structured, k=k), n, 0)
         rng = np.random.default_rng(23)
-        noise = trainer.draw_noise(rng, n, k, md.ModelVariant.parse(variant), structured)
+        noise = trainer.draw_noise(rng, n, k, names)
         ref = np.random.default_rng(23)
         expected = {
             "u_v": lambda: ref.random((1, k) if structured else (n, k)),
@@ -241,9 +239,7 @@ def two_node_setup(variant="dglfrm"):
     g = Graph(n_nodes=2, adjacency=adj)
     cfg = tiny_config(variant=variant, hidden=2, k=2, decoder_hidden=(2,))
     params = trainer.init_params(g, cfg, np.random.default_rng(0))
-    noise = trainer.draw_noise(
-        np.random.default_rng(1), 2, 2, cfg.model_variant, cfg.structured
-    )
+    noise = trainer.draw_noise(np.random.default_rng(1), 2, 2, params)
     return g, cfg, params, noise
 
 
@@ -360,9 +356,7 @@ def test_elbo_gradient_matches_finite_differences(variant, structured):
     g = small_graph()
     cfg = tiny_config(variant=variant, structured=structured, seed=3)
     params = trainer.init_params(g, cfg, np.random.default_rng(cfg.seed))
-    noise = trainer.draw_noise(
-        np.random.default_rng(11), g.n_nodes, cfg.k, cfg.model_variant, structured
-    )
+    noise = trainer.draw_noise(np.random.default_rng(11), g.n_nodes, cfg.k, params)
     a_hat = normalize_adjacency(g)
 
     def f():
