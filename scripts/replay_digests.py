@@ -11,11 +11,22 @@ replay each other bit-exactly when their digests match:
     diff <(python3 scripts/replay_digests.py old /tmp/a) \\
          <(python3 scripts/replay_digests.py new /tmp/b)
 
+    python3 scripts/replay_digests.py --environment
+
+prints the numeric environment the digests depend on, as "# " lines: the
+python, numpy and scipy versions, the BLAS library and the SIMD extensions
+numpy found on this CPU. tests/replay_digests.txt holds both outputs of the
+checkout, and tests/test_replay.py reruns the pipeline against it:
+
+    { python3 scripts/replay_digests.py --environment
+      python3 scripts/replay_digests.py . "$(mktemp -d)/out"; } > tests/replay_digests.txt
+
 The pipeline: a synthetic graph, its split, a copy of the split without
 validation pairs (its validation positives moved into TRAIN), and
 deterministic triplet features. Then train, eval and, for the variants
 with memberships, communities with the latent CSV, for each run below.
 BLAS is pinned to one thread, since threaded sums may round differently.
+The runs below go two at a time; each writes only its own files.
 The identity-input run with a feature term is also evaluated and its
 communities extracted on the graph without `--features`: its encoder
 does not read them, so it accepts that graph. One run trains as the README's
@@ -40,10 +51,13 @@ split and metrics must equal those of the plain files.
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
 import os
+import platform
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 GRAPH = ["--graph", "graph.edges.txt"]
@@ -109,7 +123,29 @@ def wide_copy(path: Path, out: Path) -> None:
     out.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
 
 
+def environment() -> list[str]:
+    """The "# " header lines naming this interpreter's numeric environment; scipy is not imported."""
+    import numpy as np
+
+    try:
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        blas, simd = f"{blas['name']} {blas['version']}", " ".join(config["SIMD Extensions"]["found"])
+    except (TypeError, KeyError):  # numpy before 1.26 prints its configuration only
+        blas = simd = "unknown"
+    return [
+        f"# python {platform.python_version()}",
+        f"# numpy {np.__version__}",
+        f"# scipy {importlib.metadata.version('scipy')}",
+        f"# blas {blas}",
+        f"# simd {simd}",
+    ]
+
+
 def main(argv: list[str]) -> int:
+    if argv == ["--environment"]:
+        print("\n".join(environment()))
+        return 0
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
@@ -136,7 +172,8 @@ def main(argv: list[str]) -> int:
     # 2391 edges: 12 test and 12 val positives, so 24 negatives
     dglfrm("split", "--graph", "near.edges.txt", "--test-frac", "0.005", "--val-frac", "0.005",
            "--seed", "5", "--out", "near.split")
-    for name, graph, split, options in RUNS:
+
+    def run(name: str, graph: list[str], split: str, options: list[str]) -> None:
         ckpt = f"{name}.ckpt"
         dglfrm("train", *graph, "--split", split, *TRAIN, *options, "--out-ckpt", ckpt)
         dglfrm("eval", "--ckpt", ckpt, *graph, "--split", EVAL_SPLIT.get(split, split))
@@ -144,6 +181,9 @@ def main(argv: list[str]) -> int:
         if variant in WITH_MEMBERSHIPS:
             dglfrm("communities", "--ckpt", ckpt, *graph, "--out", f"{name}.communities.txt",
                    "--export-latent", f"{name}.latent.csv")
+
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(run, *zip(*RUNS)))  # list() re-raises a run's failure
     bare = "x-identity-term-bare"
     dglfrm("eval", "--ckpt", "x-identity-term.ckpt", *GRAPH, "--split", "graph.split", "--out", bare)
     dglfrm("communities", "--ckpt", "x-identity-term.ckpt", *GRAPH, "--out", f"{bare}.communities.txt",

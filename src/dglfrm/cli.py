@@ -91,7 +91,7 @@ def _load_split(path, g: Graph, held_out: str) -> gd.SplitSpec:
 
 
 def cmd_synth(args) -> None:
-    g, memberships = gd.generate_synthetic(gd.SyntheticSpec(args.nodes, args.communities, args.seed))
+    g, memberships = gd.generate_synthetic(args.nodes, args.communities, args.seed)
     prefix = str(args.out_prefix)
     edges_path = prefix + ".edges.txt"
     members_path = prefix + ".memberships.txt"
@@ -108,7 +108,7 @@ def cmd_split(args) -> None:
             raise SplitError(f"--{name} must be in (0, 1), got {frac}")
     g = _load_graph(args.graph, args.features)
     split = gd.make_splits(g, test_frac=args.test_frac, val_frac=args.val_frac, seed=args.seed)
-    gd.save_split(split, args.out)
+    gd.save_split(split, g, args.out)
     _write_manifest(args, args.out, [args.out])
     print(
         f"wrote {args.out}: {len(split.test_pos)} test, {len(split.val_pos)} val positives"

@@ -19,7 +19,7 @@ logger = logging.getLogger("dglfrm.graphdata")
 
 OVERLAP_PROB = 0.3  # chance a synthetic node joins one extra community
 # Loaders reject node ids, node counts and feature columns at or above this:
-# SparseMatrix stores int32 column indices. It also keeps the dedup keys
+# SparseMatrix's column indices fit int32. It also keeps the dedup keys
 # u * n + v and row * width + col below 2**62.
 ID_LIMIT = 2**31
 # Elements per row block of the blocked ops: link_bce_sum, feature_bce_sum
@@ -55,16 +55,17 @@ def sigmoid_np(x: np.ndarray, out=None) -> np.ndarray:
 
 
 class SparseMatrix:
-    """Immutable CSR float64 matrix: each row's int32 column indices sorted and unique.
+    """Immutable CSR float64 matrix: each row's column indices sorted and unique.
 
-    `SparseMatrix(dense)` stores the nonzero entries of a 2-D array. Two facts
-    derived from the arrays are computed at most once and kept: the arrays
-    tensor.spmm's compiled kernel reads, for the matrix and its transpose,
-    and whether the matrix is symmetric, which `_adjacency_from_pairs` knows
-    when it builds one.
+    `SparseMatrix(dense)` stores the nonzero entries of a 2-D array. indptr
+    and indices share one index dtype, the one tensor.spmm's compiled kernel
+    reads: int32 while nnz and both dimensions are below 2**31, else int64.
+    Two facts derived from the arrays are computed at most once and kept: the
+    kernel's arrays of the transpose, and whether the matrix is symmetric,
+    which `_adjacency_from_pairs` knows when it builds one.
     """
 
-    __slots__ = ("shape", "indptr", "indices", "values", "_symmetric", "_spmm_view", "_spmm_view_t")
+    __slots__ = ("shape", "indptr", "indices", "values", "_symmetric", "_spmm_view_t")
 
     def __init__(self, dense) -> None:
         dense = np.asarray(dense, dtype=np.float64)
@@ -73,9 +74,11 @@ class SparseMatrix:
 
     def _set(self, shape, indptr, indices, values, symmetric: bool | None = None) -> "SparseMatrix":
         self.shape = (int(shape[0]), int(shape[1]))
-        self.indptr, self.indices, self.values = indptr, indices.astype(np.int32, copy=False), values
+        index = np.int32 if max(values.size, *self.shape) < 2**31 else np.int64
+        self.indptr, self.indices = indptr.astype(index, copy=False), indices.astype(index, copy=False)
+        self.values = values
         self._symmetric = symmetric  # None until is_symmetric() decides
-        self._spmm_view = self._spmm_view_t = None  # tensor.spmm's kernel arrays of the matrix and of its transpose
+        self._spmm_view_t = None  # tensor.spmm's kernel arrays of the transpose
         return self
 
     @classmethod
@@ -183,14 +186,12 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class SplitSpec:
-    """Train adjacency plus held-out pairs, each an (m, 2) int64 array.
+    """The held-out pairs of a graph's link split, each an (m, 2) int64 array.
 
-    make_splits gives u < v, load_split each pair as its line gives it.
-    Two splits compare field by field, with np.array_equal for the pairs.
+    make_splits gives u < v, load_split each pair as its line gives it. The
+    graph trained on is the graph without the positives: `train_adjacency`.
     """
 
-    n_nodes: int
-    train_adjacency: SparseMatrix
     val_pos: np.ndarray
     val_neg: np.ndarray
     test_pos: np.ndarray
@@ -198,13 +199,19 @@ class SplitSpec:
     seed: int
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Overlapping-block benchmark configuration."""
+def train_adjacency(g: Graph, split: SplitSpec) -> SparseMatrix:
+    """g's adjacency without the split's held-out positives, each removed in both orientations.
 
-    n_nodes: int = 100
-    n_communities: int = 10
-    seed: int = 0
+    The one place the trained edge set is computed. A held-out positive that
+    is not an edge of g removes nothing.
+    """
+    a, n = g.adjacency, g.n_nodes
+    u, v = np.concatenate([split.val_pos, split.test_pos]).T
+    held = np.concatenate([u * n + v, v * n + u])
+    held.sort()
+    keys = a.entry_rows() * n + a.indices  # ascending; the fewer held-out keys are looked up in them
+    drop = np.searchsorted(keys, held)[_contains(keys, held)]
+    return SparseMatrix._from_keys(np.delete(keys, drop), np.delete(a.values, drop), (n, n), symmetric=True)
 
 
 def _adjacency_from_pairs(pairs, n: int) -> SparseMatrix:
@@ -559,7 +566,6 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
     order = rng.permutation(n_edges)
     test_pos = edges[order[:n_test]]
     val_pos = edges[order[n_test : n_test + n_val]]
-    train_edges = edges[order[n_test + n_val :]]
 
     # Rejection sampling in batches of pairs (u, v), u drawn before v by
     # rng.integers(n): the same stream as one draw per id. In draw order a pair
@@ -587,8 +593,6 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
         extra = rng.permutation(len(pool))[: n_neg - len(negatives)]
         negatives = np.concatenate([negatives, pool[extra]])
     return SplitSpec(
-        n_nodes=n,
-        train_adjacency=_adjacency_from_pairs(train_edges, n),
         val_pos=val_pos,
         val_neg=negatives[n_test:],
         test_pos=test_pos,
@@ -597,7 +601,7 @@ def make_splits(g: Graph, test_frac: float = 0.10, val_frac: float = 0.05, seed:
     )
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, np.ndarray]:
+def generate_synthetic(n_nodes: int, n_communities: int, seed: int) -> tuple[Graph, np.ndarray]:
     """Sample an overlapping-block graph; returns (graph, binary memberships).
 
     Node n always belongs to community n mod K and with probability
@@ -605,10 +609,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, np.ndarray]:
     sigmoid(8 * <b_u, b_v> - 4): shared-community pairs connect w.p. >= 0.98,
     disjoint pairs w.p. ~0.018.
     """
-    n, k = spec.n_nodes, spec.n_communities
+    n, k = n_nodes, n_communities
+    if n >= ID_LIMIT:
+        raise SplitError(f"n_nodes {n} is at or above 2**31")
     if not 1 <= k <= n:
         raise SplitError(f"n_communities {k} must lie in [1, n_nodes {n}]")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     memberships = np.zeros((n, k))
     for node in range(n):
         primary = node % k
@@ -632,16 +638,16 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Graph, np.ndarray]:
 _SPLIT_SECTIONS = ("TRAIN", "VAL_POS", "VAL_NEG", "TEST_POS", "TEST_NEG")
 
 
-def save_split(split: SplitSpec, path) -> None:
-    """Write a split as sectioned "u v" text, reloadable by load_split."""
+def save_split(split: SplitSpec, g: Graph, path) -> None:
+    """Write a split of `g` as sectioned "u v" text, TRAIN from `train_adjacency`; reloadable by load_split."""
     sections = {
-        "TRAIN": _upper_pairs(split.train_adjacency),
+        "TRAIN": _upper_pairs(train_adjacency(g, split)),
         "VAL_POS": split.val_pos,
         "VAL_NEG": split.val_neg,
         "TEST_POS": split.test_pos,
         "TEST_NEG": split.test_neg,
     }
-    parts = [f"# nodes {split.n_nodes}\n# seed {split.seed}\n".encode()]
+    parts = [f"# nodes {g.n_nodes}\n# seed {split.seed}\n".encode()]
     for name in _SPLIT_SECTIONS:
         parts += [f"{name}\n".encode(), _pair_lines(sections[name])]
     write_atomic(path, b"".join(parts))
@@ -703,10 +709,8 @@ def load_split(path, g: Graph) -> SplitSpec:
         a, b = edges[~_contains(keys, edge_keys)][0]
         raise LoadError(f"{f.path}: graph edge {a} {b} is in none of TRAIN, VAL_POS and TEST_POS")
     pairs, rows = np.column_stack((u, v)), np.flatnonzero(is_pair)
-    train, val_pos, val_neg, test_pos, test_neg = (pairs[rows[current[rows] == k]] for k in range(len(_SPLIT_SECTIONS)))
+    val_pos, val_neg, test_pos, test_neg = (pairs[rows[current[rows] == k]] for k in range(1, len(_SPLIT_SECTIONS)))
     return SplitSpec(
-        n_nodes=n,
-        train_adjacency=_adjacency_from_pairs(train, n),
         val_pos=val_pos,
         val_neg=val_neg,
         test_pos=test_pos,

@@ -407,19 +407,14 @@ _sparsetools = _load_sparsetools()
 def _csr_product(s: SparseMatrix, x: np.ndarray, transposed: bool = False) -> np.ndarray:
     """s @ x, or s.T @ x, by `csr_matvecs` into zeros, as scipy's CSR matrix computes it.
 
-    The kernels' (indptr, indices, values) of s and of its transpose are
-    made once per matrix. indptr and indices share one index dtype: int32
-    while every count fits in it, else int64, as scipy picks it.
+    The kernels read s's own (indptr, indices, values), whose index dtype is
+    the one scipy picks; the transpose's arrays are made once per matrix.
     """
-    if s._spmm_view is None:
-        index = np.int32 if max(s.nnz, *s.shape) < 2**31 else np.int64
-        s._spmm_view = (s.indptr.astype(index, copy=False), s.indices.astype(index, copy=False), s.values)
     if transposed and s._spmm_view_t is None:
-        indptr, indices, values = s._spmm_view
-        s._spmm_view_t = (np.empty(s.shape[1] + 1, indptr.dtype), np.empty_like(indices), np.empty_like(values))
-        _sparsetools.csr_tocsc(*s.shape, *s._spmm_view, *s._spmm_view_t)
+        s._spmm_view_t = (np.empty(s.shape[1] + 1, s.indptr.dtype), np.empty_like(s.indices), np.empty_like(s.values))
+        _sparsetools.csr_tocsc(*s.shape, s.indptr, s.indices, s.values, *s._spmm_view_t)
     n_rows, n_cols = s.shape[::-1] if transposed else s.shape
-    arrays = s._spmm_view_t if transposed else s._spmm_view
+    arrays = s._spmm_view_t if transposed else (s.indptr, s.indices, s.values)
     out = np.zeros((n_rows, x.shape[1]))
     _sparsetools.csr_matvecs(n_rows, n_cols, x.shape[1], *arrays, x.ravel(), out.ravel())
     return out

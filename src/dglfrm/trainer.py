@@ -1,11 +1,9 @@
 """ELBO assembly, full-batch SGVB training, checkpointing, and scoring.
 
-The train graph (the split's train adjacency with the graph's features,
-never the held-out edges) is the one source of what training reads: the
-encoder encodes its `effective_graph`, and the loss scores its edges and
-features. A split that `graphdata.load_split` accepted lists every edge of
-the graph once, in TRAIN or among the held-out positives, so the train graph
-is the graph without them. Held-out pairs are (m, 2) int64 arrays, scored
+The train graph (the graph without the split's held-out positives, by
+`graphdata.train_adjacency`, with the graph's features) is the one source of
+what training reads: the encoder encodes its `effective_graph`, and the loss
+scores its edges and features. Held-out pairs are (m, 2) int64 arrays, scored
 positives first. The link likelihood is summed over all N x N node pairs by
 `tensor.link_bce_sum`, which walks symmetric row blocks, and the feature
 likelihood over all N x D entries by `tensor.feature_bce_sum`, so neither
@@ -39,7 +37,7 @@ from . import metrics as mx
 from . import model as md
 from . import stochastic as sl
 from . import tensor as tc
-from .graphdata import Graph, SplitSpec, normalize_adjacency, write_atomic
+from .graphdata import Graph, SplitSpec, normalize_adjacency, train_adjacency, write_atomic
 from .tensor import NumericDomainError, Parameter, SparseMatrix, Tensor, UsageError
 
 
@@ -233,8 +231,8 @@ def effective_graph(g: Graph, config: TrainConfig) -> Graph:
 
 
 def _train_graph(g: Graph, split: SplitSpec) -> tuple[Graph, SparseMatrix]:
-    """The split's train edges with g's features, and their normalized adjacency."""
-    train_graph = Graph(n_nodes=g.n_nodes, adjacency=split.train_adjacency, features=g.features)
+    """g without the split's held-out positives, with g's features, and its normalized adjacency."""
+    train_graph = Graph(n_nodes=g.n_nodes, adjacency=train_adjacency(g, split), features=g.features)
     return train_graph, normalize_adjacency(train_graph)
 
 

@@ -5,7 +5,8 @@ checking and the op registries.
 `weighted_bce_with_logits_sum` is the dense reference for the fused
 likelihoods `tensor.link_bce_sum` and `tensor.feature_bce_sum`, which sum
 the same loss without forming the logit matrix. `oracle_make_splits` is the
-reference for `graphdata.make_splits`, which draws its negatives in batches.
+reference for `graphdata.make_splits`, which draws its negatives in batches,
+and its train edges for `graphdata.train_adjacency`.
 
 `oracle_adjacency_from_pairs`, `oracle_is_symmetric` and
 `oracle_normalize_adjacency` are the routines `graphdata` used before it
@@ -65,8 +66,11 @@ def as_scipy(m: SparseMatrix) -> sp.csr_matrix:
     return sp.csr_matrix((m.values, m.indices, m.indptr), shape=m.shape)
 
 
-def oracle_make_splits(g: gd.Graph, test_frac: float, val_frac: float, seed: int) -> gd.SplitSpec:
-    """make_splits over edge tuples, drawing one node id per rng.integers call."""
+def oracle_make_splits(g: gd.Graph, test_frac: float, val_frac: float, seed: int) -> tuple[gd.SplitSpec, SparseMatrix]:
+    """make_splits over edge tuples, drawing one node id per rng.integers call.
+
+    Also returns the adjacency of the edges the permutation leaves for training.
+    """
     edges = sorted(map(tuple, gd._upper_pairs(g.adjacency).tolist()))
     is_edge = set(edges)
     n_test = gd._holdout_size(test_frac, len(edges))
@@ -90,15 +94,14 @@ def oracle_make_splits(g: gd.Graph, test_frac: float, val_frac: float, seed: int
         pool = [(u, v) for u in range(n) for v in range(u + 1, n)
                 if (u, v) not in is_edge and (u, v) not in chosen]
         negatives.extend(pool[i] for i in rng.permutation(len(pool))[: n_neg - len(negatives)])
-    return gd.SplitSpec(
-        n_nodes=n,
-        train_adjacency=gd._adjacency_from_pairs(sorted(train_edges), n),
+    split = gd.SplitSpec(
         val_pos=pair_array(val_pos),
         val_neg=pair_array(negatives[n_test:]),
         test_pos=pair_array(test_pos),
         test_neg=pair_array(negatives[:n_test]),
         seed=seed,
     )
+    return split, gd._adjacency_from_pairs(sorted(train_edges), n)
 
 
 def oracle_adjacency_from_pairs(pairs, n: int) -> SparseMatrix:
@@ -137,8 +140,15 @@ def pair_set(pairs) -> set[tuple[int, int]]:
     return set(map(tuple, np.asarray(pairs).tolist()))
 
 
+def oracle_train_pairs(g: gd.Graph, split: gd.SplitSpec) -> list[tuple[int, int]]:
+    """g's edges (u, v), u < v, in order, without the held-out positives in either orientation."""
+    held = pair_set(split.val_pos) | pair_set(split.test_pos)
+    coo = as_scipy(g.adjacency).tocoo()
+    return [(int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v and (u, v) not in held and (v, u) not in held]
+
+
 def assert_splits_equal(a: gd.SplitSpec, b: gd.SplitSpec) -> None:
-    assert (a.n_nodes, a.seed, a.train_adjacency) == (b.n_nodes, b.seed, b.train_adjacency)
+    assert a.seed == b.seed
     for name in ("val_pos", "val_neg", "test_pos", "test_neg"):
         got, want = getattr(a, name), getattr(b, name)
         assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), name

@@ -218,8 +218,7 @@ def _matched_f1(truth: np.ndarray, pred: np.ndarray) -> float:
 @pytest.fixture(scope="module")
 def synthetic_run():
     t0 = time.monotonic()
-    g, truth = gd.generate_synthetic(
-        gd.SyntheticSpec(n_nodes=100, n_communities=10, seed=0))
+    g, truth = gd.generate_synthetic(n_nodes=100, n_communities=10, seed=0)
     split = gd.make_splits(g, test_frac=0.10, val_frac=0.05, seed=0)
     cfg = TrainConfig(variant="dglfrm", k=10, hidden=32, decoder_hidden=(32, 16),
                       alpha=4.0, dropout=0.0, epochs=800, seed=0, val_every=100)

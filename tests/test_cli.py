@@ -99,11 +99,19 @@ class TestSynth:
         assert f"n_communities {communities} must lie in [1, n_nodes {nodes}]" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("nodes", [2**31, 99999999999])
+    def test_node_count_at_or_above_id_limit_is_data_error(self, tmp_path, capsys, nodes):
+        # refused before the (N, K) membership array is allocated or any file is written
+        code = run("synth", "--nodes", nodes, "--communities", 10, "--out-prefix", tmp_path / "g")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: n_nodes {nodes} is at or above 2**31\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestSplit:
     def test_split_file_loads(self, ws):
         split = gd.load_split(ws["split"], gd.load_edge_list(ws["graph"]))
-        assert split.n_nodes == 100
+        assert Path(ws["split"]).read_text().startswith("# nodes 100\n")
         assert len(split.test_pos) > 0
         assert len(split.val_pos) > 0
 

@@ -145,8 +145,7 @@ def test_feature_training_epoch_allocates_no_n_by_d_array():
     cells = rng.choice(n * d, size=n * d // 100, replace=False)
     features = SparseMatrix.from_coo(cells // d, cells % d, np.ones(cells.size), (n, d))
     g = Graph(n_nodes=n, adjacency=adjacency, features=features)
-    split = SplitSpec(n_nodes=n, train_adjacency=adjacency,
-                      val_pos=NO_PAIRS, val_neg=NO_PAIRS, test_pos=NO_PAIRS, test_neg=NO_PAIRS, seed=0)
+    split = SplitSpec(val_pos=NO_PAIRS, val_neg=NO_PAIRS, test_pos=NO_PAIRS, test_neg=NO_PAIRS, seed=0)
     cfg = TrainConfig(variant="vgae", feature_term=True, k=8, hidden=16, epochs=1, seed=0)
     tracemalloc.start()
     try:

@@ -204,7 +204,7 @@ def test_splits_partition_edges():
     g = random_graph(0)
     split = gd.make_splits(g, 0.10, 0.05, seed=1)
     full = edge_set(g.adjacency)
-    train = edge_set(split.train_adjacency)
+    train = edge_set(gd.train_adjacency(g, split))
     held_val = pair_set(split.val_pos)
     held_test = pair_set(split.test_pos)
     assert train | held_val | held_test == full
@@ -252,6 +252,7 @@ def test_splits_deterministic():
     a = gd.make_splits(g, 0.10, 0.05, seed=9)
     b = gd.make_splits(g, 0.10, 0.05, seed=9)
     assert_splits_equal(a, b)
+    assert gd.train_adjacency(g, a) == gd.train_adjacency(g, b)
 
 
 def test_splits_seed_changes_result():
@@ -264,7 +265,7 @@ def test_splits_seed_changes_result():
 def test_splits_train_adjacency_symmetric():
     g = random_graph(13)
     split = gd.make_splits(g, 0.2, 0.1, seed=4)
-    a = to_dense(split.train_adjacency)
+    a = to_dense(gd.train_adjacency(g, split))
     np.testing.assert_array_equal(a, a.T)
     assert np.all(np.diag(a) == 0.0)
 
@@ -321,10 +322,13 @@ def test_splits_match_the_tuple_reference(seed, dense, tmp_path, monkeypatch):
     enumerations = []
     triu_indices = np.triu_indices
     monkeypatch.setattr(np, "triu_indices", lambda *a, **k: enumerations.append(1) or triu_indices(*a, **k))
-    gd.save_split(gd.make_splits(g, test_frac, val_frac, seed=seed), tmp_path / "new")
+    split = gd.make_splits(g, test_frac, val_frac, seed=seed)
+    gd.save_split(split, g, tmp_path / "new")
     assert bool(enumerations) == dense  # the dense graphs reach the enumeration fallback
-    gd.save_split(oracle_make_splits(g, test_frac, val_frac, seed), tmp_path / "old")
+    want, want_train = oracle_make_splits(g, test_frac, val_frac, seed)
+    gd.save_split(want, g, tmp_path / "old")
     assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+    assert gd.train_adjacency(g, split) == want_train
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -335,9 +339,12 @@ def test_batched_sampler_matches_the_scalar_loop(seed, n, density, tmp_path):
     iu, iv = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < density
     g = graph_from_pairs(np.column_stack((iu[keep], iv[keep])), n)
-    gd.save_split(gd.make_splits(g, 0.1, 0.05, seed=seed), tmp_path / "new")
-    gd.save_split(oracle_make_splits(g, 0.1, 0.05, seed), tmp_path / "old")
+    split = gd.make_splits(g, 0.1, 0.05, seed=seed)
+    gd.save_split(split, g, tmp_path / "new")
+    want, want_train = oracle_make_splits(g, 0.1, 0.05, seed)
+    gd.save_split(want, g, tmp_path / "old")
     assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+    assert gd.train_adjacency(g, split) == want_train
 
 
 @pytest.mark.parametrize("n", [2, 70, 2000, 2**31 - 1, 2**33])
@@ -364,17 +371,78 @@ def test_split_save_load_roundtrip(tmp_path):
     g = random_graph(21)
     split = gd.make_splits(g, 0.15, 0.05, seed=3)
     path = tmp_path / "split.txt"
-    gd.save_split(split, path)
+    gd.save_split(split, g, path)
     loaded = gd.load_split(path, g)
-    assert loaded.n_nodes == split.n_nodes
+    assert path.read_text().startswith(f"# nodes {g.n_nodes}\n")
     assert loaded.seed == split.seed
     assert np.array_equal(loaded.val_pos, split.val_pos)
     assert np.array_equal(loaded.val_neg, split.val_neg)
     assert np.array_equal(loaded.test_pos, split.test_pos)
     assert np.array_equal(loaded.test_neg, split.test_neg)
     np.testing.assert_array_equal(
-        to_dense(loaded.train_adjacency), to_dense(split.train_adjacency)
+        to_dense(gd.train_adjacency(g, loaded)), to_dense(gd.train_adjacency(g, split))
     )
+
+
+SECTIONS = ("TRAIN", "VAL_POS", "VAL_NEG", "TEST_POS", "TEST_NEG")
+
+
+def train_section(path) -> np.ndarray:
+    """The TRAIN pairs of a split file, as its lines give them."""
+    lines = path.read_text().splitlines()
+    start = lines.index("TRAIN") + 1
+    end = next(i for i in range(start, len(lines)) if lines[i] in SECTIONS)
+    return np.array([line.split() for line in lines[start:end]], dtype=np.int64).reshape(-1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 30), fill=st.floats(0.05, 0.9),
+       empty=st.sets(st.sampled_from(SECTIONS)), made=st.booleans())
+def test_train_adjacency_is_the_train_section(tmp_path_factory, seed, n, fill, empty, made):
+    """train_adjacency is the adjacency of the split file's TRAIN section, and symmetric.
+
+    The splits come from make_splits, saved and loaded back, or from written
+    files whose pairs are in either orientation and whose `empty` sections
+    hold no pair (TRAIN takes the edges when every positive section is empty).
+    """
+    g = random_graph(seed, n, fill=fill)
+    path = tmp_path_factory.mktemp("split") / "s.split"
+    if made:
+        try:
+            split = gd.make_splits(g, 0.2, 0.1, seed=seed)
+        except gd.SplitError:
+            return  # too few edges or non-edges to hold out
+        gd.save_split(split, g, path)
+        splits = [split, gd.load_split(path, g)]
+    else:
+        rng = np.random.default_rng(seed + 1)
+        edges = gd._upper_pairs(g.adjacency)
+        flipped = rng.random(len(edges)) < 0.5
+        edges[flipped] = edges[flipped, ::-1]
+        non_edges = np.argwhere(np.triu(to_dense(g.adjacency) == 0, 1))
+        positive = [name for name in ("TRAIN", "VAL_POS", "TEST_POS") if name not in empty] or ["TRAIN"]
+        negative = [name for name in ("VAL_NEG", "TEST_NEG") if name not in empty] + [None]
+        lines = {name: [] for name in SECTIONS}
+        for pair, name in zip(edges, rng.choice(positive, size=len(edges))):
+            lines[name].append("%d %d\n" % tuple(pair))
+        for pair, name in zip(non_edges, rng.choice(np.array(negative, dtype=object), size=len(non_edges))):
+            if name is not None:
+                lines[name].append("%d %d\n" % tuple(pair))
+        path.write_text(f"# nodes {n}\n" + "".join(name + "\n" + "".join(lines[name]) for name in SECTIONS))
+        splits = [gd.load_split(path, g)]
+    want = gd._adjacency_from_pairs(train_section(path), n)
+    for split in splits:
+        got = gd.train_adjacency(g, split)
+        assert got == want
+        assert oracle_is_symmetric(got)
+
+
+def test_train_adjacency_keeps_the_graph_for_a_non_edge_positive():
+    # only a hand-built split can hold out a pair that is not an edge
+    g = graph_from_pairs([(0, 1), (1, 2), (2, 3)], 4)
+    split = gd.SplitSpec(val_pos=np.array([[0, 2]]), val_neg=np.array([[1, 3]]),
+                         test_pos=np.array([[3, 0]]), test_neg=np.array([[0, 2]]), seed=0)
+    assert gd.train_adjacency(g, split) == g.adjacency
 
 
 SPLIT_OK = (
@@ -547,7 +615,7 @@ def test_write_failing_at_rename_keeps_old_file(tmp_path, monkeypatch):
 
 
 def test_synthetic_invariants():
-    g, memberships = gd.generate_synthetic(gd.SyntheticSpec(100, 10, seed=0))
+    g, memberships = gd.generate_synthetic(100, 10, seed=0)
     assert g.n_nodes == 100
     assert memberships.shape == (100, 10)
     assert np.all(memberships.sum(axis=1) >= 1)
@@ -560,14 +628,14 @@ def test_synthetic_invariants():
 
 
 def test_synthetic_deterministic():
-    a1, m1 = gd.generate_synthetic(gd.SyntheticSpec(50, 5, seed=7))
-    a2, m2 = gd.generate_synthetic(gd.SyntheticSpec(50, 5, seed=7))
+    a1, m1 = gd.generate_synthetic(50, 5, seed=7)
+    a2, m2 = gd.generate_synthetic(50, 5, seed=7)
     np.testing.assert_array_equal(to_dense(a1.adjacency), to_dense(a2.adjacency))
     np.testing.assert_array_equal(m1, m2)
 
 
 def test_synthetic_block_structure_frequencies():
-    g, memberships = gd.generate_synthetic(gd.SyntheticSpec(200, 4, seed=1))
+    g, memberships = gd.generate_synthetic(200, 4, seed=1)
     a = to_dense(g.adjacency)
     overlap = memberships @ memberships.T
     iu, iv = np.triu_indices(200, k=1)
@@ -584,10 +652,9 @@ def test_synthetic_edge_probability_constants():
     assert 1.0 / (1.0 + np.exp(4.0)) == pytest.approx(0.018, abs=5e-4)
 
 
-def dense_generate_synthetic(spec):
+def dense_generate_synthetic(n, k, seed):
     """The one-shot construction: the N x N probability matrix and every upper pair."""
-    n, k = spec.n_nodes, spec.n_communities
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     memberships = np.zeros((n, k))
     for node in range(n):
         primary = node % k
@@ -615,14 +682,13 @@ def _output_digests(tmp_path, g, memberships):
 def test_blocked_synthetic_matches_dense_construction(tmp_path, n, k, seed):
     # blocks of LINK_BLOCK_ELEMENTS // N rows: N=1000 ends on a short block
     # (262 rows per block), and N=300 fits in one
-    spec = gd.SyntheticSpec(n, k, seed=seed)
-    want = _output_digests(tmp_path, *dense_generate_synthetic(spec))
-    assert _output_digests(tmp_path, *gd.generate_synthetic(spec)) == want
+    want = _output_digests(tmp_path, *dense_generate_synthetic(n, k, seed))
+    assert _output_digests(tmp_path, *gd.generate_synthetic(n, k, seed)) == want
 
 
 def test_synthetic_rejects_more_communities_than_nodes():
     with pytest.raises(gd.SplitError):
-        gd.generate_synthetic(gd.SyntheticSpec(5, 10, seed=0))
+        gd.generate_synthetic(5, 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +701,19 @@ def assert_same_csr(m: SparseMatrix, want: sp.csr_matrix, exact: bool = True) ->
     assert m.shape == want.shape
     np.testing.assert_array_equal(m.indptr, want.indptr)
     np.testing.assert_array_equal(m.indices, want.indices)
-    assert m.indices.dtype == np.int32 and m.values.dtype == np.float64
+    assert m.indptr.dtype == m.indices.dtype == np.int32 and m.values.dtype == np.float64
     if exact:
         np.testing.assert_array_equal(m.values, want.data)
     else:  # duplicates may be summed in another order
         assert_close(m.values, want.data, rtol=1e-15)
+
+
+def test_index_dtype_is_int64_once_a_dimension_reaches_2_31():
+    # the compiled kernels take indptr and indices in one dtype, as scipy picks it
+    m = SparseMatrix.from_coo([0], [2**31], [1.0], (1, 2**31 + 1))
+    assert m.indptr.dtype == m.indices.dtype == np.int64
+    assert m.indices.tolist() == [2**31]
+    assert SparseMatrix.from_coo([0], [2**31 - 2], [1.0], (1, 2**31 - 1)).indices.dtype == np.int32
 
 
 @settings(max_examples=80, deadline=None)
@@ -861,7 +935,7 @@ def test_splits_partition_property(seed, n_edges_scale):
     except gd.SplitError:
         return
     full = set(pairs)
-    train = edge_set(split.train_adjacency)
+    train = edge_set(gd.train_adjacency(g, split))
     assert train | pair_set(split.val_pos) | pair_set(split.test_pos) == full
     assert len(train) + len(split.val_pos) + len(split.test_pos) == len(full)
     dense = to_dense(g.adjacency)

@@ -232,8 +232,7 @@ def test_training_step_allocates_no_n_by_n_array():
     """One epoch of `train` at N=3000 peaks below the N x N float64 grid (72 MB)."""
     n = 3000
     g = _random_graph(n, np.random.default_rng(0), with_features=False)
-    split = SplitSpec(n_nodes=n, train_adjacency=g.adjacency,
-                      val_pos=NO_PAIRS, val_neg=NO_PAIRS, test_pos=NO_PAIRS, test_neg=NO_PAIRS, seed=0)
+    split = SplitSpec(val_pos=NO_PAIRS, val_neg=NO_PAIRS, test_pos=NO_PAIRS, test_neg=NO_PAIRS, seed=0)
     cfg = TrainConfig(variant="dglfrm", k=8, hidden=16, decoder_hidden=(8,), epochs=1, seed=0)
     tracemalloc.start()
     try:

@@ -331,7 +331,7 @@ class TestExtractCommunities:
     def make_synth_ckpt(self, variant="dglfrm", epochs=4):
         from dglfrm import graphdata as gd
 
-        g, _ = gd.generate_synthetic(gd.SyntheticSpec(n_nodes=30, n_communities=3, seed=4))
+        g, _ = gd.generate_synthetic(n_nodes=30, n_communities=3, seed=4)
         split = gd.make_splits(g, test_frac=0.15, val_frac=0.05, seed=1)
         cfg = trainer.TrainConfig(
             variant=variant,

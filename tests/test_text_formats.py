@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from dglfrm import graphdata as gd
 from dglfrm.graphdata import LoadError, SplitSpec, _adjacency_from_pairs
-from oracles import as_scipy, assert_splits_equal, pair_array, to_dense
+from oracles import as_scipy, assert_splits_equal, oracle_train_pairs, pair_array, to_dense
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -136,7 +136,7 @@ def oracle_load_features(path, n_nodes: int) -> np.ndarray:
 SECTIONS = ("TRAIN", "VAL_POS", "VAL_NEG", "TEST_POS", "TEST_NEG")
 
 
-def oracle_load_split(path, g: gd.Graph) -> SplitSpec:
+def oracle_load_split(path, g: gd.Graph) -> tuple[SplitSpec, gd.SparseMatrix]:
     path = Path(path)
     try:
         text = path.read_text()
@@ -192,15 +192,14 @@ def oracle_load_split(path, g: gd.Graph) -> SplitSpec:
     if unlisted:
         a, b = unlisted[0]
         raise LoadError(f"{path}: graph edge {a} {b} is in none of TRAIN, VAL_POS and TEST_POS")
-    return SplitSpec(
-        n_nodes=n,
-        train_adjacency=_adjacency_from_pairs(sections["TRAIN"], n),
+    split = SplitSpec(
         val_pos=pair_array(sections["VAL_POS"]),
         val_neg=pair_array(sections["VAL_NEG"]),
         test_pos=pair_array(sections["TEST_POS"]),
         test_neg=pair_array(sections["TEST_NEG"]),
         seed=headers.get("seed", 0),
     )
+    return split, _adjacency_from_pairs(sections["TRAIN"], n)
 
 
 def oracle_edge_list_text(g: gd.Graph) -> str:
@@ -210,11 +209,10 @@ def oracle_edge_list_text(g: gd.Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def oracle_split_text(split: SplitSpec) -> str:
-    lines = [f"# nodes {split.n_nodes}", f"# seed {split.seed}"]
-    coo = as_scipy(split.train_adjacency).tocoo()
+def oracle_split_text(split: SplitSpec, g: gd.Graph) -> str:
+    lines = [f"# nodes {g.n_nodes}", f"# seed {split.seed}"]
     sections = {
-        "TRAIN": [(int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v],
+        "TRAIN": oracle_train_pairs(g, split),
         "VAL_POS": split.val_pos,
         "VAL_NEG": split.val_neg,
         "TEST_POS": split.test_pos,
@@ -446,8 +444,8 @@ def split_file(draw):
         split = gd.make_splits(g, 0.2, 0.2, seed=draw(st.integers(0, 99)))
     except gd.SplitError:
         assume(False)  # too few edges or non-edges to hold out
-    lines = oracle_split_text(split).splitlines()
-    n = split.n_nodes
+    lines = oracle_split_text(split, g).splitlines()
+    n = g.n_nodes
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(lines) - 1))
         edit = draw(st.integers(0, 7))
@@ -488,7 +486,8 @@ def test_split_matches_oracle(tmp_path, case):
     if got[0] == "error":
         assert got[1] == expected[1]
     else:
-        assert_splits_equal(got[1], expected[1])
+        assert_splits_equal(got[1], expected[1][0])
+        assert gd.train_adjacency(g, got[1]) == expected[1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +504,14 @@ def width_cases(case):
     """(file name, loader, good text, bad text, bad line, message) of one format."""
     if case == "split":
         g = random_graph(3, 8)
-        lines = oracle_split_text(gd.make_splits(g, 0.2, 0.2, seed=1)).splitlines(keepends=True)
+        lines = oracle_split_text(gd.make_splits(g, 0.2, 0.2, seed=1), g).splitlines(keepends=True)
         bad = "".join(lines[:4] + ["0 x\n"] + lines[4:])
-        return "s.split", lambda p: gd.load_split(p, g), "".join(lines), bad, 5, "non-integer node id in '0 x'"
+
+        def load(path):
+            split = gd.load_split(path, g)
+            return split, gd.train_adjacency(g, split)
+
+        return "s.split", load, "".join(lines), bad, 5, "non-integer node id in '0 x'"
     return {
         "edges": ("e.txt", gd.load_edge_list, "# nodes 6\n0 1\n1 2\n2 0\n3 4\n", "0 1\n1 2\n2 x\n",
                   3, "non-integer node id in '2 x'"),
@@ -525,7 +529,8 @@ def test_both_character_widths_load_alike(tmp_path, case):
     assert (gd._TextFile(plain).code.dtype, gd._TextFile(wide).code.dtype) == (np.uint8, np.uint32)
     got, want = load(wide), load(plain)
     if case == "split":
-        assert_splits_equal(got, want)
+        assert_splits_equal(got[0], want[0])
+        assert got[1] == want[1]
     elif case == "edges":
         assert (got.n_nodes, got.adjacency) == (want.n_nodes, want.adjacency)
     else:
@@ -556,10 +561,12 @@ def test_edge_list_and_split_round_trip_byte_for_byte(tmp_path_factory, seed, n)
         split = gd.make_splits(g, 0.2, 0.1, seed=seed)
     except gd.SplitError:
         return  # too few edges or non-edges to hold out
-    gd.save_split(split, tmp / "a.split")
-    assert (tmp / "a.split").read_text() == oracle_split_text(split)
-    assert_splits_equal(gd.load_split(tmp / "a.split", g), split)
-    gd.save_split(gd.load_split(tmp / "a.split", g), tmp / "b.split")
+    gd.save_split(split, g, tmp / "a.split")
+    assert (tmp / "a.split").read_text() == oracle_split_text(split, g)
+    loaded = gd.load_split(tmp / "a.split", g)
+    assert_splits_equal(loaded, split)
+    assert gd.train_adjacency(g, loaded) == gd.train_adjacency(g, split)
+    gd.save_split(loaded, g, tmp / "b.split")
     assert (tmp / "a.split").read_bytes() == (tmp / "b.split").read_bytes()
 
 

@@ -42,8 +42,6 @@ def small_graph(n=6, extra=((1, 4),), seed=8, with_features=True):
 
 def trivial_split(g):
     return SplitSpec(
-        n_nodes=g.n_nodes,
-        train_adjacency=g.adjacency,
         val_pos=NO_PAIRS,
         val_neg=NO_PAIRS,
         test_pos=NO_PAIRS,
@@ -69,9 +67,7 @@ def tiny_config(**over):
 
 @pytest.fixture(scope="module")
 def synth():
-    g, memberships = gd.generate_synthetic(
-        gd.SyntheticSpec(n_nodes=40, n_communities=4, seed=5)
-    )
+    g, memberships = gd.generate_synthetic(n_nodes=40, n_communities=4, seed=5)
     split = gd.make_splits(g, test_frac=0.15, val_frac=0.05, seed=2)
     return g, split
 
@@ -381,7 +377,7 @@ def test_binary_variant_has_no_gaussian_heads():
 
 class TestTrain:
     def test_loss_decreases_on_synthetic(self):
-        g, _ = gd.generate_synthetic(gd.SyntheticSpec(n_nodes=100, n_communities=10, seed=0))
+        g, _ = gd.generate_synthetic(n_nodes=100, n_communities=10, seed=0)
         split = gd.make_splits(g, test_frac=0.15, val_frac=0.05, seed=0)
         cfg = TrainConfig(
             variant="dglfrm",
@@ -419,7 +415,7 @@ class TestTrain:
         assert report.val_trace == []
         assert ckpt.step == 0
         want = trainer.init_params(
-            Graph(n_nodes=g.n_nodes, adjacency=split.train_adjacency, features=g.features),
+            Graph(n_nodes=g.n_nodes, adjacency=gd.train_adjacency(g, split), features=g.features),
             cfg,
             np.random.default_rng(cfg.seed),
         )
@@ -557,7 +553,7 @@ class TestTrain:
         assert report.val_trace == [] and report.best_val_auc is None
         assert ckpt.step == report.best_epoch == 4
         init = trainer.init_params(
-            Graph(n_nodes=g.n_nodes, adjacency=split.train_adjacency, features=g.features),
+            Graph(n_nodes=g.n_nodes, adjacency=gd.train_adjacency(g, split), features=g.features),
             cfg,
             np.random.default_rng(cfg.seed),
         )
@@ -594,7 +590,7 @@ class TestScorePairs:
         g, split = synth
         ckpt, _ = trainer.train(g, split, tiny_config(epochs=3))
         a_hat = normalize_adjacency(
-            Graph(n_nodes=g.n_nodes, adjacency=split.train_adjacency, features=g.features)
+            Graph(n_nodes=g.n_nodes, adjacency=gd.train_adjacency(g, split), features=g.features)
         )
         pairs = np.concatenate([split.test_pos, split.test_neg])
         s1 = trainer.score_pairs(ckpt, g, a_hat, pairs)
@@ -669,7 +665,7 @@ class TestCheckpointIO:
         trainer.save_checkpoint(ckpt, path)
         loaded = trainer.load_checkpoint(path)
         a_hat = normalize_adjacency(
-            Graph(n_nodes=g.n_nodes, adjacency=split.train_adjacency, features=g.features)
+            Graph(n_nodes=g.n_nodes, adjacency=gd.train_adjacency(g, split), features=g.features)
         )
         pairs = np.concatenate([split.test_pos, split.test_neg])
         before = trainer.score_pairs(ckpt, g, a_hat, pairs)
