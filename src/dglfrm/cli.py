@@ -326,10 +326,10 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except Exception as e:
-        code = 2 if isinstance(e, OSError) else getattr(e, "exit_code", None)
+        code = 2 if isinstance(e, (OSError, MemoryError)) else getattr(e, "exit_code", None)
         if code is None:
             raise
-        print(f"{'numeric failure' if code == 3 else 'error'}: {e}", file=sys.stderr)
+        print(f"{'numeric failure' if code == 3 else 'error'}: {str(e) or type(e).__name__}", file=sys.stderr)
         return code
     return 0
 

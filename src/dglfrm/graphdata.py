@@ -23,7 +23,7 @@ OVERLAP_PROB = 0.3  # chance a synthetic node joins one extra community
 # u * n + v and row * width + col below 2**62.
 ID_LIMIT = 2**31
 # Elements per row block of the blocked ops: link_bce_sum, feature_bce_sum
-# and the synthetic edge draw (1 MB of float64 per temporary).
+# and the synthetic edge draw (1 MB per float64 temporary, 512 KB per float32 one).
 # For link_bce_sum, sizes 2**16 to 2**18 timed within 10% of each other at
 # N = 2000 to 5000, 2**20 up to 16% slower. The fused likelihoods keep up to
 # BLOCK_WORKERS blocks in flight: at 2**17 two hold what one 2**18 block held.
@@ -55,14 +55,14 @@ def sigmoid_np(x: np.ndarray, out=None) -> np.ndarray:
 
 
 class SparseMatrix:
-    """Immutable CSR float64 matrix: each row's column indices sorted and unique.
+    """Immutable CSR matrix: each row's column indices sorted and unique.
 
-    `SparseMatrix(dense)` stores the nonzero entries of a 2-D array. indptr
-    and indices share one index dtype, the one tensor.spmm's compiled kernel
-    reads: int32 while nnz and both dimensions are below 2**31, else int64.
-    Two facts derived from the arrays are computed at most once and kept: the
-    kernel's arrays of the transpose, and whether the matrix is symmetric,
-    which `_adjacency_from_pairs` knows when it builds one.
+    `SparseMatrix(dense)` stores a 2-D array's nonzeros as float64 (training's
+    targets hold float32: `trainer._train_graph`). indptr and indices share
+    the index dtype tensor.spmm's compiled kernel reads: int32 while nnz and
+    both dimensions are below 2**31, else int64. Computed at most once and
+    kept: the kernel's arrays of the transpose, and whether the matrix is
+    symmetric, which `_adjacency_from_pairs` knows when it builds one.
     """
 
     __slots__ = ("shape", "indptr", "indices", "values", "_symmetric", "_spmm_view_t")
@@ -103,9 +103,9 @@ class SparseMatrix:
         order = np.argsort(key)
         return cls._from_keys(key[order], vals[order], shape)
 
-    def with_values(self, values: np.ndarray) -> "SparseMatrix":
-        """The same pattern holding `values`, one per stored entry."""
-        return SparseMatrix.__new__(SparseMatrix)._set(self.shape, self.indptr, self.indices, values)
+    def with_values(self, values: np.ndarray, symmetric: bool | None = None) -> "SparseMatrix":
+        """The same pattern holding `values`, one per stored entry; `symmetric` is the caller's verdict, if known."""
+        return SparseMatrix.__new__(SparseMatrix)._set(self.shape, self.indptr, self.indices, values, symmetric)
 
     def is_symmetric(self) -> bool:
         """Whether the matrix equals its transpose, stored zeros included."""

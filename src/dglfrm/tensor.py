@@ -1,5 +1,7 @@
 """Float64 tensors with reverse-mode autodiff, the sparse product, and Adam.
 
+The fused likelihoods' row blocks compute in their targets' dtype; their sums are float64.
+
 The sparse product runs scipy's compiled CSR kernels, `csr_matvecs` and
 `csr_tocsc`, on the matrix's own arrays, loaded without scipy's package
 inits (see `_load_sparsetools`).
@@ -414,9 +416,10 @@ def _csr_product(s: SparseMatrix, x: np.ndarray, transposed: bool = False) -> np
         s._spmm_view_t = (np.empty(s.shape[1] + 1, s.indptr.dtype), np.empty_like(s.indices), np.empty_like(s.values))
         _sparsetools.csr_tocsc(*s.shape, s.indptr, s.indices, s.values, *s._spmm_view_t)
     n_rows, n_cols = s.shape[::-1] if transposed else s.shape
-    arrays = s._spmm_view_t if transposed else (s.indptr, s.indices, s.values)
+    indptr, indices, values = s._spmm_view_t if transposed else (s.indptr, s.indices, s.values)
     out = np.zeros((n_rows, x.shape[1]))
-    _sparsetools.csr_matvecs(n_rows, n_cols, x.shape[1], *arrays, x.ravel(), out.ravel())
+    values = values.astype(np.float64, copy=False)  # exact for float32 values
+    _sparsetools.csr_matvecs(n_rows, n_cols, x.shape[1], indptr, indices, values, x.ravel(), out.ravel())
     return out
 
 
@@ -486,25 +489,25 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
 BLOCK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _sum_blocks(n: int, rows: int, width: int, partial_shape: tuple, block) -> float:
+def _sum_blocks(n: int, rows: int, width: int, partial_shape: tuple, dtype, block) -> float:
     """Sum block(a, b, scratch, partial) over the row blocks [a, b) of n rows, `rows` at a time.
 
     A block returns its loss, its partial gradient (written into `partial`,
     shaped partial_shape) and the array to add that to; rows no other block
     touches it writes itself. Up to BLOCK_WORKERS blocks run at once on
     threads, each in a copy of the caller's contextvars context (np.errstate
-    lives there). Their buffers (`scratch` is three of rows * width) belong to
-    the calling thread: large allocations made on the workers stay in glibc's
-    per-thread arenas and raise peak RSS. The calling thread adds the results
-    in block order, so the bits do not depend on the worker count. A block's
-    exception is raised once the blocks in flight are done.
+    lives there). Their `dtype` buffers (`scratch` is three of rows * width)
+    belong to the calling thread: large allocations made on the workers stay
+    in glibc's per-thread arenas and raise peak RSS. The calling thread adds
+    the results in block order, so the bits do not depend on the worker
+    count. A block's exception is raised once the blocks in flight are done.
     """
     from concurrent.futures import ThreadPoolExecutor  # only training walks blocks
 
     starts = range(0, n, rows)
     workers = max(1, min(BLOCK_WORKERS, len(starts)))
-    scratch = np.empty((workers, 3, rows * width))
-    partials = np.empty((workers, *partial_shape))
+    scratch = np.empty((workers, 3, rows * width), dtype)
+    partials = np.empty((workers, *partial_shape), dtype)
     total, in_flight = 0.0, []
     with ThreadPoolExecutor(workers) as pool:
         for i, a in enumerate(starts):
@@ -536,8 +539,10 @@ def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Ten
     the upper triangle and the diagonal are computed, each pair above the
     diagonal counted twice. The blocks run on BLOCK_WORKERS threads and are
     summed in block order (see _sum_blocks), so the result is deterministic
-    and independent of the worker count. Memory is O(BLOCK_WORKERS *
-    (LINK_BLOCK_ELEMENTS + N * F) + N * F).
+    and independent of the worker count. Blocks compute in the dtype of
+    `positives`' values (left and right are cast once) and sum into float64.
+    Memory is O(BLOCK_WORKERS * (LINK_BLOCK_ELEMENTS + N * F) + N * F)
+    elements of that dtype, plus float64 gradients.
 
     Both gradients are accumulated in the forward pass, so backward only
     scales them: left gets G @ right and right gets G.T @ left, with G the
@@ -554,12 +559,13 @@ def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Ten
         )
     grad_left = np.zeros_like(left.data)
     grad_right = np.zeros_like(right.data)
-    indptr, indices = positives.indptr, positives.indices
+    indptr, indices, dtype = positives.indptr, positives.indices, positives.values.dtype
+    lf, rf = left.data.astype(dtype, copy=False), right.data.astype(dtype, copy=False)
 
     def block(a: int, b: int, scratch: np.ndarray, partial: np.ndarray):
         m, cols = b - a, n - a
         x, loss, d = (buf[: m * cols].reshape(m, cols) for buf in scratch)
-        np.matmul(left.data[a:b], right.data[a:].T, out=x)
+        np.matmul(lf[a:b], rf[a:].T, out=x)
         # targets in the block: train edges above the diagonal, then the diagonal
         r = np.repeat(np.arange(m), np.diff(indptr[a : b + 1]))
         c = indices[indptr[a] : indptr[b]] - a
@@ -567,22 +573,22 @@ def link_bce_sum(left, right, positives: SparseMatrix, pos_weight: float) -> Ten
         pr = np.concatenate([r[above], np.arange(m)])
         pc = np.concatenate([c[above], np.arange(m)])
         # pair weights in the square [a, b) x [a, b): 2 above the diagonal, 1 on it
-        w = np.triu(np.full((m, m), 2.0), 1)
+        w = np.triu(np.full((m, m), 2.0, dtype), 1)
         np.fill_diagonal(w, 1.0)
 
         _softplus_np(x, out=loss, scratch=d)  # -log(1 - sigmoid(x)) for a non-edge
         loss[pr, pc] = pos_weight * _softplus_np(-x[pr, pc])  # -w log sigmoid(x)
         loss[:, :m] *= w
-        block_total = float(loss[:, :m].sum()) + 2.0 * float(loss[:, m:].sum())
+        block_total = float(loss[:, :m].sum(dtype=np.float64) + 2.0 * loss[:, m:].sum(dtype=np.float64))
 
         sigmoid_np(x, out=d)
         d[pr, pc] = pos_weight * (d[pr, pc] - 1.0)
         d[:, :m] *= w
         d[:, m:] *= 2.0
-        grad_left[a:b] += d @ right.data[a:]
-        return block_total, np.matmul(d.T, left.data[a:b], out=partial[a:]), grad_right[a:]
+        grad_left[a:b] += d @ rf[a:]
+        return block_total, np.matmul(d.T, lf[a:b], out=partial[a:]), grad_right[a:]
 
-    total = _sum_blocks(n, max(1, min(n, LINK_BLOCK_ELEMENTS // n)), n, left.shape, block)
+    total = _sum_blocks(n, max(1, min(n, LINK_BLOCK_ELEMENTS // n)), n, left.shape, dtype, block)
     return _make(
         "link_bce_sum", np.asarray(total), (left, lambda g: g * grad_left), (right, lambda g: g * grad_right)
     )
@@ -595,10 +601,11 @@ def feature_bce_sum(z, w, targets: SparseMatrix) -> Tensor:
     softplus(x) - y * x for any target y, so each row block [a, b) of
     LINK_BLOCK_ELEMENTS // D rows adds the sum of softplus over its logits
     minus y * x over its stored targets. As in link_bce_sum, the blocks run on
-    BLOCK_WORKERS threads and are summed in block order, memory is
-    O(BLOCK_WORKERS * (LINK_BLOCK_ELEMENTS + K * D) + N * K), and both
-    gradients are accumulated in the forward pass: z gets G @ w.T and w gets
-    z.T @ G, with G = sigmoid(X) - Y.
+    BLOCK_WORKERS threads in the targets' dtype and are summed in block order
+    into float64, memory is O(BLOCK_WORKERS * (LINK_BLOCK_ELEMENTS + K * D) +
+    N * K) elements of that dtype plus float64 gradients, and both gradients
+    are accumulated in the forward pass: z gets G @ w.T and w gets z.T @ G,
+    with G = sigmoid(X) - Y.
     """
     z, w = as_tensor(z), as_tensor(w)
     n, d = targets.shape
@@ -607,20 +614,21 @@ def feature_bce_sum(z, w, targets: SparseMatrix) -> Tensor:
     grad_z = np.empty_like(z.data)
     grad_w = np.zeros_like(w.data)
     indptr, indices, values = targets.indptr, targets.indices, targets.values
+    zf, wf = z.data.astype(values.dtype, copy=False), w.data.astype(values.dtype, copy=False)
 
     def block(a: int, b: int, scratch: np.ndarray, partial: np.ndarray):
         x, loss, g = (buf[: (b - a) * d].reshape(b - a, d) for buf in scratch)
-        np.matmul(z.data[a:b], w.data, out=x)
+        np.matmul(zf[a:b], wf, out=x)
         r = np.repeat(np.arange(b - a), np.diff(indptr[a : b + 1]))
         c = indices[indptr[a] : indptr[b]]
         y = values[indptr[a] : indptr[b]]
-        block_total = float(_softplus_np(x, out=loss, scratch=g).sum()) - float(y @ x[r, c])
+        block_total = float(_softplus_np(x, out=loss, scratch=g).sum(dtype=np.float64) - y @ x[r, c].astype(float))
         sigmoid_np(x, out=g)
         g[r, c] -= y
-        grad_z[a:b] = g @ w.data.T
-        return block_total, np.matmul(z.data[a:b].T, g, out=partial), grad_w
+        grad_z[a:b] = g @ wf.T
+        return block_total, np.matmul(zf[a:b].T, g, out=partial), grad_w
 
-    total = _sum_blocks(n, max(1, min(n, LINK_BLOCK_ELEMENTS // d)), d, w.shape, block)
+    total = _sum_blocks(n, max(1, min(n, LINK_BLOCK_ELEMENTS // d)), d, w.shape, values.dtype, block)
     return _make("feature_bce_sum", np.asarray(total), (z, lambda g: g * grad_z), (w, lambda g: g * grad_w))
 
 

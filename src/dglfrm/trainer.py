@@ -231,9 +231,14 @@ def effective_graph(g: Graph, config: TrainConfig) -> Graph:
 
 
 def _train_graph(g: Graph, split: SplitSpec) -> tuple[Graph, SparseMatrix]:
-    """g without the split's held-out positives, with g's features, and its normalized adjacency."""
-    train_graph = Graph(n_nodes=g.n_nodes, adjacency=train_adjacency(g, split), features=g.features)
-    return train_graph, normalize_adjacency(train_graph)
+    """g without the split's held-out positives, with g's features, and its float64 normalized adjacency.
+
+    The one precision decision: its adjacency and features, the fused likelihoods' targets, hold float32.
+    """
+    a = train_adjacency(g, split)
+    x = None if g.features is None else g.features.with_values(g.features.values.astype(np.float32))
+    train_graph = Graph(g.n_nodes, a.with_values(a.values.astype(np.float32), symmetric=True), x)
+    return train_graph, normalize_adjacency(Graph(n_nodes=g.n_nodes, adjacency=a))
 
 
 def model_shapes(config: TrainConfig, n_nodes: int, d_features: int) -> dict[str, tuple[int, int]]:

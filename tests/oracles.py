@@ -8,6 +8,8 @@ the same loss without forming the logit matrix. `oracle_make_splits` is the
 reference for `graphdata.make_splits`, which draws its negatives in batches,
 and its train edges for `graphdata.train_adjacency`.
 
+`as_float32` stores a matrix's values as training stores its targets.
+
 `oracle_adjacency_from_pairs`, `oracle_is_symmetric` and
 `oracle_normalize_adjacency` are the routines `graphdata` used before it
 built CSR arrays from sorted keys: each put its entries through
@@ -48,6 +50,11 @@ def assert_close(actual, expected, rtol: float = 1e-12):
     expected = np.asarray(expected)
     atol = rtol * max(1.0, float(np.max(np.abs(expected), initial=0.0)))
     np.testing.assert_allclose(actual, expected, rtol=rtol, atol=atol)
+
+
+def as_float32(m: SparseMatrix) -> SparseMatrix:
+    """The same pattern with float32 values, as training stores its targets."""
+    return m.with_values(m.values.astype(np.float32))
 
 
 def sparse_identity(n: int) -> SparseMatrix:

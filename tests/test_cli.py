@@ -107,6 +107,26 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: n_nodes {nodes} is at or above 2**31\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "error,message",
+        [
+            (MemoryError("Unable to allocate 149. GiB for an array with shape (2000000000, 10)"),
+             "Unable to allocate 149. GiB for an array with shape (2000000000, 10)"),
+            (MemoryError(), "MemoryError"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_is_data_error(self, tmp_path, capsys, monkeypatch, error, message):
+        # a node count below 2**31 whose arrays do not fit: numpy raises MemoryError before any write
+        def refuse(*args):
+            raise error
+
+        monkeypatch.setattr(gd, "generate_synthetic", refuse)
+        code = run("synth", "--nodes", 2000000000, "--communities", 10, "--out-prefix", tmp_path / "g")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestSplit:
     def test_split_file_loads(self, ws):

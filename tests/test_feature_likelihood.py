@@ -5,7 +5,8 @@ N x D logit matrix; its oracle is the dense logits and
 `weighted_bce_with_logits_sum` with positive weight 1. `tensor.sparse_dropout`
 keeps the stored pattern and draws one uniform per stored entry. The feature
 blocks run on a thread pool and are summed in block order, so the bits must
-not depend on the number of workers.
+not depend on the number of workers. As for the link likelihood, float32
+targets make the blocks compute in float32.
 """
 
 import tracemalloc
@@ -21,7 +22,7 @@ from dglfrm import trainer
 from dglfrm.graphdata import Graph, SplitSpec
 from dglfrm.tensor import Parameter, SparseMatrix
 from dglfrm.trainer import TrainConfig
-from oracles import NO_PAIRS, assert_close, to_dense, weighted_bce_with_logits_sum
+from oracles import NO_PAIRS, as_float32, assert_close, to_dense, weighted_bce_with_logits_sum
 
 
 def random_targets(n, d, density, binary, rng) -> np.ndarray:
@@ -86,6 +87,85 @@ def test_feature_bce_sum_bits_do_not_depend_on_the_worker_count(n, d, density, b
     rng = np.random.default_rng(n)
     targets = SparseMatrix(random_targets(n, d, density, False, rng))
     z0, w0 = rng.normal(size=(n, 3)), rng.normal(size=(3, d))
+    runs = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", block), \
+                mock.patch.object(tc, "BLOCK_WORKERS", workers):
+            runs.append(loss_and_grads(tc.feature_bce_sum, z0, w0, targets))
+    for run in runs[1:]:
+        assert run[0] == runs[0][0]
+        for got, want in zip(run[1:], runs[0][1:]):
+            np.testing.assert_array_equal(got, want)
+
+
+def float32_error_scales(z0, w0, targets):
+    """The scales of the float32 blocks' rounding error: the loss's, then the gradients'.
+
+    As in the link likelihood's, a logit x is off by a few float32 epsilons
+    of its entry's m = |z| @ |w|. The loss sums softplus(x) and subtracts
+    y * x, each rounded apart, so it is off by those of (sigmoid(x) + |y|) m
+    and of softplus(x) + |y x|; the derivative sigmoid(x) - y by
+    sigmoid'(x) m plus 1 + |y|, which run through the chain on |z| and |w|.
+    """
+    y, x = to_dense(targets), z0 @ w0
+    s = tc.sigmoid_np(x)
+    rounded = (tc._softplus_np(x) + np.abs(y * x)).sum()
+
+    def scale(z, w, targets):  # on |z| and |w|
+        m = tc.matmul(z, w)
+        loss = rounded + ((s + np.abs(y)) * m.data).sum()
+        return tc._make("scale", np.asarray(loss), (m, lambda up: up * (1.0 + np.abs(y) + s * (1.0 - s) * m.data)))
+
+    loss, *grads = loss_and_grads(scale, np.abs(z0), np.abs(w0), targets)
+    return loss, grads
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(1, 4),
+    d=st.integers(1, 40),
+    density=st.floats(0.0, 1.0),
+    binary=st.booleans(),
+    scale=st.floats(0.0, 40.0),
+    block=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+# logits beyond 88 in magnitude, where float32 exp overflows
+@example(n=9, k=3, d=20, density=0.2, binary=False, scale=40.0, block=50, seed=1)
+@example(n=10, k=4, d=7, density=0.5, binary=True, scale=30.0, block=tc.LINK_BLOCK_ELEMENTS, seed=2)
+# one confident target, whose loss softplus(x) - x cancels
+@example(n=1, k=1, d=1, density=1.0, binary=True, scale=20.0, block=1, seed=4)
+def test_float32_targets_match_the_float64_oracle(n, k, d, density, binary, scale, block, seed):
+    """Float32 blocks, float64 sums: within 1e-6 of the loss's scale and 1e-5 of the gradients'.
+
+    The scales are those of the link likelihood's test, from this file's
+    float32_error_scales.
+    """
+    rng = np.random.default_rng(seed)
+    targets = SparseMatrix(random_targets(n, d, density, binary, rng))
+    z0 = rng.normal(size=(n, k)) * scale
+    w0 = rng.normal(size=(k, d))
+    dense = loss_and_grads(dense_feature_bce_sum, z0, w0, targets)
+    with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", block):
+        fused = loss_and_grads(tc.feature_bce_sum, z0, w0, as_float32(targets))
+    loss_scale, grad_scales = float32_error_scales(z0, w0, targets)
+    assert abs(fused[0] - dense[0]) <= 1e-6 * max(1.0, dense[0], loss_scale)
+    for got, want, grad_scale in zip(fused[1:], dense[1:], grad_scales):
+        assert got.dtype == np.float64
+        atol = 1e-5 * max(1.0, np.max(np.abs(want)), np.max(grad_scale))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize(
+    "n,d,density,block",
+    [(10, 7, 0.4, 21), (6, 37, 0.3, 16), (5, 4, 0.0, 8), (40, 9, 0.2, 45)],
+    ids=["short-last-block", "wider-than-a-block", "no-stored-target", "eight-blocks"],
+)
+def test_float32_bits_do_not_depend_on_the_worker_count(n, d, density, block):
+    rng = np.random.default_rng(n)
+    targets = as_float32(SparseMatrix(random_targets(n, d, density, False, rng)))
+    z0, w0 = rng.normal(size=(n, 3)) * 40.0, rng.normal(size=(3, d))  # logits beyond 88 too
     runs = []
     for workers in (1, 2, 3):
         with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", block), \

@@ -5,7 +5,9 @@ grid. The oracle here is the dense path: the full logit grid, the train
 adjacency with the diagonal set to 1 as targets, and
 `oracles.weighted_bce_with_logits_sum`. The blocks run on a thread pool
 and are summed in block order, so the bits must not depend on the number
-of workers.
+of workers. With float32 targets, as training stores them, the blocks
+compute in float32; those tests judge them against the float64 oracle on
+a first-order scale of float32 rounding.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from dglfrm import trainer
 from dglfrm.graphdata import Graph, SplitSpec, normalize_adjacency
 from dglfrm.tensor import Parameter, SparseMatrix
 from dglfrm.trainer import TrainConfig
-from oracles import NO_PAIRS, assert_close, to_dense, weighted_bce_with_logits_sum, zero_grads
+from oracles import NO_PAIRS, as_float32, assert_close, to_dense, weighted_bce_with_logits_sum, zero_grads
 
 def labels_grid(positives: SparseMatrix) -> np.ndarray:
     """Dense targets: the train adjacency with the diagonal set to 1."""
@@ -104,6 +106,90 @@ def test_link_bce_sum_bits_do_not_depend_on_the_worker_count(n, density, block, 
     rng = np.random.default_rng(n)
     positives = random_positives(n, density, rng)
     z0, w0 = rng.normal(size=(n, 3)), rng.normal(size=(3, 3))
+    runs = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", block), \
+                mock.patch.object(tc, "BLOCK_WORKERS", workers):
+            runs.append(loss_and_grads(tc.link_bce_sum, z0, w0, shared, positives, 3.0))
+    for run in runs[1:]:
+        assert run[0] == runs[0][0]
+        for got, want in zip(run[1:], runs[0][1:]):
+            np.testing.assert_array_equal(got, want)
+
+
+def float32_error_scales(z0, w0, shared, positives, pos_weight):
+    """The scales of the float32 blocks' rounding error: the loss's, then the gradients'.
+
+    A block's logit x is off by a few float32 epsilons of its pair's m =
+    |left| @ |right|.T, which is far larger than |x| where the products
+    cancel. That moves the loss by sum |G| m, with G the weighted derivative,
+    and G by w sigmoid'(x) m, plus w for rounding sigmoid(x) near 1. The
+    gradients are then off by a few epsilons of the same chain run on |z|
+    and |w| with w (1 + sigmoid'(x) m) in place of G.
+    """
+    labels = labels_grid(positives)
+    weights = np.where(labels == 1.0, pos_weight, 1.0)
+    left = z0 if shared else z0 @ ((w0 + w0.T) * 0.5)
+    s = tc.sigmoid_np(left @ z0.T)
+    g, slope = weights * (s - labels), weights * s * (1.0 - s)
+
+    def scale(left, right, positives, pos_weight):  # on |z| and |w|
+        m = tc.matmul(left, tc.transpose(right))
+        return tc._make("scale", np.asarray((np.abs(g) * m.data).sum()), (m, lambda up: up * (weights + slope * m.data)))
+
+    loss, *grads = loss_and_grads(scale, np.abs(z0), np.abs(w0), shared, positives, pos_weight)
+    return loss, grads
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    f=st.integers(1, 4),
+    density=st.floats(0.0, 1.0),
+    pos_weight=st.floats(0.05, 50.0),
+    scale=st.floats(0.0, 12.0),
+    block=st.integers(1, 600),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# logits beyond 88 in magnitude, where float32 exp overflows
+@example(n=20, f=3, density=0.2, pos_weight=4.0, scale=10.0, block=60, shared=False, seed=1)
+@example(n=12, f=4, density=0.5, pos_weight=1.0, scale=12.0, block=600, shared=True, seed=2)
+# a confident target, whose float32 derivative w (sigmoid(x) - 1) is 0
+@example(n=1, f=2, density=0.0, pos_weight=0.5, scale=2.0, block=1, shared=True, seed=3)
+# products that cancel in the gradient of w
+@example(n=3, f=1, density=0.5, pos_weight=9.0, scale=5.0, block=1, shared=False, seed=200)
+def test_float32_targets_match_the_float64_oracle(n, f, density, pos_weight, scale, block, shared, seed):
+    """Float32 blocks, float64 sums: within 1e-6 of the loss's scale and 1e-5 of the gradients'.
+
+    Each scale is the largest of 1 (as in assert_close: the dense oracle's own
+    float64 rounding), the oracle's result (its largest entry for a gradient)
+    and the rounding error's scale from float32_error_scales.
+    """
+    rng = np.random.default_rng(seed)
+    positives = random_positives(n, density, rng)
+    z0 = rng.normal(size=(n, f)) * scale
+    w0 = rng.normal(size=(f, f))
+    dense = loss_and_grads(dense_link_bce_sum, z0, w0, shared, positives, pos_weight)
+    with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", block):
+        fused = loss_and_grads(tc.link_bce_sum, z0, w0, shared, as_float32(positives), pos_weight)
+    loss_scale, grad_scales = float32_error_scales(z0, w0, shared, positives, pos_weight)
+    assert abs(fused[0] - dense[0]) <= 1e-6 * max(1.0, dense[0], loss_scale)
+    for got, want, grad_scale in zip(fused[1:], dense[1:], grad_scales):
+        assert got.dtype == np.float64
+        atol = 1e-5 * max(1.0, np.max(np.abs(want)), np.max(grad_scale))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize(
+    "n,density,block,shared",
+    [(10, 0.3, 30, True), (10, 0.3, 30, False), (9, 0.0, 20, False), (40, 0.1, 200, True)],
+    ids=["short-last-block-shared", "short-last-block-bilinear", "empty-train", "eight-blocks"],
+)
+def test_float32_bits_do_not_depend_on_the_worker_count(n, density, block, shared):
+    rng = np.random.default_rng(n)
+    positives = as_float32(random_positives(n, density, rng))
+    z0, w0 = rng.normal(size=(n, 3)) * 8.0, rng.normal(size=(3, 3))  # logits beyond 88 too
     runs = []
     for workers in (1, 2, 3):
         with mock.patch.object(tc, "LINK_BLOCK_ELEMENTS", block), \

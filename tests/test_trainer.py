@@ -227,6 +227,42 @@ class TestDrawNoise:
 
 
 # ---------------------------------------------------------------------------
+# The precision policy
+
+
+def test_train_graph_holds_float32_targets_and_a_float64_normalized_adjacency(synth):
+    g, split = synth
+    features = SparseMatrix((np.random.default_rng(0).random((g.n_nodes, 6)) < 0.3).astype(float))
+    g = Graph(n_nodes=g.n_nodes, adjacency=g.adjacency, features=features)
+    train_graph, a_hat = trainer._train_graph(g, split)
+    want = gd.train_adjacency(g, split)
+    for got, stored in ((train_graph.adjacency, want), (train_graph.features, features)):
+        assert got.values.dtype == np.float32
+        assert got == stored  # the same pattern, and values equal after the exact upcast
+    assert a_hat.values.dtype == np.float64
+    assert a_hat == normalize_adjacency(Graph(n_nodes=g.n_nodes, adjacency=want))
+    assert g.features.values.dtype == g.adjacency.values.dtype == np.float64  # g itself is untouched
+
+
+def test_training_with_parameters_past_float32_range_keeps_a_finite_checkpoint(synth, monkeypatch):
+    """The first step's loss is not finite, so the checkpoint holds the (finite) initial parameters."""
+    g, split = synth
+    init_params = trainer.init_params
+
+    def oversized(*args):
+        params = init_params(*args)
+        params["encoder.w_mu"].data *= 1e40
+        return params
+
+    monkeypatch.setattr(trainer, "init_params", oversized)
+    ckpt, report = trainer.train(g, split, tiny_config(variant="vgae", epochs=3))
+    assert report.diverged and report.divergence.startswith("non-finite loss")
+    assert not report.losses
+    for name, arr in ckpt.params.items():
+        assert np.all(np.isfinite(arr)), name
+
+
+# ---------------------------------------------------------------------------
 # elbo_loss
 
 
@@ -300,6 +336,21 @@ class TestElboLoss:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericDomainError):
                 trainer.elbo_loss(g, normalize_adjacency(g), params, cfg, noise)
+
+    def test_parameters_past_float32_range_stop_at_the_loss(self):
+        """A latent past float32's range (3.4e38) is infinite in the fused likelihoods' float32
+        blocks, so the loss check raises where float64 blocks would give a finite loss."""
+        g = small_graph()
+        cfg = tiny_config(variant="vgae", feature_term=True)
+        train_graph, a_hat = trainer._train_graph(g, trivial_split(g))
+        params = trainer.init_params(train_graph, cfg, np.random.default_rng(0))
+        params["encoder.w_mu"].data *= 1e40
+        noise = trainer.draw_noise(np.random.default_rng(1), g.n_nodes, cfg.k, params)
+        with np.errstate(over="ignore", invalid="ignore"):  # as training runs
+            _, parts = trainer.elbo_loss(g, a_hat, params, cfg, noise)  # g's targets are float64
+            assert np.isfinite(parts.total)
+            with pytest.raises(NumericDomainError, match="non-finite loss"):
+                trainer.elbo_loss(train_graph, a_hat, params, cfg, noise)
 
     def test_component_recombination(self, synth):
         g, split = synth
